@@ -13,15 +13,14 @@ One subcommand per invocation:
 Exit status: 0 success, 1 domain failure (type mismatch, axiom failure,
 non-equivalence), 2 usage or unparseable input.  Reports go to stdout,
 errors to stderr with file:line:col positions where available.  Every
-report has a ``--json`` mirror; batch subcommands accept several files
-and a ``--jobs`` flag, with the report order following the input order.
+report has a ``--json`` mirror; batch subcommands accept several files,
+with the report order following the input order.
 """
 
 import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .diagram import Gen, OcbordError, fmt_obj
 from .dsl import ParseError, TypeMismatch, parse, render
@@ -86,42 +85,33 @@ def _count_gens(term):
     return sum(1 for sl in term.slices for f in sl if isinstance(f, Gen))
 
 
-def _run_files(files, jobs, work):
-    """Yield (report_dict, exit_code) per file, in input order.
-
-    ``work(path)`` builds the report; failures become ok=False reports so
-    a batch keeps going and the caller aggregates the exit code.
-    """
-
-    def one(path):
-        try:
-            return work(path), EXIT_OK
-        except TypeMismatch as e:
-            return {"file": path, "ok": False, "error": str(e)}, EXIT_DOMAIN
-        except ParseError as e:
-            return {"file": path, "ok": False, "error": str(e)}, EXIT_USAGE
-        except _UsageError as e:
-            return {"file": path, "ok": False, "error": str(e)}, EXIT_USAGE
-        except OcbordError as e:
-            return {"file": path, "ok": False, "error": str(e)}, EXIT_DOMAIN
-
-    if jobs > 1 and len(files) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            yield from pool.map(one, files)
-    else:
-        for path in files:
-            yield one(path)
+def _exit_code(e: Exception) -> int:
+    """Exit status for an error: 2 for bad usage or unparseable input, 1
+    for a domain failure, which includes rows that do not compose."""
+    if isinstance(e, TypeMismatch):
+        return EXIT_DOMAIN
+    if isinstance(e, (_UsageError, ParseError, OSError)):
+        return EXIT_USAGE
+    return EXIT_DOMAIN
 
 
 def _batch(ns, work, human):
-    """Shared driver for check / invariants / eval."""
+    """Shared driver for check / invariants / eval.
+
+    ``work(path)`` builds one file's report; a failure becomes an ok=False
+    report so the batch keeps going, and the exit code is the worst seen.
+    Reports follow the input order.
+    """
     reports = []
     code = EXIT_OK
-    for rep, c in _run_files(ns.files, ns.jobs, work):
-        code = max(code, c)
+    for path in ns.files:
+        try:
+            rep = work(path)
+        except (_UsageError, OcbordError) as e:
+            rep = {"file": path, "ok": False, "error": str(e)}
+            code = max(code, _exit_code(e))
+            print(f"error: {e}", file=sys.stderr)
         reports.append(rep)
-        if not rep.get("ok"):
-            print(f"error: {rep['error']}", file=sys.stderr)
         if not ns.json:
             for line in human(rep):
                 print(line)
@@ -313,7 +303,7 @@ def _cmd_examples(ns):
                     "target": [str(s) for s in t.target],
                     "generators": _count_gens(t),
                 })
-            except (ParseError, _UsageError, OcbordError) as e:
+            except (_UsageError, OcbordError) as e:
                 corpus.append({"file": fn, "error": str(e)})
     if ns.json:
         _emit_json({"algebras": algebras, "corpus": corpus,
@@ -343,13 +333,6 @@ def _cmd_examples(ns):
 # Argument parsing
 
 
-def _positive(text):
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError("must be at least 1")
-    return n
-
-
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="ocbord",
@@ -365,11 +348,9 @@ def _build_parser():
 
     p = add("check", _cmd_check, "type-check diagram files")
     p.add_argument("files", nargs="+", metavar="FILE.ocd")
-    p.add_argument("--jobs", type=_positive, default=1)
 
     p = add("invariants", _cmd_invariants, "report topological invariants")
     p.add_argument("files", nargs="+", metavar="FILE.ocd")
-    p.add_argument("--jobs", type=_positive, default=1)
 
     p = add("normalize", _cmd_normalize, "rewrite a diagram to normal form")
     p.add_argument("file", metavar="FILE.ocd")
@@ -386,7 +367,6 @@ def _build_parser():
     p.add_argument("files", nargs="+", metavar="FILE.ocd")
     p.add_argument("--algebra", required=True, metavar="ALG",
                    help="a .kfa file or a builtin algebra name")
-    p.add_argument("--jobs", type=_positive, default=1)
 
     p = add("axioms", _cmd_axioms, "verify the axioms of an algebra")
     p.add_argument("algebra", metavar="ALG",
@@ -408,21 +388,9 @@ def run(argv=None) -> int:
         return EXIT_OK if not e.code else EXIT_USAGE
     try:
         return ns.func(ns)
-    except _UsageError as e:
+    except (_UsageError, OcbordError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except TypeMismatch as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except OcbordError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+        return _exit_code(e)
 
 
 def main() -> None:

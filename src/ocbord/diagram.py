@@ -83,7 +83,7 @@ _SIGS = {
     "cozip":   (1, lambda a: ((Seg.I(a, a),), (Seg.O(),))),
 }
 
-GEN_KINDS = tuple(_SIGS)
+GEN_ARITY = {kind: arity for kind, (arity, _) in _SIGS.items()}
 
 
 @lru_cache(maxsize=None)
@@ -99,9 +99,9 @@ class Gen:
     colors: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in _SIGS:
+        if self.kind not in GEN_ARITY:
             raise ValueError(f"unknown generator kind {self.kind!r}")
-        want = _SIGS[self.kind][0]
+        want = GEN_ARITY[self.kind]
         if len(self.colors) != want:
             raise ValueError(
                 f"{self.kind} takes {want} colour(s), got {len(self.colors)}")
@@ -157,48 +157,6 @@ class Cross:
         return f"cross({self.a},{self.b})"
 
 
-# Convenience constructors, handy in tests and when building rules.
-
-def mu_A(a=DEFAULT_COLOR, b=DEFAULT_COLOR, c=DEFAULT_COLOR) -> Gen:
-    return Gen("mu_A", (a, b, c))
-
-
-def eta_A(a=DEFAULT_COLOR) -> Gen:
-    return Gen("eta_A", (a,))
-
-
-def Delta_A(a=DEFAULT_COLOR, b=DEFAULT_COLOR, c=DEFAULT_COLOR) -> Gen:
-    return Gen("Delta_A", (a, b, c))
-
-
-def eps_A(a=DEFAULT_COLOR) -> Gen:
-    return Gen("eps_A", (a,))
-
-
-def mu_C() -> Gen:
-    return Gen("mu_C")
-
-
-def eta_C() -> Gen:
-    return Gen("eta_C")
-
-
-def Delta_C() -> Gen:
-    return Gen("Delta_C")
-
-
-def eps_C() -> Gen:
-    return Gen("eps_C")
-
-
-def zip_(a=DEFAULT_COLOR) -> Gen:
-    return Gen("zip", (a,))
-
-
-def cozip(a=DEFAULT_COLOR) -> Gen:
-    return Gen("cozip", (a,))
-
-
 @dataclass(frozen=True)
 class DiagramTerm:
     """A diagram presented as slices of factors.
@@ -225,12 +183,6 @@ class DiagramTerm:
     @property
     def target(self) -> tuple:
         return self.validate()
-
-    def then(self, other: "DiagramTerm") -> "DiagramTerm":
-        return compose(self, other)
-
-    def beside(self, other: "DiagramTerm") -> "DiagramTerm":
-        return tensor(self, other)
 
 
 def gen_term(g: Gen) -> DiagramTerm:
@@ -329,11 +281,6 @@ class PortGraph:
         del self.in_to_out[cons]
         return cons
 
-    def unwire_cons(self, cons):
-        prod = self.in_to_out.pop(cons)
-        del self.out_to_in[prod]
-        return prod
-
     def wires(self):
         return self.out_to_in.items()
 
@@ -408,6 +355,34 @@ def to_port_graph(term: DiagramTerm) -> PortGraph:
     return g
 
 
+def as_graph(x) -> PortGraph:
+    """The port graph of a term; a port graph is returned as is."""
+    return to_port_graph(x) if isinstance(x, DiagramTerm) else x
+
+
+class UnionFind:
+    """Disjoint sets over hashable items; an item joins on first sight.
+
+    ``union(x, y)`` makes the root of ``y``'s set the root of both.  Roots
+    are observable: :func:`ocbord.tqft.groupoid_algebra` orders and names
+    the basis of C by them.
+    """
+
+    def __init__(self):
+        self.parent = {}
+
+    def find(self, x):
+        root = self.parent.setdefault(x, x)
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while x != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, x, y) -> None:
+        self.parent[self.find(x)] = self.find(y)
+
+
 def _walk_order(g: PortGraph, seeds) -> list:
     """Breadth-first node order, exploring each node's ports left to right."""
     order, seen = [], set()
@@ -436,7 +411,8 @@ def _component_nodes(g: PortGraph, start: int) -> set:
                                else ("in", start, 0)])) | {start}
 
 
-def _serial_from(g: PortGraph, order: list) -> str:
+def _renumber(order: list):
+    """Endpoint map renaming each node id to its position in ``order``."""
     idx = {nid: i for i, nid in enumerate(order)}
 
     def ck(ep):
@@ -444,13 +420,21 @@ def _serial_from(g: PortGraph, order: list) -> str:
             return (ep[0], idx[ep[1]], ep[2])
         return ep
 
+    return ck
+
+
+def _node_parts(g: PortGraph, order: list, ck) -> list:
     parts = []
     for nid in order:
         gen = g.nodes[nid]
         outs = tuple(ck(g.out_to_in[("out", nid, k)])
                      for k in range(len(gen.target)))
         parts.append((gen.kind, gen.colors, outs))
-    return repr(parts)
+    return parts
+
+
+def _serial_from(g: PortGraph, order: list) -> str:
+    return repr(_node_parts(g, order, _renumber(order)))
 
 
 def canonical_order(g: PortGraph) -> list:
@@ -490,21 +474,10 @@ def canonical_order(g: PortGraph) -> list:
 def canonical_key(g: PortGraph) -> str:
     """A string equal for two port graphs iff they are identical up to ids."""
     order = canonical_order(g)
-    idx = {nid: i for i, nid in enumerate(order)}
-
-    def ck(ep):
-        if ep[0] == "in" or ep[0] == "out":
-            return (ep[0], idx[ep[1]], ep[2])
-        return ep
-
+    ck = _renumber(order)
     parts = [tuple(map(str, g.source)), tuple(map(str, g.target)),
              tuple(ck(g.out_to_in[("src", i)]) for i in range(len(g.source)))]
-    for nid in order:
-        gen = g.nodes[nid]
-        outs = tuple(ck(g.out_to_in[("out", nid, k)])
-                     for k in range(len(gen.target)))
-        parts.append((gen.kind, gen.colors, outs))
-    return repr(parts)
+    return repr(parts + _node_parts(g, order, ck))
 
 
 def graph_eq(g1: PortGraph, g2: PortGraph) -> bool:
@@ -514,16 +487,10 @@ def graph_eq(g1: PortGraph, g2: PortGraph) -> bool:
 def canonical_relabel(g: PortGraph) -> PortGraph:
     """Copy of ``g`` with nodes renumbered 0.. in canonical order."""
     order = canonical_order(g)
-    idx = {nid: i for i, nid in enumerate(order)}
-
-    def ck(ep):
-        if ep[0] == "in" or ep[0] == "out":
-            return (ep[0], idx[ep[1]], ep[2])
-        return ep
-
+    ck = _renumber(order)
     h = PortGraph(g.source, g.target)
-    for nid in order:
-        h.add_node(g.nodes[nid], idx[nid])
+    for i, nid in enumerate(order):
+        h.add_node(g.nodes[nid], i)
     for prod, cons in g.out_to_in.items():
         h.wire(ck(prod), ck(cons))
     return h

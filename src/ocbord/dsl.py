@@ -32,6 +32,7 @@ import re
 from dataclasses import dataclass
 
 from .diagram import (
+    GEN_ARITY,
     Cross,
     DiagramTerm,
     Gen,
@@ -117,11 +118,6 @@ def _colors(arg: str, want: int, atom: str, span: SourceSpan) -> tuple:
     return tuple(names)
 
 
-_GEN_ARITY = {"mu_A": 3, "eta_A": 1, "Delta_A": 3, "eps_A": 1,
-              "mu_C": 0, "eta_C": 0, "Delta_C": 0, "eps_C": 0,
-              "zip": 1, "cozip": 1}
-
-
 def _macro(name: str, arg: str, span: SourceSpan) -> DiagramTerm:
     """Expand one macro atom to its defining composite."""
     def g(kind, *cols):
@@ -200,8 +196,8 @@ def _parse_atom(text: str, span: SourceSpan) -> DiagramTerm:
         return DiagramTerm((x, y), ((Cross(x, y),),))
     if paren is not None:
         raise ParseError(f"{name} takes [..] colour brackets, not (..)", span)
-    if name in _GEN_ARITY:
-        cols = _colors(brack, _GEN_ARITY[name], name, span)
+    if name in GEN_ARITY:
+        cols = _colors(brack, GEN_ARITY[name], name, span)
         return gen_term(Gen(name, cols))
     return _macro(name, brack, span)
 
@@ -293,55 +289,14 @@ def _used_colors(term: DiagramTerm) -> set:
     return used
 
 
-def _fold_windows(slices):
-    """Merge adjacent ``zip``/``cozip`` slice pairs into window rows.
-
-    Returns a list of rows, each a list of printable factor strings.
-    """
-    def lone_gen(sl, kind):
-        hits = [i for i, f in enumerate(sl)
-                if isinstance(f, Gen) and f.kind == kind]
-        if len(hits) == 1 and all(isinstance(f, Id) or i in hits
-                                  for i, f in enumerate(sl)):
-            return hits[0]
-        return None
-
-    rows = []
-    i = 0
-    while i < len(slices):
-        sl = slices[i]
-        p = lone_gen(sl, "zip")
-        if p is not None and i + 1 < len(slices):
-            q = lone_gen(slices[i + 1], "cozip")
-            zpos = sum(len(f.target) for f in sl[:p])
-            qpos = None if q is None else \
-                sum(len(f.source) for f in slices[i + 1][:q])
-            if q is not None and zpos == qpos \
-                    and slices[i + 1][q].colors == sl[p].colors:
-                a = sl[p].colors[0]
-                w = "window_w" if a == DEFAULT_COLOR else f"window_w[{a}]"
-                rows.append([w if j == p else str(f)
-                             for j, f in enumerate(sl)])
-                i += 2
-                continue
-        rows.append([str(f) for f in sl])
-        i += 1
-    return rows
-
-
-def render(term: DiagramTerm, fold_windows: bool = False) -> str:
-    """Render a term as ``.ocd`` text.  ``parse(render(t))`` equals ``t``
-    up to window folding."""
+def render(term: DiagramTerm) -> str:
+    """Render a term as ``.ocd`` text.  ``parse(render(t))`` equals ``t``."""
     term.validate()
     lines = []
     named = sorted(_used_colors(term) - {DEFAULT_COLOR})
     if named:
         lines.append("colors " + ", ".join(named))
     lines.append("source " + fmt_obj(term.source).replace("(empty)", ""))
-    if fold_windows:
-        rows = _fold_windows(term.slices)
-    else:
-        rows = [[str(f) for f in sl] for sl in term.slices]
-    for row in rows:
-        lines.append(" | ".join(row))
+    for sl in term.slices:
+        lines.append(" | ".join(str(f) for f in sl))
     return "\n".join(line.rstrip() for line in lines) + "\n"

@@ -26,14 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import (
-    DiagramTerm,
-    OcbordError,
-    PortGraph,
-    Seg,
-    canonical_order,
-    to_port_graph,
-)
+from .diagram import OcbordError, UnionFind, as_graph, canonical_order
 
 # Euler characteristic of each generator's underlying sheet: discs for
 # the open generators and the closed cup/cap, pants for the closed
@@ -61,20 +54,6 @@ _ARCS = {
     "cozip": (((("in", 0), "L"), (("in", 0), "R")),),
     "mu_C": (), "eta_C": (), "Delta_C": (), "eps_C": (),
 }
-
-
-class _UnionFind:
-    def __init__(self):
-        self.parent = {}
-
-    def find(self, x):
-        p = self.parent.setdefault(x, x)
-        if p != x:
-            p = self.parent[x] = self.find(p)
-        return p
-
-    def union(self, x, y):
-        self.parent[self.find(x)] = self.find(y)
 
 
 @dataclass(frozen=True)
@@ -151,22 +130,6 @@ class Invariants:
         }
 
 
-def _as_graph(x) -> PortGraph:
-    if isinstance(x, DiagramTerm):
-        return to_port_graph(x)
-    return x
-
-
-def _endpoint_seg(g: PortGraph, ep) -> Seg:
-    if ep[0] == "src":
-        return g.source[ep[1]]
-    if ep[0] == "tgt":
-        return g.target[ep[1]]
-    if ep[0] == "in":
-        return g.nodes[ep[1]].source[ep[2]]
-    return g.nodes[ep[1]].target[ep[2]]
-
-
 def _rotate_cycle(cyc):
     i = cyc.index(min(cyc))
     return tuple(cyc[i:] + cyc[:i])
@@ -174,7 +137,7 @@ def _rotate_cycle(cyc):
 
 def invariants(x) -> Invariants:
     """Compute all invariants of a term or port graph."""
-    g = _as_graph(x)
+    g = as_graph(x)
     g.validate()
 
     # Port numbering over interval boundary segments.
@@ -190,7 +153,7 @@ def invariants(x) -> Invariants:
             nxt += 1
 
     # Corner graph: glue corners across wires, collect coloured arcs.
-    uf = _UnionFind()
+    uf = UnionFind()
     arcs = []                       # (cornerA, cornerB, colour)
     for prod, cons in g.wires():
         seg = g.producer_seg(prod)
@@ -206,7 +169,7 @@ def invariants(x) -> Invariants:
         for (p1, c1), (p2, c2) in _ARCS[gen.kind]:
             ep1 = (p1[0], nid, p1[1])
             ep2 = (p2[0], nid, p2[1])
-            seg = _endpoint_seg(g, ep1)
+            seg = (g.consumer_seg if p1[0] == "in" else g.producer_seg)(ep1)
             colour = seg.left if c1 == "L" else seg.right
             arcs.append(((ep1, c1), (ep2, c2), colour))
 
@@ -251,7 +214,7 @@ def invariants(x) -> Invariants:
             used.add(eid)
 
     # Connected components over nodes and boundary ports.
-    cuf = _UnionFind()
+    cuf = UnionFind()
 
     def item(ep):
         if ep[0] in ("src", "tgt"):
@@ -371,7 +334,7 @@ def profile_key(inv: Invariants):
 
 def equivalent(a, b) -> bool:
     """Decide whether two diagrams are diffeomorphic rel boundary."""
-    ga, gb = _as_graph(a), _as_graph(b)
+    ga, gb = as_graph(a), as_graph(b)
     if ga.source != gb.source or ga.target != gb.target:
         return False
     return profile_key(invariants(ga)) == profile_key(invariants(gb))

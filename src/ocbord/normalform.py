@@ -24,9 +24,7 @@ Conventions fixed here: blocks are ordered by their smallest port, a
 block multiplies its cycle as m, s^(q-1)(m), ..., s(m) starting from the
 cycle's smallest port m, window factors come in sorted colour order, and
 the split chain sends its deepest two outputs to the first two target
-circles.  :func:`sigma_bar` instead pairs cycles sorted by (length,
-smallest member); the two orderings serve different callers and are
-independent.
+circles.
 """
 
 from __future__ import annotations
@@ -39,18 +37,10 @@ from .diagram import (
     OcbordError,
     PortGraph,
     Seg,
+    as_graph,
     from_port_graph,
-    to_port_graph,
 )
 from .invariants import ComponentInvariants, Invariants, invariants
-
-
-class CycleTypeMismatch(OcbordError):
-    """Raised when two permutations cannot be conjugated as requested."""
-
-
-def _as_graph(x) -> PortGraph:
-    return to_port_graph(x) if isinstance(x, DiagramTerm) else x
 
 
 @dataclass(frozen=True)
@@ -69,15 +59,6 @@ class WrapData:
     src_circles: tuple
     tgt_intervals: tuple
     tgt_circles: tuple
-
-    @property
-    def sigma1(self):
-        """Source positions reordered intervals-first."""
-        return self.src_intervals + self.src_circles
-
-    @property
-    def sigma2(self):
-        return self.tgt_intervals + self.tgt_circles
 
     @property
     def wrapped_source(self):
@@ -190,13 +171,13 @@ def unwrap_graph(h: PortGraph, w: WrapData) -> PortGraph:
 
 def wrap(t: DiagramTerm):
     """Term-level wrap; see :func:`wrap_graph`."""
-    h, w = wrap_graph(_as_graph(t))
+    h, w = wrap_graph(as_graph(t))
     return from_port_graph(h), w
 
 
 def unwrap(t: DiagramTerm, w: WrapData) -> DiagramTerm:
     """Term-level unwrap, the inverse of :func:`wrap` up to equivalence."""
-    return from_port_graph(unwrap_graph(_as_graph(t), w))
+    return from_port_graph(unwrap_graph(as_graph(t), w))
 
 
 def _leaf_order(cyc):
@@ -205,21 +186,21 @@ def _leaf_order(cyc):
     return (cyc[0],) + tuple(reversed(cyc[1:]))
 
 
-def _build_component(h: PortGraph, source, cycles, windows, genus,
-                     tgt_positions, where: str) -> None:
+def _build_component(h: PortGraph, source, c: ComponentInvariants) -> None:
     """Emit one component's normal-form blocks into ``h``.
 
-    ``cycles`` hold 1-based port numbers; port j is source position j-1.
+    The cycles of ``c`` hold 1-based port numbers; port j is source
+    position j-1.
     """
     outs = []
-    for cyc in sorted(cycles):
+    for cyc in sorted(c.cycles):
         leaves = _leaf_order(cyc)
         cur = ("src", leaves[0] - 1)
         cur_seg = source[leaves[0] - 1]
         for leaf in leaves[1:]:
             seg = source[leaf - 1]
             if cur_seg.right != seg.left:
-                raise OcbordError(f"{where}: cycle colours do not chain")
+                raise OcbordError("normal form: cycle colours do not chain")
             mu = h.add_node(Gen("mu_A", (cur_seg.left, cur_seg.right,
                                          seg.right)))
             h.wire(cur, ("in", mu, 0))
@@ -227,7 +208,7 @@ def _build_component(h: PortGraph, source, cycles, windows, genus,
             cur = ("out", mu, 0)
             cur_seg = Seg.I(cur_seg.left, seg.right)
         if cur_seg.left != cur_seg.right:
-            raise OcbordError(f"{where}: cycle colours do not close up")
+            raise OcbordError("normal form: cycle colours do not close up")
         cz = h.add_node(Gen("cozip", (cur_seg.left,)))
         h.wire(cur, ("in", cz, 0))
         outs.append(("out", cz, 0))
@@ -240,20 +221,20 @@ def _build_component(h: PortGraph, source, cycles, windows, genus,
             main = ("out", mu, 0)
     else:
         main = ("out", h.add_node(Gen("eta_C")), 0)
-    for colour in windows:
+    for colour in c.windows:
         z = h.add_node(Gen("zip", (colour,)))
         cz = h.add_node(Gen("cozip", (colour,)))
         h.wire(main, ("in", z, 0))
         h.wire(("out", z, 0), ("in", cz, 0))
         main = ("out", cz, 0)
-    for _ in range(genus):
+    for _ in range(c.genus):
         de = h.add_node(Gen("Delta_C"))
         mu = h.add_node(Gen("mu_C"))
         h.wire(main, ("in", de, 0))
         h.wire(("out", de, 0), ("in", mu, 0))
         h.wire(("out", de, 1), ("in", mu, 1))
         main = ("out", mu, 0)
-    tgts = sorted(tgt_positions)
+    tgts = sorted(c.tgt_positions)
     if not tgts:
         h.wire(main, ("in", h.add_node(Gen("eps_C")), 0))
     elif len(tgts) == 1:
@@ -274,10 +255,23 @@ def nf_wrapped_graph(inv: Invariants) -> PortGraph:
     """Normal-form graph for a wrapped diagram, from its invariants."""
     h = PortGraph(inv.source, inv.target)
     for c in inv.components:
-        _build_component(h, inv.source, c.cycles, c.windows, c.genus,
-                         c.tgt_positions, "normal form")
+        _build_component(h, inv.source, c)
     h.validate()
     return h
+
+
+def wrapped_normal_form(x):
+    """The normal form of a diagram together with its wrapped view.
+
+    Returns ``(nf, wrapped, target)``: the normal-form term, the wrapped
+    port graph (see :func:`wrap_graph`) and the normal-form graph of the
+    wrapped diagram.
+    """
+    g = as_graph(x)
+    g.validate()
+    h, w = wrap_graph(g)
+    target = nf_wrapped_graph(invariants(h))
+    return from_port_graph(unwrap_graph(target, w)), h, target
 
 
 def normal_form(x) -> DiagramTerm:
@@ -285,105 +279,4 @@ def normal_form(x) -> DiagramTerm:
 
     Idempotent, boundary-preserving, and equivalent to the input.
     """
-    g = _as_graph(x)
-    g.validate()
-    h, w = wrap_graph(g)
-    nf = nf_wrapped_graph(invariants(h))
-    return from_port_graph(unwrap_graph(nf, w))
-
-
-def nf_open_to_closed(p: ComponentInvariants, n, m) -> DiagramTerm:
-    """Normal form of one connected all-interval-to-all-circle profile."""
-    n, m = tuple(n), tuple(m)
-    if any(not s.is_interval for s in n) or any(s.is_interval for s in m):
-        raise OcbordError(
-            "nf_open_to_closed wants an interval source and a circle target")
-    if p.src_positions != tuple(range(len(n))) or \
-            p.tgt_positions != tuple(range(len(m))):
-        raise OcbordError("profile does not cover the whole boundary")
-    ports = sorted(j for cyc in p.cycles for j in cyc)
-    if ports != list(range(1, len(n) + 1)):
-        raise OcbordError("cycles do not partition the source ports")
-    if p.genus < 0:
-        raise OcbordError("negative genus")
-    h = PortGraph(n, m)
-    _build_component(h, n, p.cycles, p.windows, p.genus, p.tgt_positions,
-                     "profile")
-    h.validate()
-    return from_port_graph(h)
-
-
-@dataclass(frozen=True)
-class NormalFormBlocks:
-    """Block data of one component's normal form."""
-
-    cycle_lengths: tuple
-    block_count: int
-    windows: tuple
-    genus: int
-    out_circles: int
-    leaf_order: tuple        # port numbers in block-leaf reading order
-
-    @property
-    def sigma_bar_word(self):
-        """The source shuffle: position k of the blocks reads port
-        leaf_order[k]."""
-        return self.leaf_order
-
-
-def normal_form_blocks(c: ComponentInvariants) -> NormalFormBlocks:
-    blocks = sorted(c.cycles)
-    return NormalFormBlocks(
-        cycle_lengths=tuple(len(cyc) for cyc in blocks),
-        block_count=len(blocks),
-        windows=c.windows,
-        genus=c.genus,
-        out_circles=len(c.tgt_positions),
-        leaf_order=tuple(j for cyc in blocks for j in _leaf_order(cyc)),
-    )
-
-
-def _cycles_of(perm: dict):
-    cycles = []
-    seen = set()
-    for start in sorted(perm):
-        if start in seen:
-            continue
-        cyc, j = [], start
-        while j not in seen:
-            seen.add(j)
-            cyc.append(j)
-            j = perm[j]
-        cycles.append(tuple(cyc))
-    return cycles
-
-
-def sigma_bar(sigma, tau, sigma_colors=None, tau_colors=None) -> dict:
-    """Deterministic conjugator: a bijection pi with pi.sigma = tau.pi.
-
-    Cycles of both permutations are sorted by (length, smallest member)
-    and paired in order; paired cycles are aligned starting from their
-    smallest members.  With colour maps given, aligned points must have
-    equal colours.  Raises CycleTypeMismatch otherwise.
-    """
-    s, t = dict(sigma), dict(tau)
-    for name, p in (("sigma", s), ("tau", t)):
-        if sorted(p) != sorted(p.values()):
-            raise CycleTypeMismatch(f"{name} is not a permutation")
-    key = lambda cyc: (len(cyc), cyc[0])
-    sc = sorted(_cycles_of(s), key=key)
-    tc = sorted(_cycles_of(t), key=key)
-    if [len(c) for c in sc] != [len(c) for c in tc]:
-        raise CycleTypeMismatch("cycle types differ")
-    pi = {}
-    for cs, ct in zip(sc, tc):
-        for x, y in zip(cs, ct):
-            pi[x] = y
-    if sigma_colors is not None and tau_colors is not None:
-        gs, gt = dict(sigma_colors), dict(tau_colors)
-        for x, y in pi.items():
-            if gs.get(x) != gt.get(y):
-                raise CycleTypeMismatch(
-                    f"colour mismatch: port {x} is {gs.get(x)} but its "
-                    f"image {y} is {gt.get(y)}")
-    return pi
+    return wrapped_normal_form(x)[0]

@@ -48,8 +48,7 @@ from importlib import resources
 from .diagram import (DiagramTerm, Gen, OcbordError, PortGraph,
                       from_port_graph, graph_eq, syntactic_eq, to_port_graph)
 from .dsl import parse, render
-from .invariants import invariants
-from .normalform import nf_wrapped_graph, normal_form, unwrap, wrap
+from .normalform import wrapped_normal_form
 
 
 class StrategyStuck(OcbordError):
@@ -483,21 +482,25 @@ class _Recorder:
 
 
 def _heights(g: PortGraph) -> dict:
+    """For each node, one plus the sum of its successors' heights."""
+    succ = {n: [c[1] for c in (g.out_to_in[("out", n, k)]
+                               for k in range(len(gen.target)))
+                if c[0] == "in"]
+            for n, gen in g.nodes.items()}
+    preds: dict = {n: [] for n in succ}
+    for n, ms in succ.items():
+        for m in ms:
+            preds[m].append(n)
+    waiting = {n: len(ms) for n, ms in succ.items()}
+    ready = [n for n, k in waiting.items() if not k]
     memo: dict = {}
-
-    def h(nid):
-        if nid in memo:
-            return memo[nid]
-        tot = 1
-        for k in range(len(g.nodes[nid].target)):
-            cons = g.out_to_in[("out", nid, k)]
-            if cons[0] == "in":
-                tot += h(cons[1])
-        memo[nid] = tot
-        return tot
-
-    for n in sorted(g.nodes):
-        h(n)
+    while ready:
+        n = ready.pop()
+        memo[n] = 1 + sum(memo[m] for m in succ[n])
+        for p in preds[n]:
+            waiting[p] -= 1
+            if not waiting[p]:
+                ready.append(p)
     return memo
 
 
@@ -605,13 +608,16 @@ def _comult_one_cozip(rec: _Recorder, d: int, cz: int):
     # front, absorb everything between the legs, then fold by cardy
     _left_comb(rec, ("in", cz, 0), "mu_A", "assoc_A")
     cz = _spin_until(rec, cz, lambda ls: ls[0] == ("out", d, 1))
+    # each absorption removes one leaf, so the leaf count on entry bounds
+    # the number of steps
+    bound = len(_tree_leaves(rec.g, rec.g.in_to_out[("in", cz, 0)], "mu_A"))
     guard = 0
     while True:
         leaves = _tree_leaves(rec.g, rec.g.in_to_out[("in", cz, 0)], "mu_A")
         if leaves[1] == ("out", d, 0):
             break
         guard += 1
-        if guard > len(leaves) + 2:
+        if guard > bound:
             raise StrategyStuck("leg absorption did not converge")
         b = rec.g.out_to_in[("out", d, 1)][1]
         d = rec.do("frobL_A", False, (d, b))[1]
@@ -969,14 +975,11 @@ def normalize_with_trace(x):
     input.  A diagram already in normal form yields an empty move list.
     """
     t = x if isinstance(x, DiagramTerm) else from_port_graph(x)
-    t.validate()
-    nf = normal_form(t)
-    wt, w = wrap(t)
+    nf, wrapped, target = wrapped_normal_form(t)
+    wt = from_port_graph(wrapped)
     if syntactic_eq(t, nf):
         return t, MoveTrace(wt, (), wt)
-    g = to_port_graph(wt)
-    target = nf_wrapped_graph(invariants(g))
-    rec = _Recorder(g)
+    rec = _Recorder(to_port_graph(wt))
     _phase_boundary(rec)
     _phase_open(rec)
     _phase_closed(rec)
@@ -984,8 +987,7 @@ def normalize_with_trace(x):
     if not graph_eq(rec.g, target):
         raise StrategyStuck("normalization reached an unexpected shape; "
                             "the move log so far is still sound")
-    final = from_port_graph(rec.g)
-    return unwrap(final, w), MoveTrace(wt, tuple(rec.moves), final)
+    return nf, MoveTrace(wt, tuple(rec.moves), from_port_graph(rec.g))
 
 
 def normalize(x) -> DiagramTerm:

@@ -27,13 +27,13 @@ from .diagram import (
     DiagramTerm,
     Gen,
     OcbordError,
-    PortGraph,
     Seg,
+    UnionFind,
+    as_graph,
     compose,
     gen_term,
     identity_term,
     tensor,
-    to_port_graph,
 )
 
 EVAL_DIM_CAP = 4096
@@ -200,7 +200,7 @@ def _decode(flat: int, dims):
 
 def evaluate(x, alg: KFA) -> LinearMap:
     """Contract a diagram to its linear map under ``alg``."""
-    g = to_port_graph(x) if isinstance(x, DiagramTerm) else x
+    g = as_graph(x)
     g.validate()
     rows = alg.obj_dim(g.target)
     cols = alg.obj_dim(g.source)
@@ -637,17 +637,10 @@ def groupoid_algebra(gpd: Groupoid) -> KFA:
     coefficient; the cozipper is solved exactly from the duality law.
     """
     objs = gpd.objects
-    uf = {x: x for x in objs}
-
-    def find(x):
-        while uf[x] != x:
-            uf[x] = uf[uf[x]]
-            x = uf[x]
-        return x
-
-    for f, (s, t) in gpd.morphisms.items():
-        uf[find(s)] = find(t)
-    comp_of = {x: find(x) for x in objs}
+    uf = UnionFind()
+    for s, t in gpd.morphisms.values():
+        uf.union(s, t)
+    comp_of = {x: uf.find(x) for x in objs}
     comps = sorted(set(comp_of.values()))
 
     # Per component: base object, vertex group, conjugacy classes.

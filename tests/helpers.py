@@ -267,3 +267,11 @@ def recolor(t: DiagramTerm, to: str = "*") -> DiagramTerm:
     return DiagramTerm(tuple(seg(s) for s in t.source),
                        tuple(tuple(factor(f) for f in row)
                              for row in t.slices))
+
+
+def window_strip(n: int) -> DiagramTerm:
+    """A strip with ``n`` open windows in a row, each a comultiplication
+    followed by a multiplication (``window_o``), built without the parser."""
+    star = ("*", "*", "*")
+    return DiagramTerm((Seg.I(),), ((Gen("Delta_A", star),),
+                                    (Gen("mu_A", star),)) * n)

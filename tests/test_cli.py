@@ -1,15 +1,19 @@
 """Command line behaviour: reports, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import ocbord
 from ocbord.cli import run
 from ocbord.dsl import parse, parse_file
 from ocbord.invariants import equivalent
 from ocbord.rewrite import check_trace, read_trace
 from ocbord.tqft import builtin_matrix_example, evaluate, save_kfa
 
-from helpers import mutate_algebra
+from helpers import mutate_algebra, window_strip
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 FIG = str(CORPUS / "figure1.ocd")
@@ -134,9 +138,22 @@ def test_examples_lists_builtins_and_corpus(capsys):
 def test_jobs_keeps_input_order(tmp_path, capsys):
     files = [_ocd(tmp_path, f"f{i}.ocd", "source O\nwindow_c\n")
              for i in range(6)]
-    assert run(["check", "--jobs", "4"] + files) == 0
+    assert run(["check"] + files) == 0
     out = [l.split(":")[0] for l in capsys.readouterr().out.splitlines()]
     assert out == [str(Path(f)) for f in files]
+
+
+def test_invariants_on_a_deep_strip(tmp_path):
+    path = _ocd(tmp_path, "strip.ocd", "source I\n" + "window_o\n" * 600)
+    assert parse_file(path) == window_strip(600)
+    src = str(Path(ocbord.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-m", "ocbord.cli", "invariants",
+                           path], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert "windows = 600" in proc.stdout
 
 
 def test_batch_keeps_going_after_errors(tmp_path, capsys):

@@ -120,11 +120,3 @@ def test_type_mismatch_is_its_own_error():
         parse("source I\nmu_A\n", filename="g.ocd")
     assert isinstance(e.value, ParseError)
     assert e.value.span.line == 2
-
-
-def test_render_folds_windows_option():
-    t = parse("source O\nwindow_w[a]\n")
-    folded = render(t, fold_windows=True)
-    assert "window_w[a]" in folded
-    assert syntactic_eq(parse(folded), t) or graph_eq(
-        to_port_graph(parse(folded)), to_port_graph(t))

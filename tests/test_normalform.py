@@ -3,15 +3,12 @@
 import random
 from pathlib import Path
 
-import pytest
-
 from ocbord.diagram import from_port_graph, syntactic_eq, to_port_graph
 from ocbord.dsl import parse_file
-from ocbord.invariants import equivalent
-from ocbord.normalform import (CycleTypeMismatch, normal_form, sigma_bar,
-                               unwrap, wrap)
+from ocbord.invariants import equivalent, invariants
+from ocbord.normalform import normal_form, unwrap, wrap
 
-from helpers import perturb, random_mutant, random_term
+from helpers import perturb, random_mutant, random_term, window_strip
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -83,28 +80,11 @@ def test_normal_form_of_corpus_stays_equivalent():
         assert equivalent(t, normal_form(t)), f.name
 
 
-def test_sigma_bar_on_matching_cycle_types():
-    assert sigma_bar({1: 2, 2: 1}, {1: 2, 2: 1}) == {1: 1, 2: 2}
-    out = sigma_bar({1: 2, 2: 1, 3: 3}, {1: 1, 2: 3, 3: 2})
-    # conjugating by the result carries one permutation onto the other
-    sig = {1: 2, 2: 1, 3: 3}
-    tau = {1: 1, 2: 3, 3: 2}
-    assert {out[j]: out[sig[j]] for j in sig} == tau
-
-
-def test_sigma_bar_rejects_cycle_type_mismatch():
-    with pytest.raises(CycleTypeMismatch):
-        sigma_bar({1: 2, 2: 1}, {1: 1, 2: 2})
-    with pytest.raises(CycleTypeMismatch):
-        sigma_bar({1: 2, 2: 3, 3: 1}, {1: 2, 2: 1, 3: 3})
-
-
-def test_sigma_bar_respects_colours():
-    # cycles are paired in canonical order, so the aligned ports must
-    # carry equal colours; a clash is a mismatch even with equal types
-    with pytest.raises(CycleTypeMismatch):
-        sigma_bar({1: 2, 2: 1}, {1: 2, 2: 1},
-                  {1: "a", 2: "b"}, {1: "b", 2: "a"})
-    out = sigma_bar({1: 2, 2: 1}, {1: 2, 2: 1},
-                    {1: "a", 2: "b"}, {1: "a", 2: "b"})
-    assert out == {1: 1, 2: 2}
+def test_deep_strip_stays_within_the_recursion_limit():
+    # 1200 generators in one chain: every walk over it must be iterative
+    strip = window_strip(600)
+    inv = invariants(strip)
+    assert inv.window_count == 600 and inv.total_genus == 0
+    assert equivalent(strip, strip)
+    assert not equivalent(strip, window_strip(599))
+    assert equivalent(normal_form(strip), strip)

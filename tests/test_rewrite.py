@@ -6,13 +6,15 @@ from pathlib import Path
 
 import pytest
 
-from ocbord.diagram import graph_eq, syntactic_eq, to_port_graph
-from ocbord.dsl import parse_file
+from ocbord.diagram import (DiagramTerm, Gen, Seg, graph_eq, syntactic_eq,
+                            to_port_graph)
+from ocbord.dsl import parse, parse_file
 from ocbord.invariants import invariants, profile_key
 from ocbord.normalform import normal_form
 from ocbord.rewrite import (
     MoveTrace,
     TraceError,
+    _heights,
     apply_match,
     check_trace,
     find_matches,
@@ -114,15 +116,87 @@ def test_random_rewrites_preserve_profile():
         assert profile_key(invariants(g)) == base
 
 
+# hand-written shapes: units and counits alone, closed bubbles, a lone
+# comultiplication, a crossing, and blocks that meet a zip
+HAND_CASES = [
+    "source I[*,*]\n",
+    "source O\n",
+    "source I[*,*], I[*,*]\nmu_A\ncozip\neps_C\n",
+    "source I[*,*], I[*,*]\nDelta_A | id:I[*,*]\nid:I[*,*] | mu_A\n",
+    "source\neta_A\neps_A\n",
+    "source\neta_C\nDelta_C\nmu_C\neps_C\n",
+    "source O, O\nmu_C\nDelta_C\n",
+    "source I[*,*]\ncozip\nDelta_C\neps_C | id:O\n",
+    "source I[*,*], I[*,*], I[*,*]\nmu_A | id:I[*,*]\nmu_A\ncozip\n",
+    "source I[*,*]\nDelta_A\ncozip | cozip\nmu_C\n",
+    "source I[*,*]\nDelta_A\nmu_A\nDelta_A\nmu_A\neps_A\n",
+    "source\neta_A\nDelta_A\ncozip | cozip\nzip | id:O\ncozip | id:O\n"
+    "mu_C\n",
+    "source I[*,*]\nDelta_A\n",
+    "source O\nzip\n",
+    "source I[*,*], I[*,*]\ncross(I[*,*], I[*,*])\n",
+    "source O, I[*,*]\nid:O | Delta_A\nzip | id:I[*,*] | id:I[*,*]\n"
+    "mu_A | id:I[*,*]\nmu_A\ncozip\n",
+]
+
+
 def test_normalize_agrees_with_normal_form():
     rng = random.Random(42)
-    for _ in range(80):
-        t = random_term(rng, max_gens=20, colors=("*", "a", "b"),
-                        connected=False)
+    terms = [parse(text) for text in HAND_CASES]
+    terms += [random_term(rng, max_gens=20, colors=("*", "a", "b"),
+                          connected=False) for _ in range(80)]
+    for t in terms:
         nf, tr = normalize_with_trace(t)
         assert syntactic_eq(nf, normal_form(t))
         assert check_trace(tr)
         assert syntactic_eq(normalize(t), nf)
+
+
+# A 19-generator diagram whose comultiplication legs meet one cozip with
+# many leaves in between.  The absorption loop once bounded its steps by
+# the shrinking current leaf count and gave up halfway.
+LEG_ABSORPTION = """\
+colors a, b
+source I[a,b]
+eta_A[a] | id:I[a,b]
+mu_A[a,a,b]
+eta_C | id:I[a,b]
+cross(O,I[a,b])
+id:I[a,b] | zip[a]
+cross(I[a,b],I[a,a])
+cozip[a] | id:I[a,b]
+zip[b] | id:I[a,b]
+id:I[b,b] | Delta_A[a,b,b]
+Delta_A[b,a,b] | id:I[a,b] | id:I[b,b]
+id:I[b,a] | id:I[a,b] | id:I[a,b] | eps_A[b]
+id:I[b,a] | cross(I[a,b],I[a,b])
+id:I[b,a] | id:I[a,b] | Delta_A[a,a,b]
+Delta_A[b,b,a] | id:I[a,b] | id:I[a,a] | id:I[a,b]
+id:I[b,b] | id:I[b,a] | id:I[a,b] | cross(I[a,a],I[a,b])
+Delta_A[b,b,b] | id:I[b,a] | id:I[a,b] | id:I[a,b] | id:I[a,a]
+id:I[b,b] | mu_A[b,b,a] | id:I[a,b] | id:I[a,b] | id:I[a,a]
+Delta_A[b,a,b] | id:I[b,a] | id:I[a,b] | id:I[a,b] | id:I[a,a]
+id:I[b,a] | id:I[a,b] | id:I[b,a] | id:I[a,b] | id:I[a,b] | eps_A[a]
+id:I[b,a] | id:I[a,b] | id:I[b,a] | Delta_A[a,a,b] | id:I[a,b]
+id:I[b,a] | id:I[a,b] | id:I[b,a] | id:I[a,a] | cross(I[a,b],I[a,b])
+id:I[b,a] | id:I[a,b] | mu_A[b,a,a] | id:I[a,b] | id:I[a,b]
+id:I[b,a] | mu_A[a,b,a] | id:I[a,b] | id:I[a,b]
+Delta_A[b,a,a] | id:I[a,a] | id:I[a,b] | id:I[a,b]
+"""
+
+
+def test_leg_absorption_runs_to_the_end():
+    t = parse(LEG_ABSORPTION)
+    nf, tr = normalize_with_trace(t)
+    assert syntactic_eq(nf, normal_form(t))
+    assert check_trace(parse_trace(trace_text(tr)))
+
+
+def test_heights_on_a_long_chain():
+    # 3000 nodes in one chain, deeper than the interpreter's recursion limit
+    zz = ((Gen("zip", ("*",)),), (Gen("cozip", ("*",)),))
+    g = to_port_graph(DiagramTerm((Seg.O(),), zz * 1500))
+    assert _heights(g) == {n: 3000 - n for n in range(3000)}
 
 
 def test_normalize_fixpoint_needs_no_moves():
