@@ -197,13 +197,18 @@ def identity_term(obj) -> DiagramTerm:
     return DiagramTerm(obj, (tuple(Id(s) for s in obj),))
 
 
-def compose(first: DiagramTerm, then: DiagramTerm) -> DiagramTerm:
-    """Vertical composition: ``first`` on top, ``then`` below."""
-    mid = first.validate()
-    if mid != then.source:
+def check_composable(mid: tuple, source: tuple) -> None:
+    """Raise :class:`TypingError` unless a part ending in ``mid`` can sit
+    on top of a part starting at ``source``."""
+    if mid != source:
         raise TypingError(
             f"cannot compose: top part ends in ({fmt_obj(mid)}) "
-            f"but bottom part starts at ({fmt_obj(then.source)})")
+            f"but bottom part starts at ({fmt_obj(source)})")
+
+
+def compose(first: DiagramTerm, then: DiagramTerm) -> DiagramTerm:
+    """Vertical composition: ``first`` on top, ``then`` below."""
+    check_composable(first.validate(), then.source)
     return DiagramTerm(first.source, first.slices + then.slices)
 
 
@@ -503,7 +508,8 @@ def from_port_graph(g: PortGraph) -> DiagramTerm:
     produce identical terms.  Nodes are placed one per slice, leftmost
     ready node first; crossings are synthesised to gather each node's
     inputs; input-less nodes join at the right edge when nothing else is
-    ready.
+    ready.  Each placement scans the frontier once, so apart from
+    :func:`canonical_relabel` the cost is O(nodes x width).
     """
     g = canonical_relabel(g)
     frontier = [("src", i) for i in range(len(g.source))]
@@ -539,28 +545,26 @@ def from_port_graph(g: PortGraph) -> DiagramTerm:
             segs.extend(gen.target)
         slices.append(row)
 
-    remaining = set(g.nodes)
-    while remaining:
-        avail = set(frontier)
-        best = None
-        for nid in sorted(remaining):
-            gen = g.nodes[nid]
-            if not gen.source:
-                continue
-            eps = [g.in_to_out[("in", nid, k)] for k in range(len(gen.source))]
-            if all(p in avail for p in eps):
-                pos = min(frontier.index(p) for p in eps)
-                if best is None or pos < best[0]:
-                    best = (pos, nid)
-        if best is not None:
-            nid = best[1]
-        else:
-            srcless = sorted(n for n in remaining if not g.nodes[n].source)
+    def ready():
+        # each frontier producer feeds one consumer, so the first ready node
+        # met walking the frontier is the one with the leftmost input
+        at = set(frontier)
+        for p in frontier:
+            cons = g.out_to_in[p]
+            if cons[0] == "in" and all(
+                    g.in_to_out[("in", cons[1], k)] in at
+                    for k in range(len(g.nodes[cons[1]].source))):
+                return cons[1]
+        return None
+
+    srcless = deque(sorted(n for n, gen in g.nodes.items() if not gen.source))
+    for _ in range(len(g.nodes)):
+        nid = ready()
+        if nid is None:
             if not srcless:
                 raise OcbordError("port graph is cyclic; cannot lay out")
-            nid = srcless[0]
+            nid = srcless.popleft()
         place(nid)
-        remaining.discard(nid)
 
     for j in range(len(g.target)):
         p = g.in_to_out[("tgt", j)]

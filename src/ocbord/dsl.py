@@ -40,6 +40,7 @@ from .diagram import (
     OcbordError,
     Seg,
     TypingError,
+    check_composable,
     compose,
     fmt_obj,
     gen_term,
@@ -220,7 +221,8 @@ def parse(text: str, filename: str = "<string>") -> DiagramTerm:
     """Parse ``.ocd`` text into a validated :class:`DiagramTerm`."""
     palette = None
     source = None
-    term = None
+    cur = None          # the boundary below the rows read so far
+    slices = []
     for stmt, span in _statements(text, filename):
         head = stmt.split(None, 1)[0]
         rest = stmt[len(head):].strip()
@@ -235,8 +237,8 @@ def parse(text: str, filename: str = "<string>") -> DiagramTerm:
         if head == "source":
             if source is not None:
                 raise ParseError("duplicate source line", span)
-            source = tuple(_parse_seg(s, span) for s in _split_top(rest))
-            term = DiagramTerm(source, ())
+            source = cur = tuple(_parse_seg(s, span)
+                                 for s in _split_top(rest))
             continue
         if source is None:
             raise ParseError("expected a source line before rows", span)
@@ -245,11 +247,14 @@ def parse(text: str, filename: str = "<string>") -> DiagramTerm:
             at = _parse_atom(atom_text, span)
             row = at if row is None else tensor(row, at)
         try:
-            term = compose(term, row)
+            check_composable(cur, row.source)
         except TypingError as e:
             raise TypeMismatch(str(e), span) from None
+        cur = row.validate()
+        slices.extend(row.slices)
     if source is None:
         raise ParseError("no source line", SourceSpan(filename, 1, 1))
+    term = DiagramTerm(source, tuple(slices))
     if palette is not None:
         allowed = set(palette) | {DEFAULT_COLOR}
         used = _used_colors(term)
@@ -258,7 +263,6 @@ def parse(text: str, filename: str = "<string>") -> DiagramTerm:
             raise ParseError(
                 f"colour(s) {sorted(bad)} not declared in the colors header",
                 SourceSpan(filename, 1, 1))
-    term.validate()
     return term
 
 

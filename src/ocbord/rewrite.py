@@ -372,8 +372,13 @@ def parse_move(line: str) -> tuple:
     parts = line.split()
     if len(parts) != 6 or parts[2] not in ("fwd", "rev"):
         raise TraceError(f"bad move line {line!r}")
-    step = int(parts[0])
-    mv = Move(parts[1], parts[2] == "rev", _split(parts[3], int),
+    try:
+        step = int(parts[0])
+        nodes = _split(parts[3], int)
+    except ValueError:
+        raise TraceError(f"bad step or node id in move line {line!r}") \
+            from None
+    mv = Move(parts[1], parts[2] == "rev", nodes,
               _split(parts[4], _ep_parse), _split(parts[5], _ep_parse))
     return step, mv
 
@@ -518,12 +523,19 @@ def _chase_to_cozip(g: PortGraph, prod, where: str) -> int:
 
 
 def _tree_leaves(g: PortGraph, prod, kind: str) -> list:
-    if prod[0] == "out" and prod[1] in g.nodes \
-            and g.nodes[prod[1]].kind == kind:
-        n = prod[1]
-        return (_tree_leaves(g, g.in_to_out[("in", n, 0)], kind)
-                + _tree_leaves(g, g.in_to_out[("in", n, 1)], kind))
-    return [prod]
+    """Leaves, left to right, of the ``kind`` tree whose root output is
+    ``prod``; iterative, since combs can be deeper than the recursion limit."""
+    leaves, stack = [], [prod]
+    while stack:
+        prod = stack.pop()
+        if prod[0] == "out" and prod[1] in g.nodes \
+                and g.nodes[prod[1]].kind == kind:
+            n = prod[1]
+            stack.append(g.in_to_out[("in", n, 1)])
+            stack.append(g.in_to_out[("in", n, 0)])
+        else:
+            leaves.append(prod)
+    return leaves
 
 
 def _left_comb(rec: _Recorder, root_cons, kind: str, assoc_rule: str):

@@ -918,7 +918,7 @@ def load_kfa(path) -> KFA:
             doc = json.load(fh)
         except json.JSONDecodeError as e:
             raise OcbordError(f"{path}: not valid JSON: {e}") from None
-    if doc.get("format") != "kfa":
+    if not isinstance(doc, dict) or doc.get("format") != "kfa":
         raise OcbordError(f"{path}: missing 'format': 'kfa' marker")
 
     def space_key(name):
@@ -929,6 +929,12 @@ def load_kfa(path) -> KFA:
             return ("A", a.strip(), b.strip())
         raise OcbordError(f"{path}: bad space name {name!r}")
 
+    def dim(value):
+        d = int(value)
+        if d < 0:
+            raise ValueError(f"negative dimension {d}")
+        return d
+
     def map_key(name):
         if "[" in name:
             kind, rest = name.split("[", 1)
@@ -937,14 +943,15 @@ def load_kfa(path) -> KFA:
 
     try:
         colors = tuple(doc["colors"])
-        dims = {space_key(k): int(v) for k, v in doc["dims"].items()}
+        dims = {space_key(k): dim(v) for k, v in doc["dims"].items()}
         basis = {space_key(k): tuple(v) for k, v in doc["basis"].items()}
         maps = {}
         for name, m in doc["maps"].items():
             maps[map_key(name)] = LinearMap(
                 int(m["rows"]), int(m["cols"]),
                 {(int(r), int(c)): Fraction(v) for r, c, v in m["entries"]})
-    except (KeyError, ValueError, TypeError) as e:
+    except (KeyError, ValueError, TypeError, AttributeError,
+            ZeroDivisionError) as e:
         raise OcbordError(f"{path}: malformed algebra file: {e}") from None
     alg = KFA(colors=colors, dims=dims, basis=basis, maps=maps,
               name=doc.get("name", ""))

@@ -6,9 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import ocbord
 from ocbord.cli import run
-from ocbord.dsl import parse, parse_file
+from ocbord.dsl import parse, parse_file, render
 from ocbord.invariants import equivalent
 from ocbord.rewrite import check_trace, read_trace
 from ocbord.tqft import builtin_matrix_example, evaluate, save_kfa
@@ -154,6 +156,36 @@ def test_invariants_on_a_deep_strip(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert "windows = 600" in proc.stdout
+
+
+def test_check_and_invariants_on_5000_generators(tmp_path, capsys):
+    path = _ocd(tmp_path, "strip.ocd", render(window_strip(2500)))
+    assert run(["check", path]) == 0
+    assert run(["invariants", path]) == 0
+    got = capsys.readouterr()
+    assert got.err == ""
+    assert "windows = 2500" in got.out
+
+
+@pytest.mark.parametrize("mangle, why", [
+    (lambda doc: [], "missing 'format': 'kfa' marker"),
+    (lambda doc: {**doc, "dims": [1]}, "malformed algebra file"),
+    (lambda doc: {**doc, "dims": {**doc["dims"], "C": -1}},
+     "negative dimension -1"),
+    (lambda doc: {**doc, "maps": {**doc["maps"], "mu_C": {
+        **doc["maps"]["mu_C"], "entries": [[0, 0, "1/0"]]}}},
+     "malformed algebra file"),
+], ids=["not-an-object", "dims-not-an-object", "negative-dimension",
+        "zero-denominator"])
+def test_axioms_on_a_malformed_kfa_exits_2(tmp_path, capsys, mangle, why):
+    path = tmp_path / "bad.kfa"
+    save_kfa(builtin_matrix_example(2), path)
+    doc = mangle(json.loads(path.read_text(encoding="utf-8")))
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(["axioms", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert why in err
 
 
 def test_batch_keeps_going_after_errors(tmp_path, capsys):

@@ -5,12 +5,12 @@ from pathlib import Path
 
 import pytest
 
-from ocbord.diagram import (Gen, Seg, compose, gen_term, graph_eq,
+from ocbord.diagram import (DiagramTerm, Gen, Seg, compose, gen_term, graph_eq,
                             identity_term, syntactic_eq, tensor,
                             to_port_graph)
 from ocbord.dsl import ParseError, TypeMismatch, parse, parse_file, render
 
-from helpers import random_term
+from helpers import random_term, window_strip
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -120,3 +120,29 @@ def test_type_mismatch_is_its_own_error():
         parse("source I\nmu_A\n", filename="g.ocd")
     assert isinstance(e.value, ParseError)
     assert e.value.span.line == 2
+    assert str(e.value) == ("g.ocd:2:1: cannot compose: top part ends in (I) "
+                            "but bottom part starts at (I, I)")
+    with pytest.raises(TypeMismatch) as e:
+        parse("source I, O\nDelta_A | id:O ;  mu_C\n", filename="g.ocd")
+    assert (e.value.span.line, e.value.span.col) == (2, 19)
+    assert str(e.value) == ("g.ocd:2:19: cannot compose: top part ends in "
+                            "(I, I, O) but bottom part starts at (O, O)")
+
+
+def test_parse_validates_each_row_once(monkeypatch):
+    # 5000 one-generator rows; re-validating the term read so far on each
+    # row would walk about 12.5 million slices
+    text = render(window_strip(2500))
+    rows = len(text.splitlines()) - 1
+    walked = []
+    validate = DiagramTerm.validate
+
+    def counting(self):
+        walked.append(len(self.slices))
+        return validate(self)
+
+    monkeypatch.setattr(DiagramTerm, "validate", counting)
+    t = parse(text)
+    monkeypatch.undo()
+    assert syntactic_eq(t, window_strip(2500))
+    assert sum(walked) <= 3 * rows

@@ -6,8 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from ocbord.diagram import (DiagramTerm, Gen, Seg, graph_eq, syntactic_eq,
-                            to_port_graph)
+from ocbord.diagram import (DiagramTerm, Gen, PortGraph, Seg, graph_eq,
+                            syntactic_eq, to_port_graph)
 from ocbord.dsl import parse, parse_file
 from ocbord.invariants import invariants, profile_key
 from ocbord.normalform import normal_form
@@ -15,11 +15,13 @@ from ocbord.rewrite import (
     MoveTrace,
     TraceError,
     _heights,
+    _tree_leaves,
     apply_match,
     check_trace,
     find_matches,
     normalize,
     normalize_with_trace,
+    parse_move,
     parse_trace,
     read_trace,
     rules,
@@ -199,6 +201,21 @@ def test_heights_on_a_long_chain():
     assert _heights(g) == {n: 3000 - n for n in range(3000)}
 
 
+def test_tree_leaves_on_a_deep_comb():
+    # a 3000-deep left comb of mu_A over 3001 source strips
+    n = 3000
+    g = PortGraph([Seg.I()] * (n + 1), [Seg.I()])
+    left = ("src", 0)
+    for k in range(n):
+        nid = g.add_node(Gen("mu_A", ("*", "*", "*")))
+        g.wire(left, ("in", nid, 0))
+        g.wire(("src", k + 1), ("in", nid, 1))
+        left = ("out", nid, 0)
+    g.wire(left, ("tgt", 0))
+    g.validate()
+    assert _tree_leaves(g, left, "mu_A") == [("src", i) for i in range(n + 1)]
+
+
 def test_normalize_fixpoint_needs_no_moves():
     rng = random.Random(43)
     for _ in range(20):
@@ -255,6 +272,17 @@ def test_wrong_final_is_rejected():
     bad = MoveTrace(tr.initial, tr.moves, tr.initial)
     with pytest.raises(TraceError):
         check_trace(bad)
+
+
+def test_move_line_with_bad_numbers_is_a_trace_error():
+    for line in ("x assoc_A fwd 1,2 s0 t0", "1 assoc_A fwd a,b s0 t0"):
+        with pytest.raises(TraceError):
+            parse_move(line)
+    _, tr = normalize_with_trace(parse_file(CORPUS / "strip_hole.ocd"))
+    text = trace_text(tr)
+    first = next(ln for ln in text.splitlines() if ln.startswith("1 "))
+    with pytest.raises(TraceError):
+        parse_trace(text.replace(first, "one" + first[1:], 1))
 
 
 def test_malformed_trace_text_is_rejected():
