@@ -216,14 +216,15 @@ def _id_slice(obj) -> tuple:
     return tuple(Id(s) for s in obj)
 
 
-def tensor(f: DiagramTerm, g: DiagramTerm) -> DiagramTerm:
-    """Horizontal juxtaposition, padding the shorter side with identities."""
-    ft, gt = f.validate(), g.validate()
-    n = max(len(f.slices), len(g.slices))
-    fs = list(f.slices) + [_id_slice(ft)] * (n - len(f.slices))
-    gs = list(g.slices) + [_id_slice(gt)] * (n - len(g.slices))
-    return DiagramTerm(f.source + g.source,
-                       tuple(fa + ga for fa, ga in zip(fs, gs)))
+def tensor(*parts: DiagramTerm) -> DiagramTerm:
+    """Horizontal juxtaposition, left to right, padding the shorter parts
+    with identities.  Each part is validated once."""
+    n = max((len(p.slices) for p in parts), default=0)
+    cols = [tuple(p.slices) + (_id_slice(p.validate()),) * (n - len(p.slices))
+            for p in parts]
+    return DiagramTerm(tuple(s for p in parts for s in p.source),
+                       tuple(tuple(f for col in cols for f in col[i])
+                             for i in range(n)))
 
 
 def syntactic_eq(t1: DiagramTerm, t2: DiagramTerm) -> bool:

@@ -242,10 +242,7 @@ def parse(text: str, filename: str = "<string>") -> DiagramTerm:
             continue
         if source is None:
             raise ParseError("expected a source line before rows", span)
-        row = None
-        for atom_text in _split_top(stmt, "|"):
-            at = _parse_atom(atom_text, span)
-            row = at if row is None else tensor(row, at)
+        row = tensor(*[_parse_atom(a, span) for a in _split_top(stmt, "|")])
         try:
             check_composable(cur, row.source)
         except TypingError as e:

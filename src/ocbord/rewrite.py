@@ -90,6 +90,26 @@ def _pattern(rule_id: str, reverse: bool) -> PortGraph:
 
 
 @lru_cache(maxsize=None)
+def _anchor_plan(rule_id: str, reverse: bool) -> tuple:
+    """Steps ``(side, x, k, y)`` from the first node of a non-empty rule
+    side to all the others: the wire at output (``side == "out"``) or
+    input ``k`` of the node matched to ``x`` ends at the one matched to
+    ``y``.  Every such side in the catalog is connected."""
+    P = _pattern(rule_id, reverse)
+    ends = {**P.out_to_in, **P.in_to_out}
+    order, steps = [min(P.nodes)], []
+    for x in order:                 # grows while it is walked
+        for end, far in ends.items():
+            if end[0] in ("in", "out") and end[1] == x \
+                    and far[0] in ("in", "out") and far[1] not in order:
+                order.append(far[1])
+                steps.append((end[0], x, end[2], far[1]))
+    if len(order) != len(P.nodes):
+        raise OcbordError(f"rule {rule_id} has a disconnected side")
+    return tuple(steps)
+
+
+@lru_cache(maxsize=None)
 def _replacement_links(rule_id: str, reverse: bool) -> tuple:
     """For each source port of the glued-in side, the set of target
     ports it can reach through it."""
@@ -260,53 +280,59 @@ def find_matches(host: PortGraph, rule_id: str, reverse: bool = False,
     elif not pnodes:
         attempt(())
     else:
-        kinds = [P.nodes[n].kind for n in pnodes]
-        cands = sorted(n for n in host.nodes)
-
-        def assign(i, chosen):
-            if i == len(pnodes):
-                attempt(tuple(chosen))
-                return
-            for hn in cands:
-                if hn in chosen or host.nodes[hn].kind != kinds[i]:
-                    continue
-                assign(i + 1, chosen + (hn,))
-
-        assign(0, ())
+        # each anchor fixes at most one tuple; _bind re-checks everything
+        # the walk skips (port numbers, colours, the other wires)
+        steps = _anchor_plan(rule_id, reverse)
+        kind = P.nodes[pnodes[0]].kind
+        for anchor in [n for n, gen in host.nodes.items() if gen.kind == kind]:
+            mp = {pnodes[0]: anchor}
+            for side, x, k, y in steps:
+                wires = host.out_to_in if side == "out" else host.in_to_out
+                far = wires[(side, mp[x], k)]
+                if far[0] not in ("in", "out") \
+                        or host.nodes[far[1]].kind != P.nodes[y].kind:
+                    break
+                mp[y] = far[1]
+            else:
+                attempt(tuple(mp[pn] for pn in pnodes))
     out.sort(key=lambda m: (m.nodes, m.src_prod, m.tgt_cons))
     return out
 
 
-def _apply_full(host: PortGraph, m: Match):
+def _apply_full(h: PortGraph, m: Match) -> list:
+    """Cut out the matched side and glue in the other side of the rule,
+    editing ``h`` itself; returns the new node ids in pattern order."""
     rule = rules()[m.rule]
     R = _pattern(m.rule, not m.reverse)
     env = dict(m.env)
-    h = host.copy()
-    for hn in m.nodes:
-        h.remove_node(hn)
-    idmap = {}
+    gens = []
     for rn in sorted(R.nodes):
         gen = R.nodes[rn]
         try:
-            cols = tuple(env[v] for v in gen.colors)
+            gens.append(Gen(gen.kind, tuple(env[v] for v in gen.colors)))
         except KeyError as e:
             raise OcbordError(
                 f"rule {rule.id} cannot be applied "
                 f"{'backwards' if m.reverse else 'forwards'}: "
                 f"colour {e} is not determined by the matched side")
-        idmap[rn] = h.add_node(Gen(gen.kind, cols))
+    for hn in m.nodes:
+        h.remove_node(hn)
+    idmap = {rn: h.add_node(gen) for rn, gen in zip(sorted(R.nodes), gens)}
     for prod, cons in R.wires():
         hp = m.src_prod[prod[1]] if prod[0] == "src" \
             else ("out", idmap[prod[1]], prod[2])
         hc = m.tgt_cons[cons[1]] if cons[0] == "tgt" \
             else ("in", idmap[cons[1]], cons[2])
         h.wire(hp, hc)
-    return h, [idmap[rn] for rn in sorted(R.nodes)]
+    return [idmap[rn] for rn in sorted(R.nodes)]
 
 
 def apply_match(host: PortGraph, m: Match) -> PortGraph:
-    """Cut out the matched side and glue in the other side of the rule."""
-    return _apply_full(host, m)[0]
+    """Cut out the matched side and glue in the other side of the rule,
+    in a copy of ``host``."""
+    h = host.copy()
+    _apply_full(h, m)
+    return h
 
 
 # --- move logs ----------------------------------------------------------
@@ -468,7 +494,7 @@ class _Recorder:
         self.moves: list = []
 
     def apply(self, m: Match) -> list:
-        self.g, new = _apply_full(self.g, m)
+        new = _apply_full(self.g, m)
         self.moves.append(_move_of(m))
         return new
 

@@ -6,7 +6,8 @@ import random
 from ocbord.diagram import (Cross, DiagramTerm, Gen, Id, Seg, from_port_graph,
                             to_port_graph)
 from ocbord.invariants import invariants, profile_key
-from ocbord.rewrite import apply_match, find_matches, rules
+from ocbord.rewrite import (Match, _bind, _pattern, _splice_is_acyclic,
+                            _unify_seg, apply_match, find_matches, rules)
 
 
 def _interval(rng, colors):
@@ -275,3 +276,58 @@ def window_strip(n: int) -> DiagramTerm:
     star = ("*", "*", "*")
     return DiagramTerm((Seg.I(),), ((Gen("Delta_A", star),),
                                     (Gen("mu_A", star),)) * n)
+
+
+def wide_text(n: int) -> str:
+    """``.ocd`` text of three rows ``n`` atoms wide on ``n`` circles:
+    ``Delta_C``, then ``mu_C``, then ``Delta_C`` on every circle."""
+    return ("source " + ", ".join(["O"] * n) + "\n"
+            + "".join(" | ".join([g] * n) + "\n"
+                      for g in ("Delta_C", "mu_C", "Delta_C")))
+
+
+def product_find_matches(host, rule_id: str, reverse: bool = False) -> list:
+    """Reference for ``find_matches``: try every tuple of distinct host
+    nodes whose kinds fit the pattern, O(N^k) for a k-node side."""
+    P = _pattern(rule_id, reverse)
+    pnodes = sorted(P.nodes)
+    kinds = [P.nodes[n].kind for n in pnodes]
+    out = []
+
+    def settle(nodes, env, src_prod, tgt_cons, bare):
+        if not bare:
+            if None in src_prod or None in tgt_cons:
+                return
+            if _splice_is_acyclic(host, rule_id, reverse, src_prod,
+                                  tgt_cons):
+                out.append(Match(rule_id, reverse, nodes, tuple(src_prod),
+                                 tuple(tgt_cons), tuple(sorted(env.items()))))
+            return
+        (i, j), rest = bare[0], bare[1:]
+        used = set(src_prod) | set(tgt_cons)
+        for hp in sorted(host.out_to_in):
+            hc = host.out_to_in[hp]
+            if (hp[0] == "out" and hp[1] in nodes) \
+                    or (hc[0] == "in" and hc[1] in nodes) \
+                    or hp in used or hc in used:
+                continue
+            e2 = dict(env)
+            if not _unify_seg(e2, P.source[i], host.producer_seg(hp)):
+                continue
+            sp, tc = list(src_prod), list(tgt_cons)
+            sp[i], tc[j] = hp, hc
+            settle(nodes, e2, sp, tc, rest)
+
+    def assign(i, chosen):
+        if i == len(pnodes):
+            got = _bind(host, P, chosen)
+            if got is not None:
+                settle(chosen, *got)
+            return
+        for hn in sorted(host.nodes):
+            if hn not in chosen and host.nodes[hn].kind == kinds[i]:
+                assign(i + 1, chosen + (hn,))
+
+    assign(0, ())
+    out.sort(key=lambda m: (m.nodes, m.src_prod, m.tgt_cons))
+    return out

@@ -10,12 +10,13 @@ import pytest
 
 import ocbord
 from ocbord.cli import run
+from ocbord.diagram import Gen
 from ocbord.dsl import parse, parse_file, render
 from ocbord.invariants import equivalent
 from ocbord.rewrite import check_trace, read_trace
 from ocbord.tqft import builtin_matrix_example, evaluate, save_kfa
 
-from helpers import mutate_algebra, window_strip
+from helpers import mutate_algebra, wide_text, window_strip
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 FIG = str(CORPUS / "figure1.ocd")
@@ -167,6 +168,15 @@ def test_check_and_invariants_on_5000_generators(tmp_path, capsys):
     assert "windows = 2500" in got.out
 
 
+def test_check_and_invariants_on_a_1500_wide_diagram(tmp_path, capsys):
+    path = _ocd(tmp_path, "wide.ocd", wide_text(1500))
+    assert run(["check", path]) == 0
+    assert run(["invariants", path]) == 0
+    got = capsys.readouterr()
+    assert got.err == ""
+    assert "components = 1500" in got.out
+
+
 @pytest.mark.parametrize("mangle, why", [
     (lambda doc: [], "missing 'format': 'kfa' marker"),
     (lambda doc: {**doc, "dims": [1]}, "malformed algebra file"),
@@ -186,6 +196,27 @@ def test_axioms_on_a_malformed_kfa_exits_2(tmp_path, capsys, mangle, why):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert why in err
+
+
+def test_axioms_on_a_huge_kfa_exits_1(tmp_path, capsys):
+    # every space has dimension 10^6 and every map the matching shape, so
+    # the file loads; evaluation must refuse it before allocating
+    path = tmp_path / "huge.kfa"
+    save_kfa(builtin_matrix_example(2), path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    big = 10 ** 6
+    doc["dims"] = {k: big for k in doc["dims"]}
+    doc["basis"] = {}
+    for name, m in doc["maps"].items():
+        kind, _, rest = name.partition("[")
+        gen = Gen(kind, tuple(c for c in rest.rstrip("]").split(",") if c))
+        m.update(rows=big ** len(gen.target), cols=big ** len(gen.source),
+                 entries=[])
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(["axioms", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "over the cap" in err
 
 
 def test_batch_keeps_going_after_errors(tmp_path, capsys):

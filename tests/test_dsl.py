@@ -10,7 +10,7 @@ from ocbord.diagram import (DiagramTerm, Gen, Seg, compose, gen_term, graph_eq,
                             to_port_graph)
 from ocbord.dsl import ParseError, TypeMismatch, parse, parse_file, render
 
-from helpers import random_term, window_strip
+from helpers import random_term, wide_text, window_strip
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -146,3 +146,21 @@ def test_parse_validates_each_row_once(monkeypatch):
     monkeypatch.undo()
     assert syntactic_eq(t, window_strip(2500))
     assert sum(walked) <= 3 * rows
+
+
+def test_parse_validates_each_atom_once(monkeypatch):
+    # three rows of 1500 atoms; folding each row atom by atom would
+    # re-validate the growing row, about 3.4 million factors
+    text = wide_text(1500)
+    walked = []
+    validate = DiagramTerm.validate
+
+    def counting(self):
+        walked.append(sum(len(sl) for sl in self.slices))
+        return validate(self)
+
+    monkeypatch.setattr(DiagramTerm, "validate", counting)
+    t = parse(text)
+    monkeypatch.undo()
+    assert [len(sl) for sl in t.slices] == [1500] * 3
+    assert sum(walked) <= 3 * 4500

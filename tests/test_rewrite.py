@@ -6,11 +6,12 @@ from pathlib import Path
 
 import pytest
 
-from ocbord.diagram import (DiagramTerm, Gen, PortGraph, Seg, graph_eq,
+from ocbord.diagram import (DiagramTerm, Gen, Id, PortGraph, Seg, graph_eq,
                             syntactic_eq, to_port_graph)
 from ocbord.dsl import parse, parse_file
 from ocbord.invariants import invariants, profile_key
 from ocbord.normalform import normal_form
+import ocbord.rewrite as rewrite
 from ocbord.rewrite import (
     MoveTrace,
     TraceError,
@@ -29,7 +30,7 @@ from ocbord.rewrite import (
     write_trace,
 )
 
-from helpers import random_term
+from helpers import product_find_matches, random_term
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -77,6 +78,40 @@ def test_find_matches_is_deterministic_and_pinnable():
     if ms1:
         pinned = find_matches(g, "assoc_A", False, at=ms1[0].nodes)
         assert pinned and all(m.nodes == ms1[0].nodes for m in pinned)
+
+
+def test_anchored_search_equals_the_product_search():
+    rng = random.Random(43)
+    hosts = [to_port_graph(random_term(rng, max_gens=10, colors=("*", "a"),
+                                       connected=False)) for _ in range(12)]
+    hosts += [to_port_graph(r.side(rev)) for r in rules().values()
+              for rev in (False, True)]
+    for rid in sorted(rules()):
+        for rev in (False, True):
+            for g in hosts:
+                assert find_matches(g, rid, rev) \
+                    == product_find_matches(g, rid, rev), (rid, rev)
+
+
+def test_search_binds_once_per_anchor(monkeypatch):
+    # 60 closed units each feeding the left input of a closed product: a
+    # product search would bind 60 x 60 pairs
+    n = 60
+    units = (Gen("eta_C"), Id(Seg.O())) * n
+    g = to_port_graph(DiagramTerm((Seg.O(),) * n,
+                                  (units, (Gen("mu_C"),) * n)))
+    calls = []
+    bind = rewrite._bind
+
+    def counting(*args):
+        calls.append(args)
+        return bind(*args)
+
+    monkeypatch.setattr(rewrite, "_bind", counting)
+    ms = find_matches(g, "unitL_C")
+    monkeypatch.undo()
+    assert len(ms) == n
+    assert len(calls) <= n
 
 
 def test_handle_is_not_a_frobenius_redex():
@@ -283,6 +318,15 @@ def test_move_line_with_bad_numbers_is_a_trace_error():
     first = next(ln for ln in text.splitlines() if ln.startswith("1 "))
     with pytest.raises(TraceError):
         parse_trace(text.replace(first, "one" + first[1:], 1))
+
+
+def test_move_at_a_huge_node_id_is_rejected():
+    _, tr = normalize_with_trace(parse_file(CORPUS / "strip_hole.ocd"))
+    mv = dataclasses.replace(tr.moves[0],
+                             nodes=(10 ** 30,) + tr.moves[0].nodes[1:])
+    text = trace_text(MoveTrace(tr.initial, (mv,) + tr.moves[1:], tr.final))
+    with pytest.raises(TraceError):
+        check_trace(parse_trace(text))
 
 
 def test_malformed_trace_text_is_rejected():
