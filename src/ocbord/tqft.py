@@ -17,7 +17,10 @@ the leftmost factor most significant.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -198,21 +201,104 @@ def _decode(flat: int, dims):
     return tuple(reversed(out))
 
 
-def evaluate(x, alg: KFA) -> LinearMap:
-    """Contract a diagram to its linear map under ``alg``."""
-    g = as_graph(x)
-    g.validate()
-    rows = alg.obj_dim(g.target)
-    cols = alg.obj_dim(g.source)
-    if rows > EVAL_DIM_CAP or cols > EVAL_DIM_CAP:
-        raise OcbordError(
-            f"evaluation result would be {rows}x{cols}, over the cap")
+def _pair_size(a, b, wire_dim) -> int:
+    """Leg-space size of the tensor left by contracting leg sets ``a``
+    and ``b``: the product of the dimensions of the unshared legs."""
+    size = 1
+    for l in a ^ b:
+        size *= wire_dim[l]
+    return size
 
+
+def _contraction_plan(legs, wire_dim) -> list:
+    """The greedy contraction order of a tensor network, as ``(i, j)``
+    pairs of tensor ids.
+
+    ``legs[i]`` lists the wires of tensor ``i``; the tensor that a step
+    makes gets the next id.  Each step contracts, among the live pairs
+    that share a wire, the one whose result has the smallest leg space,
+    the smallest ``(i, j)`` on ties.  A heap holds every such pair; a
+    step pushes only the new tensor's neighbours and drops entries whose
+    tensors are gone, so planning costs about one heap operation per
+    wire instead of a scan of all pairs per step.
+    """
+    live = [frozenset(l) for l in legs]
+    at = {}
+    for i, ls in enumerate(live):
+        for l in ls:
+            at.setdefault(l, set()).add(i)
+    pairs = {(i, j) for ids in at.values() for i in ids for j in ids if i < j}
+    heap = [(_pair_size(live[i], live[j], wire_dim), i, j)
+            for i, j in pairs]
+    heapq.heapify(heap)
+    plan = []
+    while heap:
+        _, i, j = heapq.heappop(heap)
+        if live[i] is None or live[j] is None:
+            continue
+        k = len(live)
+        merged = live[i] ^ live[j]
+        for l in live[i] | live[j]:
+            at[l] -= {i, j}
+        near = set()
+        for l in merged:
+            near |= at[l]
+            at[l].add(k)
+        live[i] = live[j] = None
+        live.append(merged)
+        plan.append((i, j))
+        for n in near:
+            heapq.heappush(heap, (_pair_size(live[n], merged, wire_dim), n, k))
+    return plan
+
+
+def _contract(t1, t2):
+    """Sum two sparse tensors over their shared legs; the result's legs
+    are ``t1``'s unshared legs, then ``t2``'s."""
+    legs1, d1 = t1
+    legs2, d2 = t2
+    at2 = {l: p for p, l in enumerate(legs2)}
+    pos1 = [p for p, l in enumerate(legs1) if l in at2]
+    pos2 = [at2[legs1[p]] for p in pos1]
+    keep1 = [p for p, l in enumerate(legs1) if l not in at2]
+    shared2 = set(pos2)
+    keep2 = [p for p in range(len(legs2)) if p not in shared2]
+    buckets = {}
+    for idx, v in d2.items():
+        buckets.setdefault(tuple(idx[p] for p in pos2), []).append(
+            (tuple(idx[p] for p in keep2), v))
+    out = {}
+    for idx, v in d1.items():
+        key = tuple(idx[p] for p in pos1)
+        base = tuple(idx[p] for p in keep1)
+        for rest, v2 in buckets.get(key, ()):
+            full = base + rest
+            acc = out.get(full, Fraction(0)) + v * v2
+            if acc:
+                out[full] = acc
+            elif full in out:
+                del out[full]
+    return ([legs1[p] for p in keep1] + [legs2[p] for p in keep2], out)
+
+
+def _outer(tensors):
+    """The outer product of tensors sharing no leg, legs in list order."""
+    legs = [l for t_legs, _ in tensors for l in t_legs]
+    data = {}
+    for parts in itertools.product(*(d.items() for _, d in tensors)):
+        key = tuple(itertools.chain.from_iterable(idx for idx, _ in parts))
+        data[key] = math.prod((v for _, v in parts), start=Fraction(1))
+    return legs, data
+
+
+def _tensor_network(g, alg: KFA):
+    """One sparse tensor ``(legs, data)`` per node of the validated port
+    graph ``g``, plus the dimension of every wire.  Legs are wire ids
+    (producer endpoints)."""
     wire_dim = {}
     for prod in g.out_to_in:
         wire_dim[prod] = alg.seg_dim(g.producer_seg(prod))
 
-    # One sparse tensor per node; legs are wire ids (producer endpoints).
     tensors = []
     for nid, gen in g.nodes.items():
         ins = [g.in_to_out[("in", nid, k)] for k in range(len(gen.source))]
@@ -232,59 +318,26 @@ def evaluate(x, alg: KFA) -> LinearMap:
         if prod[0] == "src" and cons[0] == "tgt":
             tensors.append(([prod], {(k,): Fraction(1)
                                      for k in range(wire_dim[prod])}))
+    return tensors, wire_dim
 
-    def contract(t1, t2):
-        legs1, d1 = t1
-        legs2, d2 = t2
-        shared = [l for l in legs1 if l in set(legs2)]
-        keep1 = [i for i, l in enumerate(legs1) if l not in shared]
-        keep2 = [i for i, l in enumerate(legs2) if l not in shared]
-        pos1 = [legs1.index(l) for l in shared]
-        pos2 = [legs2.index(l) for l in shared]
-        buckets = {}
-        for idx, v in d2.items():
-            buckets.setdefault(tuple(idx[p] for p in pos2), []).append(
-                (tuple(idx[p] for p in keep2), v))
-        out = {}
-        for idx, v in d1.items():
-            key = tuple(idx[p] for p in pos1)
-            base = tuple(idx[p] for p in keep1)
-            for rest, v2 in buckets.get(key, ()):
-                full = base + rest
-                acc = out.get(full, Fraction(0)) + v * v2
-                if acc:
-                    out[full] = acc
-                elif full in out:
-                    del out[full]
-        return ([legs1[i] for i in keep1] + [legs2[i] for i in keep2], out)
 
-    # Greedily contract the pair with the smallest resulting leg space.
-    while True:
-        best = None
-        for i in range(len(tensors)):
-            si = set(tensors[i][0])
-            for j in range(i + 1, len(tensors)):
-                shared = si & set(tensors[j][0])
-                if not shared:
-                    continue
-                size = 1
-                for l in set(tensors[i][0]) | set(tensors[j][0]):
-                    if l not in shared:
-                        size *= wire_dim[l]
-                if best is None or size < best[0]:
-                    best = (size, i, j)
-        if best is None:
-            break
-        _, i, j = best
-        merged = contract(tensors[i], tensors[j])
-        tensors = [t for k, t in enumerate(tensors) if k not in (i, j)]
-        tensors.append(merged)
+def evaluate(x, alg: KFA) -> LinearMap:
+    """Contract a diagram to its linear map under ``alg``."""
+    g = as_graph(x)
+    g.validate()
+    rows = alg.obj_dim(g.target)
+    cols = alg.obj_dim(g.source)
+    if rows > EVAL_DIM_CAP or cols > EVAL_DIM_CAP:
+        raise OcbordError(
+            f"evaluation result would be {rows}x{cols}, over the cap")
 
-    final = ([], {(): Fraction(1)})
-    for t in tensors:
-        final = contract(final, t)
+    tensors, wire_dim = _tensor_network(g, alg)
+    for i, j in _contraction_plan([legs for legs, _ in tensors], wire_dim):
+        tensors.append(_contract(tensors[i], tensors[j]))
+        tensors[i] = tensors[j] = None
+    # what is left has no shared legs: one tensor per component
+    legs, data = _outer([t for t in tensors if t is not None])
 
-    legs, data = final
     pos = {l: i for i, l in enumerate(legs)}
     src_wires = [("src", i) for i in range(len(g.source))]
     tgt_wires = [g.in_to_out[("tgt", j)] for j in range(len(g.target))]

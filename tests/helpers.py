@@ -70,11 +70,11 @@ def _make_gen(op, segs, rng, colors):
     return Gen(kind)
 
 
-def _attempt(rng, max_gens, colors, max_width):
-    segs = _random_source(rng, colors, max_width)
-    source = tuple(segs)
+def _walk(rng, segs, budget, colors, max_width, stop=0.0):
+    """Slices of a random walk from ``segs`` (updated in place) that stops
+    after ``budget`` non-crossing generators, at most five crossings,
+    or earlier with probability ``stop`` after each slice."""
     slices = []
-    budget = rng.randint(1, max_gens)
     crossings = 0
     while budget > 0:
         ops = _options(segs, colors, max_width, rng)
@@ -94,9 +94,25 @@ def _attempt(rng, max_gens, colors, max_width):
             + tuple(Id(s) for s in segs[i + eaten:])
         segs[i:i + eaten] = list(f.target)
         slices.append(row)
-        if rng.random() < 0.04:
+        if stop and rng.random() < stop:
             break
-    return DiagramTerm(source, tuple(slices))
+    return tuple(slices)
+
+
+def _attempt(rng, max_gens, colors, max_width):
+    segs = _random_source(rng, colors, max_width)
+    source = tuple(segs)
+    slices = _walk(rng, segs, rng.randint(1, max_gens), colors, max_width,
+                   stop=0.04)
+    return DiagramTerm(source, slices)
+
+
+def ladder_term(n: int, seed) -> DiagramTerm:
+    """A walk of exactly ``n`` generators from ``I, I, O`` in colour ``*``
+    and width at most 6, seeded by ``seed``."""
+    source = (Seg.I(), Seg.I(), Seg.O())
+    return DiagramTerm(source, _walk(random.Random(f"ladder/{seed}"),
+                                     list(source), n, ("*",), 6))
 
 
 def component_count(t: DiagramTerm) -> int:
@@ -331,3 +347,35 @@ def product_find_matches(host, rule_id: str, reverse: bool = False) -> list:
     assign(0, ())
     out.sort(key=lambda m: (m.nodes, m.src_prod, m.tgt_cons))
     return out
+
+
+def scan_contraction_plan(legs, wire_dim) -> list:
+    """Reference for ``tqft._contraction_plan``: before every step, scan
+    all pairs of live tensors, in creation order, for the one sharing a
+    wire whose result has the smallest leg space; O(T^3) for T tensors."""
+    tensors = [(i, set(ls)) for i, ls in enumerate(legs)]
+    made = len(tensors)
+    plan = []
+    while True:
+        best = None
+        for i in range(len(tensors)):
+            si = tensors[i][1]
+            for j in range(i + 1, len(tensors)):
+                sj = tensors[j][1]
+                if si.isdisjoint(sj):
+                    continue
+                shared = si & sj
+                size = 1
+                for l in si | sj:
+                    if l not in shared:
+                        size *= wire_dim[l]
+                if best is None or size < best[0]:
+                    best = (size, i, j)
+        if best is None:
+            return plan
+        _, i, j = best
+        (a, sa), (b, sb) = tensors[i], tensors[j]
+        plan.append((a, b))
+        tensors = [t for k, t in enumerate(tensors) if k not in (i, j)]
+        tensors.append((made, sa ^ sb))
+        made += 1

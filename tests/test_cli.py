@@ -177,6 +177,16 @@ def test_check_and_invariants_on_a_1500_wide_diagram(tmp_path, capsys):
     assert "components = 1500" in got.out
 
 
+def test_eval_on_a_1500_wide_diagram(tmp_path, capsys):
+    # 1500 components, each one tensor after its own contractions, joined
+    # by one outer product
+    path = _ocd(tmp_path, "wide.ocd", wide_text(1500))
+    assert run(["eval", path, "--algebra", "matrix2"]) == 0
+    got = capsys.readouterr()
+    assert got.err == ""
+    assert got.out.endswith("matrix 1 x 1:\n1\n\n")
+
+
 @pytest.mark.parametrize("mangle, why", [
     (lambda doc: [], "missing 'format': 'kfa' marker"),
     (lambda doc: {**doc, "dims": [1]}, "malformed algebra file"),

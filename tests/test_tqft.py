@@ -6,9 +6,11 @@ from pathlib import Path
 
 import pytest
 
+import ocbord.tqft as tqft
 from ocbord.diagram import (Cross, DiagramTerm, OcbordError, Seg,
-                            identity_term, tensor)
+                            identity_term, tensor, to_port_graph)
 from ocbord.dsl import parse, parse_file
+from ocbord.normalform import normal_form
 from ocbord.tqft import (
     BUILTIN_ALGEBRAS,
     EVAL_DIM_CAP,
@@ -25,7 +27,8 @@ from ocbord.tqft import (
     save_kfa,
 )
 
-from helpers import mutate_algebra, random_term, recolor
+from helpers import (ladder_term, mutate_algebra, random_term, recolor,
+                     scan_contraction_plan, window_strip)
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -141,6 +144,71 @@ def test_colour_mismatch_is_an_error():
     t = parse("colors a, b\nsource I[a,b]\nid:I[a,b]\n")
     with pytest.raises(OcbordError):
         evaluate(t, builtin_matrix_example(2))
+
+
+def _network(t, alg):
+    tensors, wire_dim = tqft._tensor_network(to_port_graph(t), alg)
+    return [legs for legs, _ in tensors], wire_dim
+
+
+def test_heap_plan_equals_the_scan():
+    # the acceptance criterion-3 sample and its normal forms, long walks,
+    # a deep strip, and diagrams with wires straight from source to target
+    rng = random.Random(314159)
+    terms = []
+    for _ in range(500):
+        t = random_term(rng, max_gens=25, max_width=6)
+        terms += [t, normal_form(t)]
+    terms += [ladder_term(n, k) for k, n in
+              enumerate((60, 80, 100, 100, 100, 100, 100, 100, 100, 100,
+                         120, 141))]
+    seg = Seg.I()
+    delta = parse("source O\nDelta_C\n")
+    bare = [identity_term((seg, Seg.O(), seg)),
+            tensor(identity_term((seg,)), delta, identity_term((Seg.O(),)))]
+    terms += bare
+    m1, m2 = builtin_matrix_example(1), builtin_matrix_example(2)
+    # every leg space is 1 under matrix1, so each step is decided by ties;
+    # the strip's scan is the slow part and runs under matrix1 only
+    cases = [(m1, window_strip(300))] + [
+        (alg, t) for alg in (m1, m2) for t in terms]
+    for k, (alg, t) in enumerate(cases):
+        legs, wire_dim = _network(t, alg)
+        assert tqft._contraction_plan(legs, wire_dim) \
+            == scan_contraction_plan(legs, wire_dim), (alg.name, k)
+    # the one-leg diagonal tensors of bare wires are in no pair; the
+    # outer product still carries them to both boundaries
+    for t, wires in zip(bare, (3, 2)):
+        legs, wire_dim = _network(t, m2)
+        plan = tqft._contraction_plan(legs, wire_dim)
+        diag = [i for i, ls in enumerate(legs)
+                if len(ls) == 1 and ls[0][0] == "src"]
+        assert len(diag) == wires
+        assert not {i for pair in plan for i in pair} & set(diag)
+    c = LinearMap.identity(m2.dims["C"])
+    assert evaluate(bare[0], m2) == LinearMap.identity(4).tensor(c).tensor(
+        LinearMap.identity(4))
+    assert evaluate(bare[1], m2) \
+        == LinearMap.identity(4).tensor(evaluate(delta, m2)).tensor(c)
+
+
+def test_planner_prices_few_pairs_per_tensor(monkeypatch):
+    # a strip of 1000 windows is a chain of 2000 tensors; a scan prices
+    # every live pair before every step, about T^3/6 pairs in all
+    legs, wire_dim = _network(window_strip(1000),
+                              builtin_matrix_example(1))
+    calls = []
+    size = tqft._pair_size
+
+    def counting(*args):
+        calls.append(args)
+        return size(*args)
+
+    monkeypatch.setattr(tqft, "_pair_size", counting)
+    plan = tqft._contraction_plan(legs, wire_dim)
+    monkeypatch.undo()
+    assert len(plan) == len(legs) - 1
+    assert len(calls) <= 4 * len(legs)
 
 
 # ---------------------------------------------------------------------------
