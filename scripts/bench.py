@@ -1,6 +1,6 @@
 """Layer timings on growing inputs, before and after a change.
 
-For one layer of the pipeline this times the layer's function on each
+For each layer of the pipeline this times the layer's function on each
 series of inputs, size by size, in one or two checkouts, fits a log-log
 growth exponent per series and checkout, and writes ``BENCH_<layer>.json``
 with the machine, the Python version, the sizes, the seconds and the
@@ -10,23 +10,18 @@ Every input is built once, by this checkout, and written as ``.ocd`` text,
 so both checkouts time the same diagrams.  Each size runs in a fresh child
 process that imports the checkout's ``src/``, parses the file (untimed)
 and times the layer: repeated up to five times while under a second in
-all, keeping the fastest run.  A size that exceeds ``--timeout`` seconds
+all, keeping the fastest run.  A size that exceeds ``TIMEOUT_S`` seconds
 is recorded as ``null`` and ends its series, so a slow checkout still
 finishes.
 
 Usage, from any directory::
 
-    python3 scripts/bench.py [CHECKOUT] [--before OTHER] [--layer eval]
-                             [--timeout 60] [--out FILE]
+    python3 scripts/bench.py [CHECKOUT] [--before OTHER]
 
 ``CHECKOUT`` (the "after" side) defaults to the checkout holding this
-script; ``--before`` adds a second checkout to compare against.  The
-default output is ``BENCH_<layer>.json`` in this checkout.  Standard
-library only.
-
-A layer is an entry of :data:`LAYERS` (the call it times and its series:
-input builder and sizes) and a branch of :func:`_layer_call`, which
-makes that call in the child.
+script; ``--before`` adds a second checkout to compare against.  Every
+layer of :data:`LAYERS` is timed and written to ``BENCH_<layer>.json`` in
+this checkout.  Standard library only.
 """
 
 import argparse
@@ -40,6 +35,7 @@ import tempfile
 import time
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
+TIMEOUT_S = 60.0
 
 
 def _ladder(n):
@@ -52,30 +48,30 @@ def _wide(n):
     return helpers.wide_text(n)
 
 
-# layer -> (the call timed, {series: (the input, builder, sizes)})
+def _eval_matrix2():
+    from ocbord.tqft import builtin_algebra, evaluate
+    alg = builtin_algebra("matrix2")
+    return lambda term: evaluate(term, alg)
+
+
+# layer -> (the call timed; in the child, a function that imports the
+# checkout and returns that call on a parsed term; {series: (the input,
+# builder, sizes)})
 LAYERS = {
-    "eval": ("ocbord.tqft.evaluate(term, builtin_algebra('matrix2'))", {
-        "ladder": ("perfbench/gen.ladder_walk(n, str(n))", _ladder,
-                   (50, 100, 200, 400, 800, 1600)),
-        "wide": ("tests/helpers.wide_text(n)", _wide,
-                 (100, 200, 400, 800, 1500)),
-    }),
+    "eval": ("ocbord.tqft.evaluate(term, builtin_algebra('matrix2'))",
+             _eval_matrix2, {
+                 "ladder": ("perfbench/gen.ladder_walk(n, str(n))", _ladder,
+                            (50, 100, 200, 400, 800, 1600)),
+                 "wide": ("tests/helpers.wide_text(n)", _wide,
+                          (100, 200, 400, 800, 1500)),
+             }),
 }
-
-
-def _layer_call(layer):
-    """In the child: a function of the parsed term that runs ``layer``."""
-    if layer == "eval":
-        from ocbord.tqft import builtin_algebra, evaluate
-        alg = builtin_algebra("matrix2")
-        return lambda t: evaluate(t, alg)
-    raise ValueError(f"unknown layer {layer!r}")
 
 
 def _child(layer, path):
     from ocbord.dsl import parse_file
     term = parse_file(path)
-    call = _layer_call(layer)
+    call = LAYERS[layer][1]()
     best, spent = math.inf, 0.0
     for _ in range(5):
         t0 = time.perf_counter()
@@ -87,12 +83,13 @@ def _child(layer, path):
     print(repr(best))
 
 
-def _time(checkout, layer, path, timeout):
+def _time(checkout, layer, path):
     env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
     try:
         proc = subprocess.run(
             [sys.executable, os.path.abspath(__file__), "--child", layer,
-             path], capture_output=True, text=True, env=env, timeout=timeout)
+             path], capture_output=True, text=True, env=env,
+            timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
         return None
     if proc.returncode != 0:
@@ -127,13 +124,41 @@ def _machine():
             "cpu": model, "cpus": os.cpu_count()}
 
 
+def _bench(layer, sides, tmp):
+    call, _, series = LAYERS[layer]
+    doc = {"layer": layer, "call": call,
+           "machine": _machine(), "python": platform.python_version(),
+           "timeout_s": TIMEOUT_S, "series": {}}
+    for name, (what, build, sizes) in series.items():
+        entry = {"input": what, "sizes": list(sizes)}
+        paths = []
+        for n in sizes:
+            paths.append(os.path.join(tmp, f"{layer}-{name}-{n}.ocd"))
+            with open(paths[-1], "w", encoding="utf-8") as fh:
+                fh.write(build(n))
+        for side, checkout in sides:
+            seconds = []
+            for n, path in zip(sizes, paths):
+                s, shown = None, "skipped"
+                if not seconds or seconds[-1] is not None:
+                    s = _time(checkout, layer, path)
+                    shown = "timeout" if s is None else f"{s:.4f} s"
+                seconds.append(s)
+                print(f"{layer} {name} n={n} {side}: {shown}", flush=True)
+            entry[side] = {"seconds": seconds,
+                           "exponent": growth(sizes, seconds)}
+        doc["series"][name] = entry
+    out = os.path.join(ROOT, f"BENCH_{layer}.json")
+    with open(out, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+    print(f"wrote {out}")
+
+
 def main(argv):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("checkout", nargs="?", default=ROOT)
     ap.add_argument("--before")
-    ap.add_argument("--layer", default="eval", choices=sorted(LAYERS))
-    ap.add_argument("--timeout", type=float, default=60.0)
-    ap.add_argument("--out")
     args = ap.parse_args(argv)
     sides = [("after", os.path.abspath(args.checkout))]
     if args.before:
@@ -141,36 +166,9 @@ def main(argv):
 
     sys.path[:0] = [os.path.join(ROOT, d) for d in ("src", "tests",
                                                      "perfbench")]
-    call, series = LAYERS[args.layer]
-    doc = {"layer": args.layer, "call": call,
-           "machine": _machine(), "python": platform.python_version(),
-           "timeout_s": args.timeout, "series": {}}
     with tempfile.TemporaryDirectory() as tmp:
-        for name, (what, build, sizes) in series.items():
-            entry = {"input": what, "sizes": list(sizes)}
-            paths = []
-            for n in sizes:
-                paths.append(os.path.join(tmp, f"{name}-{n}.ocd"))
-                with open(paths[-1], "w", encoding="utf-8") as fh:
-                    fh.write(build(n))
-            for side, checkout in sides:
-                seconds = []
-                for n, path in zip(sizes, paths):
-                    s, shown = None, "skipped"
-                    if not seconds or seconds[-1] is not None:
-                        s = _time(checkout, args.layer, path, args.timeout)
-                        shown = "timeout" if s is None else f"{s:.4f} s"
-                    seconds.append(s)
-                    print(f"{args.layer} {name} n={n} {side}: {shown}",
-                          flush=True)
-                entry[side] = {"seconds": seconds,
-                               "exponent": growth(sizes, seconds)}
-            doc["series"][name] = entry
-    out = args.out or os.path.join(ROOT, f"BENCH_{args.layer}.json")
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
-    print(f"wrote {out}")
+        for layer in LAYERS:
+            _bench(layer, sides, tmp)
     return 0
 
 

@@ -70,11 +70,11 @@ def _make_gen(op, segs, rng, colors):
     return Gen(kind)
 
 
-def _walk(rng, segs, budget, colors, max_width, stop=0.0):
-    """Slices of a random walk from ``segs`` (updated in place) that stops
-    after ``budget`` non-crossing generators, at most five crossings,
-    or earlier with probability ``stop`` after each slice."""
+def _attempt(rng, max_gens, colors, max_width):
+    segs = _random_source(rng, colors, max_width)
+    source = tuple(segs)
     slices = []
+    budget = rng.randint(1, max_gens)
     crossings = 0
     while budget > 0:
         ops = _options(segs, colors, max_width, rng)
@@ -94,25 +94,9 @@ def _walk(rng, segs, budget, colors, max_width, stop=0.0):
             + tuple(Id(s) for s in segs[i + eaten:])
         segs[i:i + eaten] = list(f.target)
         slices.append(row)
-        if stop and rng.random() < stop:
+        if rng.random() < 0.04:
             break
-    return tuple(slices)
-
-
-def _attempt(rng, max_gens, colors, max_width):
-    segs = _random_source(rng, colors, max_width)
-    source = tuple(segs)
-    slices = _walk(rng, segs, rng.randint(1, max_gens), colors, max_width,
-                   stop=0.04)
-    return DiagramTerm(source, slices)
-
-
-def ladder_term(n: int, seed) -> DiagramTerm:
-    """A walk of exactly ``n`` generators from ``I, I, O`` in colour ``*``
-    and width at most 6, seeded by ``seed``."""
-    source = (Seg.I(), Seg.I(), Seg.O())
-    return DiagramTerm(source, _walk(random.Random(f"ladder/{seed}"),
-                                     list(source), n, ("*",), 6))
+    return DiagramTerm(source, tuple(slices))
 
 
 def component_count(t: DiagramTerm) -> int:

@@ -1,6 +1,7 @@
 """Exact-rational evaluation and the algebra axiom checker."""
 
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -27,10 +28,13 @@ from ocbord.tqft import (
     save_kfa,
 )
 
-from helpers import (ladder_term, mutate_algebra, random_term, recolor,
+from helpers import (component_count, mutate_algebra, random_term, recolor,
                      scan_contraction_plan, window_strip)
 
-CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "corpus"
+sys.path.insert(0, str(ROOT / "perfbench"))
+import gen  # noqa: E402  (the ladder workload's walk generator)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +163,7 @@ def test_heap_plan_equals_the_scan():
     for _ in range(500):
         t = random_term(rng, max_gens=25, max_width=6)
         terms += [t, normal_form(t)]
-    terms += [ladder_term(n, k) for k, n in
+    terms += [parse(gen.ladder_walk(n, str(k)).text()) for k, n in
               enumerate((60, 80, 100, 100, 100, 100, 100, 100, 100, 100,
                          120, 141))]
     seg = Seg.I()
@@ -193,10 +197,9 @@ def test_heap_plan_equals_the_scan():
 
 
 def test_planner_prices_few_pairs_per_tensor(monkeypatch):
-    # a strip of 1000 windows is a chain of 2000 tensors; a scan prices
-    # every live pair before every step, about T^3/6 pairs in all
-    legs, wire_dim = _network(window_strip(1000),
-                              builtin_matrix_example(1))
+    # a strip of 1000 windows is a chain of 2000 tensors and a ladder walk
+    # of 800 generators is 800 tensors of at most three legs; a scan
+    # prices every live pair before every step, about T^3/6 pairs in all
     calls = []
     size = tqft._pair_size
 
@@ -205,10 +208,14 @@ def test_planner_prices_few_pairs_per_tensor(monkeypatch):
         return size(*args)
 
     monkeypatch.setattr(tqft, "_pair_size", counting)
-    plan = tqft._contraction_plan(legs, wire_dim)
-    monkeypatch.undo()
-    assert len(plan) == len(legs) - 1
-    assert len(calls) <= 4 * len(legs)
+    for t, alg in ((window_strip(1000), builtin_matrix_example(1)),
+                   (parse(gen.ladder_walk(800, "effort").text()),
+                    builtin_matrix_example(2))):
+        legs, wire_dim = _network(t, alg)
+        calls.clear()
+        plan = tqft._contraction_plan(legs, wire_dim)
+        assert len(plan) == len(legs) - component_count(t)
+        assert len(calls) <= 4 * len(legs)
 
 
 # ---------------------------------------------------------------------------
