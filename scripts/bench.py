@@ -9,19 +9,20 @@ exponents.
 Every input is built once, by this checkout, and written as ``.ocd`` text,
 so both checkouts time the same diagrams.  Each size runs in a fresh child
 process that imports the checkout's ``src/``, parses the file (untimed)
-and times the layer: repeated up to five times while under a second in
+and times the layer: repeated up to twenty times while under a second in
 all, keeping the fastest run.  A size that exceeds ``TIMEOUT_S`` seconds
 is recorded as ``null`` and ends its series, so a slow checkout still
 finishes.
 
 Usage, from any directory::
 
-    python3 scripts/bench.py [CHECKOUT] [--before OTHER]
+    python3 scripts/bench.py [CHECKOUT] [--before OTHER] [--layer NAME]...
 
 ``CHECKOUT`` (the "after" side) defaults to the checkout holding this
-script; ``--before`` adds a second checkout to compare against.  Every
-layer of :data:`LAYERS` is timed and written to ``BENCH_<layer>.json`` in
-this checkout.  Standard library only.
+script; ``--before`` adds a second checkout to compare against.  Each
+layer of :data:`LAYERS` named by ``--layer``, or every layer when none is
+named, is timed and written to ``BENCH_<layer>.json`` in this checkout.
+Standard library only.
 """
 
 import argparse
@@ -48,11 +49,39 @@ def _wide(n):
     return helpers.wide_text(n)
 
 
+def _closed(n):
+    import helpers
+    return helpers.closed_surface(n)
+
+
 def _eval_matrix2():
     from ocbord.tqft import builtin_algebra, evaluate
     alg = builtin_algebra("matrix2")
     return lambda term: evaluate(term, alg)
 
+
+def _canonical_key():
+    from ocbord.diagram import canonical_key, to_port_graph
+    return lambda term: canonical_key(to_port_graph(term))
+
+
+def _invariants():
+    from ocbord.invariants import invariants
+    return invariants
+
+
+def _normal_form():
+    from ocbord.normalform import normal_form
+    return normal_form
+
+
+# the series of the layers that name a port graph up to node ids
+_CANON_SERIES = {
+    "closed": ("tests/helpers.closed_surface(n)", _closed,
+               (100, 200, 400, 800, 1600)),
+    "ladder": ("perfbench/gen.ladder_walk(n, str(n))", _ladder,
+               (200, 400, 800, 1600, 3200)),
+}
 
 # layer -> (the call timed; in the child, a function that imports the
 # checkout and returns that call on a parsed term; {series: (the input,
@@ -65,6 +94,12 @@ LAYERS = {
                  "wide": ("tests/helpers.wide_text(n)", _wide,
                           (100, 200, 400, 800, 1500)),
              }),
+    "canonical_key": ("ocbord.diagram.canonical_key(to_port_graph(term))",
+                      _canonical_key, _CANON_SERIES),
+    "invariants": ("ocbord.invariants.invariants(term)", _invariants,
+                   _CANON_SERIES),
+    "normal_form": ("ocbord.normalform.normal_form(term)", _normal_form,
+                    _CANON_SERIES),
 }
 
 
@@ -73,7 +108,7 @@ def _child(layer, path):
     term = parse_file(path)
     call = LAYERS[layer][1]()
     best, spent = math.inf, 0.0
-    for _ in range(5):
+    for _ in range(20):
         t0 = time.perf_counter()
         call(term)
         dt = time.perf_counter() - t0
@@ -159,6 +194,7 @@ def main(argv):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("checkout", nargs="?", default=ROOT)
     ap.add_argument("--before")
+    ap.add_argument("--layer", action="append", choices=list(LAYERS))
     args = ap.parse_args(argv)
     sides = [("after", os.path.abspath(args.checkout))]
     if args.before:
@@ -167,7 +203,7 @@ def main(argv):
     sys.path[:0] = [os.path.join(ROOT, d) for d in ("src", "tests",
                                                      "perfbench")]
     with tempfile.TemporaryDirectory() as tmp:
-        for layer in LAYERS:
+        for layer in args.layer or LAYERS:
             _bench(layer, sides, tmp)
     return 0
 

@@ -412,11 +412,6 @@ def _walk_order(g: PortGraph, seeds) -> list:
     return order
 
 
-def _component_nodes(g: PortGraph, start: int) -> set:
-    return set(_walk_order(g, [("out", start, 0) if g.nodes[start].target
-                               else ("in", start, 0)])) | {start}
-
-
 def _renumber(order: list):
     """Endpoint map renaming each node id to its position in ``order``."""
     idx = {nid: i for i, nid in enumerate(order)}
@@ -439,8 +434,45 @@ def _node_parts(g: PortGraph, order: list, ck) -> list:
     return parts
 
 
-def _serial_from(g: PortGraph, order: list) -> str:
-    return repr(_node_parts(g, order, _renumber(order)))
+def _least_walk(g: PortGraph, comp: list) -> tuple:
+    """``(serialisation, order)`` of the walk of a closed component whose
+    serialisation is least, the smallest seed id winning ties.
+
+    The walks from every seed run in lockstep, as :func:`_walk_order`
+    would run each alone.  Step ``t`` finishes the ``t``-th node of every
+    walk: its unseen neighbours are numbered, so its part of the
+    serialisation is fixed.  Only the walks whose part repr is least go
+    on.  A part repr is a tuple repr of kind names, colour names and
+    ints, never a proper prefix of another, so comparing the parts one
+    by one ranks the walks as comparing the whole serialisations would.
+    Each step costs the live walks' degrees: O(n) for an n-node
+    component whose seeds part after a few steps, and up to k x n when k
+    seeds are automorphic and their walks never part.
+    """
+    walks = [([s], {s: 0}, []) for s in sorted(comp)]
+    for t in range(len(comp)):
+        least, live = None, []
+        for walk in walks:
+            order, idx, parts = walk
+            nid = order[t]
+            gen = g.nodes[nid]
+            outs = [g.out_to_in[("out", nid, k)]
+                    for k in range(len(gen.target))]
+            for ep in [g.in_to_out[("in", nid, k)]
+                       for k in range(len(gen.source))] + outs:
+                if ep[1] not in idx:
+                    idx[ep[1]] = len(order)
+                    order.append(ep[1])
+            part = repr((gen.kind, gen.colors,
+                         tuple((ep[0], idx[ep[1]], ep[2]) for ep in outs)))
+            if least is None or part < least:
+                least, live = part, [walk]
+            elif part == least:
+                live.append(walk)
+            parts.append(part)
+        walks = live
+    order, _, parts = walks[0]
+    return "[" + ", ".join(parts) + "]", order
 
 
 def canonical_order(g: PortGraph) -> list:
@@ -449,7 +481,8 @@ def canonical_order(g: PortGraph) -> list:
     Nodes reachable from the boundary come first, in breadth-first order
     seeded by the source ports then the target ports.  Each remaining
     (closed, boundary-free) component is ordered by the seed that
-    minimises its serialisation, and components are sorted the same way.
+    minimises its serialisation (see :func:`_least_walk`), and components
+    are sorted the same way.
     """
     seeds = [g.out_to_in[("src", i)] for i in range(len(g.source))]
     seeds += [g.in_to_out[("tgt", j)] for j in range(len(g.target))]
@@ -458,22 +491,13 @@ def canonical_order(g: PortGraph) -> list:
     comps = []
     while left:
         start = next(iter(left))
-        comp = {n for n in _component_nodes(g, start) if n in left}
-        left -= comp
-        best = None
-        for seed in sorted(comp):
-            gen = g.nodes[seed]
-            ep = ("out", seed, 0) if gen.target else ("in", seed, 0)
-            cand = _walk_order(g, [ep])
-            if seed not in cand:
-                cand = [seed] + cand
-            ser = _serial_from(g, cand)
-            if best is None or ser < best[0]:
-                best = (ser, cand)
-        comps.append(best)
+        comp = _walk_order(g, [("out", start, 0) if g.nodes[start].target
+                               else ("in", start, 0)])
+        left.difference_update(comp)
+        comps.append(_least_walk(g, comp))
     comps.sort(key=lambda b: b[0])
-    for _, cand in comps:
-        order.extend(cand)
+    for _, walk in comps:
+        order.extend(walk)
     return order
 
 
@@ -509,8 +533,8 @@ def from_port_graph(g: PortGraph) -> DiagramTerm:
     produce identical terms.  Nodes are placed one per slice, leftmost
     ready node first; crossings are synthesised to gather each node's
     inputs; input-less nodes join at the right edge when nothing else is
-    ready.  Each placement scans the frontier once, so apart from
-    :func:`canonical_relabel` the cost is O(nodes x width).
+    ready.  Each placement scans the frontier once, so the cost is
+    O(nodes x width).
     """
     g = canonical_relabel(g)
     frontier = [("src", i) for i in range(len(g.source))]

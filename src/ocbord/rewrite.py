@@ -976,10 +976,14 @@ def _canonical_one_split(rec: _Recorder, anchor):
             break
         rec.do("coassoc_C", True, site)
 
+    # each round swaps one adjacent pair of leaves that are out of order,
+    # so the k leaves on entry need at most k(k-1)/2 rounds and a last one
+    k = len(_split_spine(rec.g, anchor)) + 1
+    bound = k * (k - 1) // 2 + 1
     guard = 0
     while True:
         guard += 1
-        if guard > 5000:
+        if guard > bound:
             raise StrategyStuck("split sorting did not converge")
         spine = _split_spine(rec.g, anchor)
         if not spine:

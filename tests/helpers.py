@@ -3,8 +3,9 @@ profile-changing perturbations."""
 
 import random
 
-from ocbord.diagram import (Cross, DiagramTerm, Gen, Id, Seg, from_port_graph,
-                            to_port_graph)
+from ocbord.diagram import (Cross, DiagramTerm, Gen, Id, Seg, UnionFind,
+                            _node_parts, _renumber, _walk_order,
+                            from_port_graph, to_port_graph)
 from ocbord.invariants import invariants, profile_key
 from ocbord.rewrite import (Match, _bind, _pattern, _splice_is_acyclic,
                             _unify_seg, apply_match, find_matches, rules)
@@ -100,7 +101,16 @@ def _attempt(rng, max_gens, colors, max_width):
 
 
 def component_count(t: DiagramTerm) -> int:
-    return len(invariants(to_port_graph(t)).components)
+    """Connected components over nodes and boundary ports joined by wires,
+    the items ``invariants`` unions."""
+    g = to_port_graph(t)
+    uf = UnionFind()
+    for nid in g.nodes:
+        uf.find(nid)
+    for prod, cons in g.wires():
+        uf.union(prod[:2] if prod[0] == "src" else prod[1],
+                 cons[:2] if cons[0] == "tgt" else cons[1])
+    return len({uf.find(x) for x in uf.parent})
 
 
 def random_term(rng: random.Random, max_gens: int = 25, colors=("*",),
@@ -286,6 +296,20 @@ def wide_text(n: int) -> str:
                       for g in ("Delta_C", "mu_C", "Delta_C")))
 
 
+def closed_surface(n: int) -> str:
+    """``.ocd`` text of a closed surface of genus ``n``: ``eta_C``, then
+    ``n`` handles (``window_c``), then ``eps_C``."""
+    return "source\neta_C\n" + "window_c\n" * n + "eps_C\n"
+
+
+def mu_c_comb_text(n: int) -> str:
+    """``.ocd`` text merging ``n`` source circles by a right comb of
+    ``mu_C``: row k is ``id:O`` x (n-2-k), then ``mu_C``."""
+    return "source " + ", ".join(["O"] * n) + "\n" + "".join(
+        " | ".join(["id:O"] * (n - 2 - k) + ["mu_C"]) + "\n"
+        for k in range(n - 1))
+
+
 def product_find_matches(host, rule_id: str, reverse: bool = False) -> list:
     """Reference for ``find_matches``: try every tuple of distinct host
     nodes whose kinds fit the pattern, O(N^k) for a k-node side."""
@@ -363,3 +387,31 @@ def scan_contraction_plan(legs, wire_dim) -> list:
         tensors = [t for k, t in enumerate(tensors) if k not in (i, j)]
         tensors.append((made, sa ^ sb))
         made += 1
+
+
+def seedwise_canonical_order(g) -> list:
+    """Reference for ``diagram.canonical_order``: walk and serialise each
+    closed component once per seed node and keep the first least
+    serialisation, O(n^2) for an n-node component."""
+    seeds = [g.out_to_in[("src", i)] for i in range(len(g.source))]
+    seeds += [g.in_to_out[("tgt", j)] for j in range(len(g.target))]
+    order = _walk_order(g, seeds)
+    left = set(g.nodes) - set(order)
+    comps = []
+    while left:
+        start = next(iter(left))
+        comp = set(_walk_order(g, [("out", start, 0) if g.nodes[start].target
+                                   else ("in", start, 0)])) & left
+        left -= comp
+        best = None
+        for seed in sorted(comp):
+            ep = ("out", seed, 0) if g.nodes[seed].target else ("in", seed, 0)
+            cand = _walk_order(g, [ep])
+            ser = repr(_node_parts(g, cand, _renumber(cand)))
+            if best is None or ser < best[0]:
+                best = (ser, cand)
+        comps.append(best)
+    comps.sort(key=lambda b: b[0])
+    for _, cand in comps:
+        order.extend(cand)
+    return order

@@ -1,6 +1,7 @@
 """Generator signatures, term typing, and the port graph layer."""
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,7 @@ from ocbord.diagram import (
     Seg,
     TypingError,
     canonical_key,
+    canonical_order,
     canonical_relabel,
     compose,
     from_port_graph,
@@ -25,7 +27,12 @@ from ocbord.diagram import (
     to_port_graph,
 )
 
-from helpers import random_term
+from ocbord.dsl import parse, parse_file
+from ocbord.normalform import normal_form
+
+from helpers import closed_surface, random_term, seedwise_canonical_order
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def I(a="*", b="*"):
@@ -170,3 +177,39 @@ def test_syntactic_eq_is_strict_on_slicing():
     assert not syntactic_eq(a, b)
     assert syntactic_eq(from_port_graph(to_port_graph(a)),
                         from_port_graph(to_port_graph(b)))
+
+
+def test_lockstep_order_equals_the_seedwise_order():
+    # the corpus and its normal forms, the acceptance criterion-3 sample
+    # (a quarter of it beside two closed surfaces) and a genus-100 surface
+    terms = []
+    for path in sorted(CORPUS.glob("*.ocd")):
+        t = parse_file(path)
+        terms += [t, normal_form(t)]
+    assert len(terms) == 26
+    rng = random.Random(314159)
+    s1, s3 = parse(closed_surface(1)), parse(closed_surface(3))
+    for i in range(500):
+        t = random_term(rng, max_gens=25, max_width=6)
+        terms.append(tensor(s3, t, s1) if i % 4 == 0 else t)
+    terms.append(parse(closed_surface(100)))
+    for k, t in enumerate(terms):
+        g = to_port_graph(t)
+        assert canonical_order(g) == seedwise_canonical_order(g), k
+
+
+class _CountingNodes(dict):
+    reads = 0
+
+    def __getitem__(self, nid):
+        self.reads += 1
+        return dict.__getitem__(self, nid)
+
+
+def test_canonical_order_reads_each_node_a_few_times():
+    # a genus-400 surface is one closed component of 802 nodes; trying
+    # every seed walks and serialises it 802 times, about 1.3M node reads
+    g = to_port_graph(parse(closed_surface(400)))
+    g.nodes = _CountingNodes(g.nodes)
+    canonical_order(g)
+    assert g.nodes.reads <= 4 * len(g.nodes)
