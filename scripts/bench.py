@@ -8,11 +8,11 @@ exponents.
 
 Every input is built once, by this checkout, and written as ``.ocd`` text,
 so both checkouts time the same diagrams.  Each size runs in a fresh child
-process that imports the checkout's ``src/``, parses the file (untimed)
-and times the layer: repeated up to twenty times while under a second in
-all, keeping the fastest run.  A size that exceeds ``TIMEOUT_S`` seconds
-is recorded as ``null`` and ends its series, so a slow checkout still
-finishes.
+process that imports the checkout's ``src/``, reads the file and, for
+every layer but ``parse``, parses it (untimed), then times the layer:
+repeated up to twenty times while under a second in all, keeping the
+fastest run.  A size that exceeds ``TIMEOUT_S`` seconds is recorded as
+``null`` and ends its series, so a slow checkout still finishes.
 
 Usage, from any directory::
 
@@ -54,6 +54,17 @@ def _closed(n):
     return helpers.closed_surface(n)
 
 
+def _strip(n):
+    import helpers
+    from ocbord.dsl import render
+    return render(helpers.window_strip(n))
+
+
+def _parse():
+    from ocbord.dsl import parse
+    return parse
+
+
 def _eval_matrix2():
     from ocbord.tqft import builtin_algebra, evaluate
     alg = builtin_algebra("matrix2")
@@ -84,9 +95,15 @@ _CANON_SERIES = {
 }
 
 # layer -> (the call timed; in the child, a function that imports the
-# checkout and returns that call on a parsed term; {series: (the input,
-# builder, sizes)})
+# checkout and returns that call on a parsed term, or on the file's text
+# for parse; {series: (the input, builder, sizes)})
 LAYERS = {
+    "parse": ("ocbord.dsl.parse(text)", _parse, {
+        "ladder": ("perfbench/gen.ladder_walk(n, str(n))", _ladder,
+                   (200, 400, 800, 1600, 3200)),
+        "strip": ("render(tests/helpers.window_strip(n))", _strip,
+                  (300, 600, 1200, 2400)),
+    }),
     "eval": ("ocbord.tqft.evaluate(term, builtin_algebra('matrix2'))",
              _eval_matrix2, {
                  "ladder": ("perfbench/gen.ladder_walk(n, str(n))", _ladder,
@@ -105,12 +122,16 @@ LAYERS = {
 
 def _child(layer, path):
     from ocbord.dsl import parse_file
-    term = parse_file(path)
+    if layer == "parse":
+        with open(path, encoding="utf-8") as fh:
+            arg = fh.read()
+    else:
+        arg = parse_file(path)
     call = LAYERS[layer][1]()
     best, spent = math.inf, 0.0
     for _ in range(20):
         t0 = time.perf_counter()
-        call(term)
+        call(arg)
         dt = time.perf_counter() - t0
         best, spent = min(best, dt), spent + dt
         if spent >= 1.0:

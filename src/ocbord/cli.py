@@ -18,6 +18,7 @@ with the report order following the input order.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -333,7 +334,15 @@ def _cmd_examples(ns):
 # Argument parsing
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser():
+    """The argument parser, built on the first :func:`run` and then reused.
+
+    ``parse_args`` keeps no state between calls, and building the seven
+    subparsers costs about a millisecond, which every in-process
+    :func:`run` call after the first now saves.  A fresh ``ocbord``
+    process builds the parser once either way and gains nothing.
+    """
     parser = argparse.ArgumentParser(
         prog="ocbord",
         description="open-closed cobordism toolkit")

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 DEFAULT_COLOR = "*"
 
@@ -161,8 +161,9 @@ class Cross:
 class DiagramTerm:
     """A diagram presented as slices of factors.
 
-    ``source`` is the top boundary object; the bottom one is computed by
-    :meth:`validate`, which also type-checks every slice boundary.
+    ``source`` is the top boundary object; the bottom one, ``target``, is
+    computed by :meth:`validate`, which also type-checks every slice
+    boundary, on first use.
     """
 
     source: tuple
@@ -180,7 +181,7 @@ class DiagramTerm:
             cur = tuple(s for f in sl for s in f.target)
         return cur
 
-    @property
+    @cached_property
     def target(self) -> tuple:
         return self.validate()
 
@@ -336,8 +337,7 @@ class PortGraph:
 
 def to_port_graph(term: DiagramTerm) -> PortGraph:
     """Interpret a term as a port graph, absorbing identities and crossings."""
-    tgt = term.validate()
-    g = PortGraph(term.source, tgt)
+    g = PortGraph(term.source, term.target)
     frontier = [("src", i) for i in range(len(term.source))]
     for sl in term.slices:
         pos = 0

@@ -17,7 +17,8 @@ brackets may be omitted; a bare atom uses the colour ``*``.
 
 Within a row the atoms bind left to right against the current boundary;
 an atom with empty source (``eta_A``, ``eta_C``) sits at the cursor
-position between its neighbours' wires.
+position between its neighbours' wires.  Each distinct atom text is read
+and type-checked once per file; rows are assembled from those entries.
 
 >>> t = parse("source I,I ; mu_A ; Delta_A")
 >>> print(render(t), end="")
@@ -40,6 +41,7 @@ from .diagram import (
     OcbordError,
     Seg,
     TypingError,
+    _id_slice,
     check_composable,
     compose,
     fmt_obj,
@@ -72,10 +74,15 @@ class TypeMismatch(ParseError):
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 _ATOM_RE = re.compile(rf"^({_NAME})(?:\[([^\]]*)\]|\((.*)\))?$")
+# a stray closing bracket also changes the depth, so all four count
+_BRACKET = re.compile(r"[][()]")
 
 
 def _split_top(text: str, sep: str = ","):
     """Split on ``sep`` outside brackets; returns [] for blank input."""
+    if not _BRACKET.search(text):
+        parts = [p.strip() for p in text.split(sep)]
+        return [] if parts == [""] else parts
     parts, depth, cur = [], 0, []
     for ch in text:
         if ch in "[(":
@@ -223,6 +230,7 @@ def parse(text: str, filename: str = "<string>") -> DiagramTerm:
     source = None
     cur = None          # the boundary below the rows read so far
     slices = []
+    atoms = {}          # atom text -> (source, target, slices, identity slice)
     for stmt, span in _statements(text, filename):
         head = stmt.split(None, 1)[0]
         rest = stmt[len(head):].strip()
@@ -242,16 +250,28 @@ def parse(text: str, filename: str = "<string>") -> DiagramTerm:
             continue
         if source is None:
             raise ParseError("expected a source line before rows", span)
-        row = tensor(*[_parse_atom(a, span) for a in _split_top(stmt, "|")])
+        row = []
+        for a in _split_top(stmt, "|"):
+            entry = atoms.get(a)
+            if entry is None:
+                t = _parse_atom(a, span)
+                tgt = t.validate()
+                entry = atoms[a] = (t.source, tgt, t.slices, _id_slice(tgt))
+            row.append(entry)
         try:
-            check_composable(cur, row.source)
+            check_composable(cur, tuple(s for e in row for s in e[0]))
         except TypingError as e:
             raise TypeMismatch(str(e), span) from None
-        cur = row.validate()
-        slices.extend(row.slices)
+        # as tensor() would: pad the shorter atoms with identities
+        n = max(len(e[2]) for e in row)
+        cols = [e[2] + (e[3],) * (n - len(e[2])) for e in row]
+        slices.extend(tuple(f for col in cols for f in col[i])
+                      for i in range(n))
+        cur = tuple(s for e in row for s in e[1])
     if source is None:
         raise ParseError("no source line", SourceSpan(filename, 1, 1))
     term = DiagramTerm(source, tuple(slices))
+    vars(term)["target"] = cur      # the rows typed it: fill its cache
     if palette is not None:
         allowed = set(palette) | {DEFAULT_COLOR}
         used = _used_colors(term)

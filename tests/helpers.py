@@ -2,10 +2,14 @@
 profile-changing perturbations."""
 
 import random
+import re
 
-from ocbord.diagram import (Cross, DiagramTerm, Gen, Id, Seg, UnionFind,
-                            _node_parts, _renumber, _walk_order,
-                            from_port_graph, to_port_graph)
+from ocbord.diagram import (DEFAULT_COLOR, Cross, DiagramTerm, Gen, Id, Seg,
+                            TypingError, UnionFind, _node_parts, _renumber,
+                            _walk_order, check_composable, from_port_graph,
+                            tensor, to_port_graph)
+from ocbord.dsl import (_NAME, ParseError, SourceSpan, TypeMismatch,
+                        _parse_atom, _parse_seg, _statements, _used_colors)
 from ocbord.invariants import invariants, profile_key
 from ocbord.rewrite import (Match, _bind, _pattern, _splice_is_acyclic,
                             _unify_seg, apply_match, find_matches, rules)
@@ -415,3 +419,69 @@ def seedwise_canonical_order(g) -> list:
     for _, cand in comps:
         order.extend(cand)
     return order
+
+
+def _scan_split(text: str, sep: str = ","):
+    """Reference for ``dsl._split_top``: split on ``sep`` outside
+    brackets, one character at a time."""
+    parts, depth, cur = [], 0, []
+    for ch in text:
+        if ch in "[(":
+            depth += 1
+        elif ch in "])":
+            depth -= 1
+        if ch == sep and depth == 0:
+            parts.append("".join(cur))
+            cur = []
+        else:
+            cur.append(ch)
+    parts.append("".join(cur))
+    parts = [p.strip() for p in parts]
+    if parts == [""]:
+        return []
+    return parts
+
+
+def tensor_parse(text: str, filename: str = "<string>") -> DiagramTerm:
+    """Reference for ``dsl.parse``: each row is the ``tensor`` of its
+    atoms, every one parsed afresh, and is validated whole."""
+    palette = None
+    source = None
+    cur = None
+    slices = []
+    for stmt, span in _statements(text, filename):
+        head = stmt.split(None, 1)[0]
+        rest = stmt[len(head):].strip()
+        if head == "colors":
+            if source is not None or palette is not None:
+                raise ParseError("colors header must come first, once", span)
+            palette = _scan_split(rest)
+            for n in palette:
+                if not re.fullmatch(_NAME, n):
+                    raise ParseError(f"bad colour name {n!r}", span)
+            continue
+        if head == "source":
+            if source is not None:
+                raise ParseError("duplicate source line", span)
+            source = cur = tuple(_parse_seg(s, span)
+                                 for s in _scan_split(rest))
+            continue
+        if source is None:
+            raise ParseError("expected a source line before rows", span)
+        row = tensor(*[_parse_atom(a, span) for a in _scan_split(stmt, "|")])
+        try:
+            check_composable(cur, row.source)
+        except TypingError as e:
+            raise TypeMismatch(str(e), span) from None
+        cur = row.validate()
+        slices.extend(row.slices)
+    if source is None:
+        raise ParseError("no source line", SourceSpan(filename, 1, 1))
+    term = DiagramTerm(source, tuple(slices))
+    if palette is not None:
+        bad = _used_colors(term) - set(palette) - {DEFAULT_COLOR}
+        if bad:
+            raise ParseError(
+                f"colour(s) {sorted(bad)} not declared in the colors header",
+                SourceSpan(filename, 1, 1))
+    return term

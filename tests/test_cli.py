@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import ocbord
-from ocbord.cli import run
+from ocbord.cli import _build_parser, run
 from ocbord.diagram import Gen
 from ocbord.dsl import parse, parse_file, render
 from ocbord.invariants import equivalent
@@ -263,6 +263,21 @@ def test_usage_errors_exit_2(capsys):
     assert run(["equiv", FIG]) == 2
     assert run(["check", "no_such_file.ocd"]) == 2
     capsys.readouterr()
+
+
+def test_a_reused_parser_keeps_no_state(capsys):
+    # the parser is built once per process; a usage error, a valid run and
+    # the same usage error again must not see each other
+    _build_parser.cache_clear()
+    seen = []
+    for argv in (["eval", FIG], ["check", FIG], ["eval", FIG],
+                 ["check", FIG]):
+        code = run(argv)
+        seen.append((code, *capsys.readouterr()))
+    assert _build_parser.cache_info().misses == 1
+    assert seen[0] == seen[2] and seen[1] == seen[3]
+    assert seen[0][0] == 2 and "--algebra" in seen[0][2]
+    assert seen[1][0] == 0 and "figure1.ocd: ok:" in seen[1][1]
 
 
 def test_help_exits_0(capsys):

@@ -1,18 +1,23 @@
 """Text format: parsing, rendering, macros, and error positions."""
 
 import random
+import sys
 from pathlib import Path
 
 import pytest
 
+from ocbord import dsl
 from ocbord.diagram import (DiagramTerm, Gen, Seg, compose, gen_term, graph_eq,
                             identity_term, syntactic_eq, tensor,
                             to_port_graph)
 from ocbord.dsl import ParseError, TypeMismatch, parse, parse_file, render
 
-from helpers import random_term, wide_text, window_strip
+from helpers import random_term, tensor_parse, wide_text, window_strip
 
-CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "corpus"
+sys.path.insert(0, str(ROOT / "perfbench"))
+import gen  # noqa: E402  (the ladder workload's walk generator)
 
 
 def test_corpus_parses():
@@ -164,3 +169,103 @@ def test_parse_validates_each_atom_once(monkeypatch):
     monkeypatch.undo()
     assert [len(sl) for sl in t.slices] == [1500] * 3
     assert sum(walked) <= 3 * 4500
+
+
+# rows on the boundary I, O that parse and keep it
+_GOOD_ROWS = ["id:I | id:O", "window_o | id:O", "id:I | window_c",
+              "Delta_A | id:O ; mu_A | id:O", "cross(I, O) ; cross(O,I)",
+              "id:I|Delta_C;id:I|mu_C",
+              "  id:I |   id:O  "]
+# rows that fail to parse or to compose there
+_BAD_ROWS = [
+    "mu_A[a|b,c] | id:O",           # | inside brackets
+    "id:I] | id:O", "id:I | id:O]",  # stray ]
+    "cross(I,O)) | id:O", ")id:I | id:O",  # stray )
+    "id:I |  | id:O", "| id:I | id:O", "id:I | id:O |",  # empty atoms
+    "frob | id:O", "id:I | window_x[a]",  # unknown atoms
+    "mu_A[a,b] | id:O",             # wrong colour count
+    "eta_A[1a] | id:I | id:O", "zip[a b] | id:I",  # bad colours
+    "id:I | id:O | mu_C", "mu_A | id:O",  # do not compose
+    "cross(I) | id:O", "cross(I,O | id:O",
+]
+_BAD_HEADS = ["colors a, b]", "colors a, (b", "source I, I[a,b", "source I],O"]
+
+
+def _outcome(text):
+    got = []
+    for read in (parse, tensor_parse):
+        try:
+            t = read(text, "m.ocd")
+        except Exception as e:  # any kind: type and text must agree
+            got.append((type(e), str(e)))
+        else:
+            got.append(render(t))
+    return got
+
+
+def test_row_table_parse_equals_the_tensor_parse():
+    texts = [f.read_text(encoding="utf-8")
+             for f in sorted(CORPUS.glob("*.ocd"))]
+    assert len(texts) == 13
+    rng = random.Random(314159)
+    texts += [render(random_term(rng, max_gens=25, max_width=6))
+              for _ in range(500)]
+    texts += [gen.ladder_walk(n, str(n)).text() for n in (200, 400, 800, 1600)]
+    texts.append(render(window_strip(500)))
+    for k, text in enumerate(texts):
+        t, ref = parse(text), tensor_parse(text)
+        assert syntactic_eq(t, ref), k
+        assert t.target == ref.target == t.validate(), k
+
+    rng = random.Random(8)
+    failed = 0
+    for _ in range(400):
+        rows = rng.choices(_GOOD_ROWS, k=rng.randrange(3))
+        bad = rng.choice(_BAD_ROWS)
+        rows.append(bad)
+        rows += rng.choices(_GOOD_ROWS, k=rng.randrange(2))
+        if rng.random() < 0.5:
+            rows.append(bad)            # the first of the two must win
+        head = "source I, O"
+        if rng.random() < 0.1:
+            head = rng.choice(_BAD_HEADS) + "\n" + head
+        text = head + "\n" + rng.choice(["\n", " ; "]).join(rows) + "\n"
+        new, old = _outcome(text)
+        assert new == old, text
+        failed += not isinstance(new, str)
+    assert failed == 400
+
+
+def test_the_first_bad_atom_wins():
+    with pytest.raises(ParseError) as e:
+        parse("source I\nid:I\nbogus\nid:I | bogus\n", filename="f.ocd")
+    assert str(e.value) == "f.ocd:3:1: unknown atom 'bogus'"
+
+
+def test_parse_reads_each_distinct_atom_once(monkeypatch):
+    # the 500-window_o strip has 1000 rows of two distinct atoms; parsing
+    # each atom afresh, validating every row and then the whole term in
+    # to_port_graph would take 1000 atom reads and 2001 validations
+    text = render(window_strip(500))
+    distinct = {a.strip() for row in text.splitlines()[1:]
+                for a in row.split("|")}
+    read, walked = [], []
+    parse_atom, validate = dsl._parse_atom, DiagramTerm.validate
+
+    def counting_atom(a, span):
+        read.append(a)
+        return parse_atom(a, span)
+
+    def counting_validate(self):
+        walked.append(len(self.slices))
+        return validate(self)
+
+    monkeypatch.setattr(dsl, "_parse_atom", counting_atom)
+    monkeypatch.setattr(DiagramTerm, "validate", counting_validate)
+    t = parse(text)
+    g = to_port_graph(t)
+    monkeypatch.undo()
+    assert len(g.nodes) == len(t.slices) == 1000
+    assert sorted(read) == sorted(distinct)
+    assert len(walked) <= len(distinct)
+    assert len(t.slices) not in walked
