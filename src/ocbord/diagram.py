@@ -283,11 +283,6 @@ class PortGraph:
         self.out_to_in[prod] = cons
         self.in_to_out[cons] = prod
 
-    def unwire_prod(self, prod):
-        cons = self.out_to_in.pop(prod)
-        del self.in_to_out[cons]
-        return cons
-
     def wires(self):
         return self.out_to_in.items()
 
@@ -362,8 +357,13 @@ def to_port_graph(term: DiagramTerm) -> PortGraph:
 
 
 def as_graph(x) -> PortGraph:
-    """The port graph of a term; a port graph is returned as is."""
-    return to_port_graph(x) if isinstance(x, DiagramTerm) else x
+    """The port graph of a diagram, the one place a diagram enters as a
+    graph.  A term's graph is well formed by its typing; a caller's port
+    graph is validated here, once, and returned as is."""
+    if isinstance(x, DiagramTerm):
+        return to_port_graph(x)
+    x.validate()
+    return x
 
 
 class UnionFind:

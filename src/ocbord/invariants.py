@@ -6,15 +6,14 @@ circles, with their colours) and, for the interval boundary ports, the
 open boundary permutation sigma together with the colour map gamma that
 reads off each port's outgoing free-boundary arc.
 
-The free boundary is traced combinatorially.  Every interval port has a
-left and a right corner; each generator contributes fixed arcs between
-the corners of its own ports (the coloured edges of its underlying
-sheet), and every wire between ports glues corresponding corners.  A
-bare source-to-target wire is an identity strip and contributes its two
-side arcs instead.  The resulting corner graph is 2-regular, so it
-decomposes into cycles: cycles through boundary ports are the mixed
-boundary circles (these define sigma), and the purely coloured cycles
-are the windows.
+The free boundary is read straight off the wiring.  Every interval port
+has a left and a right corner.  Each generator joins the corners of its
+own ports in pairs by fixed arcs, the coloured edges of its underlying
+sheet, one arc at every corner; a wire joins a corner to the same corner
+at its far end.  Leaving a boundary port and then alternately crossing a
+wire and following an arc traces one mixed boundary circle as far as the
+next boundary port, which is sigma of the first.  The generator corners
+that no such walk reaches close up into the windows.
 
 Ports are numbered 1..k over the interval segments only, source side
 left to right first, then target side.  Walks leave a source port at its
@@ -54,6 +53,9 @@ _ARCS = {
     "cozip": (((("in", 0), "L"), (("in", 0), "R")),),
     "mu_C": (), "eta_C": (), "Delta_C": (), "eps_C": (),
 }
+# The far corner of each corner's one arc, read in both directions.
+_ARC_AT = {kind: {**dict(arcs), **{b: a for a, b in arcs}}
+           for kind, arcs in _ARCS.items()}
 
 
 @dataclass(frozen=True)
@@ -82,10 +84,6 @@ class Invariants:
     components: tuple
     sigma: tuple             # ((j, sigma(j)), ...) over all interval ports
     gamma: tuple             # ((j, colour), ...) over all interval ports
-
-    @property
-    def sigma_map(self) -> dict:
-        return dict(self.sigma)
 
     @property
     def gamma_map(self) -> dict:
@@ -130,90 +128,70 @@ class Invariants:
         }
 
 
-def _rotate_cycle(cyc):
-    i = cyc.index(min(cyc))
-    return tuple(cyc[i:] + cyc[:i])
-
-
 def invariants(x) -> Invariants:
     """Compute all invariants of a term or port graph."""
-    g = as_graph(x)
-    g.validate()
+    return graph_invariants(as_graph(x))
 
-    # Port numbering over interval boundary segments.
-    port_no = {}
-    nxt = 1
-    for i, seg in enumerate(g.source):
-        if seg.is_interval:
-            port_no[("src", i)] = nxt
-            nxt += 1
-    for j, seg in enumerate(g.target):
-        if seg.is_interval:
-            port_no[("tgt", j)] = nxt
-            nxt += 1
 
-    # Corner graph: glue corners across wires, collect coloured arcs.
-    uf = UnionFind()
-    arcs = []                       # (cornerA, cornerB, colour)
-    for prod, cons in g.wires():
-        seg = g.producer_seg(prod)
-        if not seg.is_interval:
-            continue
-        if prod[0] == "src" and cons[0] == "tgt":
-            arcs.append(((prod, "L"), (cons, "L"), seg.left))
-            arcs.append(((prod, "R"), (cons, "R"), seg.right))
-        else:
-            uf.union((prod, "L"), (cons, "L"))
-            uf.union((prod, "R"), (cons, "R"))
-    for nid, gen in g.nodes.items():
-        for (p1, c1), (p2, c2) in _ARCS[gen.kind]:
-            ep1 = (p1[0], nid, p1[1])
-            ep2 = (p2[0], nid, p2[1])
-            seg = (g.consumer_seg if p1[0] == "in" else g.producer_seg)(ep1)
-            colour = seg.left if c1 == "L" else seg.right
-            arcs.append(((ep1, c1), (ep2, c2), colour))
+def graph_invariants(g) -> Invariants:
+    """Invariants of a port graph that :func:`as_graph` has let in."""
+    return _assemble(g, *_free_boundary(g))
 
-    adj = {}                        # corner class -> [(edge id, other class)]
-    for eid, (ca, cb, _colour) in enumerate(arcs):
-        a, b = uf.find(ca), uf.find(cb)
-        adj.setdefault(a, []).append((eid, b))
-        adj.setdefault(b, []).append((eid, a))
-    black_at = {}                   # corner class -> port number
-    for p, j in port_no.items():
-        black_at[uf.find((p, "L"))] = j
-        black_at[uf.find((p, "R"))] = j
 
-    # sigma: walk the coloured chain from each port's exit corner.
+def _ports(g) -> list:
+    """The interval boundary ports; port number j is entry j - 1."""
+    return [("src", i) for i, s in enumerate(g.source) if s.is_interval] \
+        + [("tgt", j) for j, s in enumerate(g.target) if s.is_interval]
+
+
+def _free_boundary(g):
+    """``(sigma, gamma, windows)`` read off the wiring: sigma and gamma
+    as dicts over port numbers, windows as ``(a node on it, colour)``."""
+    port_no = {p: j for j, p in enumerate(_ports(g), 1)}
+    seen = set()                    # generator corners walked so far
+
+    def across(ep):
+        return g.out_to_in[ep] if ep[0] in ("src", "out") else g.in_to_out[ep]
+
+    def colour(ep, c):
+        seg = (g.producer_seg if ep[0] in ("src", "out") else g.consumer_seg)(ep)
+        return seg.left if c == "L" else seg.right
+
+    def arc(ep, c):
+        # follow the arc at generator corner (ep, c), then the far wire
+        seen.add((ep, c))
+        (side, k), c = _ARC_AT[g.nodes[ep[1]].kind][((ep[0], ep[2]), c)]
+        ep = (side, ep[1], k)
+        seen.add((ep, c))
+        return across(ep), c
+
+    # sigma: walk from each port's exit corner to the next boundary port;
+    # gamma is the colour of the exit corner.
     sigma, gamma = {}, {}
-    used = set()
     for p, j in port_no.items():
-        exit_corner = (p, "L") if p[0] == "src" else (p, "R")
-        cls = uf.find(exit_corner)
-        (eid, cur) = adj[cls][0]
-        gamma[j] = arcs[eid][2]
-        used.add(eid)
-        while cur not in black_at:
-            eid, cur = next((e, c) for e, c in adj[cur] if e != eid)
-            used.add(eid)
-        sigma[j] = black_at[cur]
+        c = "L" if p[0] == "src" else "R"
+        gamma[j] = colour(p, c)
+        ep = across(p)
+        while ep[0] in ("in", "out"):
+            ep, c = arc(ep, c)
+        sigma[j] = port_no[ep]
 
-    # Windows: the remaining coloured edges form pure cycles.
-    windows = []                    # (an incident node id, colour)
-    for eid0 in range(len(arcs)):
-        if eid0 in used:
-            continue
-        (ca, _cb, colour) = arcs[eid0]
-        windows.append((ca[0][1], colour))
-        eid, cur = eid0, uf.find(arcs[eid0][1])
-        used.add(eid0)
-        while True:
-            step = [(e, c) for e, c in adj[cur] if e not in used]
-            if not step:
-                break
-            eid, cur = step[0]
-            used.add(eid)
+    # Windows: the corners no walk reached close up into pure cycles.
+    windows = []                    # (a node on the window, colour)
+    for nid, gen in g.nodes.items():
+        for (side, k), c in _ARC_AT[gen.kind]:
+            ep = (side, nid, k)
+            if (ep, c) not in seen:
+                windows.append((nid, colour(ep, c)))
+                while (ep, c) not in seen:
+                    ep, c = arc(ep, c)
+    return sigma, gamma, windows
 
-    # Connected components over nodes and boundary ports.
+
+def _assemble(g, sigma, gamma, windows) -> Invariants:
+    """The invariant record from the free boundary of ``g``."""
+    # Connected components over nodes and boundary ports; every one of
+    # them has a wire.
     cuf = UnionFind()
 
     def item(ep):
@@ -221,12 +199,6 @@ def invariants(x) -> Invariants:
             return ("b", ep[0], ep[1])
         return ("n", ep[1])
 
-    for nid in g.nodes:
-        cuf.find(("n", nid))
-    for i in range(len(g.source)):
-        cuf.find(("b", "src", i))
-    for j in range(len(g.target)):
-        cuf.find(("b", "tgt", j))
     for prod, cons in g.wires():
         cuf.union(item(prod), item(cons))
 
@@ -260,8 +232,9 @@ def invariants(x) -> Invariants:
     for nid, colour in windows:
         comps[cuf.find(("n", nid))]["windows"].append(colour)
 
-    # sigma cycles, handed to their owning component.
-    seen = set()
+    # sigma cycles, handed to their owning component; each starts at
+    # its least port j0.
+    ports, seen = _ports(g), set()
     for j0 in sorted(sigma):
         if j0 in seen:
             continue
@@ -270,8 +243,7 @@ def invariants(x) -> Invariants:
             seen.add(j)
             cyc.append(j)
             j = sigma[j]
-        p = next(p for p, jj in port_no.items() if jj == j0)
-        comps[cuf.find(item(p))]["cycles"].append(_rotate_cycle(cyc))
+        comps[cuf.find(item(ports[j0 - 1]))]["cycles"].append(tuple(cyc))
 
     # Deterministic component order: by smallest owned boundary position,
     # sources before targets; boundary-free components last, ordered by
@@ -334,7 +306,4 @@ def profile_key(inv: Invariants):
 
 def equivalent(a, b) -> bool:
     """Decide whether two diagrams are diffeomorphic rel boundary."""
-    ga, gb = as_graph(a), as_graph(b)
-    if ga.source != gb.source or ga.target != gb.target:
-        return False
-    return profile_key(invariants(ga)) == profile_key(invariants(gb))
+    return profile_key(invariants(a)) == profile_key(invariants(b))

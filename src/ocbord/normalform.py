@@ -40,7 +40,7 @@ from .diagram import (
     as_graph,
     from_port_graph,
 )
-from .invariants import ComponentInvariants, Invariants, invariants
+from .invariants import ComponentInvariants, Invariants, graph_invariants
 
 
 @dataclass(frozen=True)
@@ -122,7 +122,6 @@ def wrap_graph(g: PortGraph):
 
     for p, c in g.wires():
         h.wire(prod(p), cons(c))
-    h.validate()
     return h, w
 
 
@@ -165,7 +164,6 @@ def unwrap_graph(h: PortGraph, w: WrapData) -> PortGraph:
         g.wire(prod(p), cons(c))
     for j, p in tgt_from.items():
         g.wire(p, ("tgt", j))
-    g.validate()
     return g
 
 
@@ -256,7 +254,6 @@ def nf_wrapped_graph(inv: Invariants) -> PortGraph:
     h = PortGraph(inv.source, inv.target)
     for c in inv.components:
         _build_component(h, inv.source, c)
-    h.validate()
     return h
 
 
@@ -267,10 +264,8 @@ def wrapped_normal_form(x):
     port graph (see :func:`wrap_graph`) and the normal-form graph of the
     wrapped diagram.
     """
-    g = as_graph(x)
-    g.validate()
-    h, w = wrap_graph(g)
-    target = nf_wrapped_graph(invariants(h))
+    h, w = wrap_graph(as_graph(x))
+    target = nf_wrapped_graph(graph_invariants(h))
     return from_port_graph(unwrap_graph(target, w)), h, target
 
 

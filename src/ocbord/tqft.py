@@ -64,14 +64,6 @@ class LinearMap:
     def identity(n: int) -> "LinearMap":
         return LinearMap(n, n, {(i, i): Fraction(1) for i in range(n)})
 
-    @staticmethod
-    def from_rows(rows) -> "LinearMap":
-        r = len(rows)
-        c = len(rows[0]) if rows else 0
-        return LinearMap(r, c, {(i, j): Fraction(v)
-                                for i, row in enumerate(rows)
-                                for j, v in enumerate(row)})
-
     def entry(self, r: int, c: int) -> Fraction:
         return self.data.get((r, c), Fraction(0))
 
@@ -295,8 +287,8 @@ def _outer(tensors):
 
 
 def _tensor_network(g, alg: KFA):
-    """One sparse tensor ``(legs, data)`` per node of the validated port
-    graph ``g``, plus the dimension of every wire.  Legs are wire ids
+    """One sparse tensor ``(legs, data)`` per node of the well-formed
+    port graph ``g``, plus the dimension of every wire.  Legs are wire ids
     (producer endpoints)."""
     wire_dim = {}
     for prod in g.out_to_in:
@@ -327,7 +319,6 @@ def _tensor_network(g, alg: KFA):
 def evaluate(x, alg: KFA) -> LinearMap:
     """Contract a diagram to its linear map under ``alg``."""
     g = as_graph(x)
-    g.validate()
     rows = alg.obj_dim(g.target)
     cols = alg.obj_dim(g.source)
     if rows > EVAL_DIM_CAP or cols > EVAL_DIM_CAP:
@@ -549,12 +540,9 @@ def _invert(gram):
     return [row[n:] for row in a]
 
 
-def _derive_comult(mu: LinearMap, eps: LinearMap, dim: int) -> LinearMap:
-    """Comultiplication forced by mu and eps via the counit pairing.
-
-    Requires the pairing (u, v) -> eps(uv) to be nondegenerate; raises
-    otherwise.  Delta(e_w) = sum_{u,v} (g^{-1})[u][v] (e_w e_u) (x) e_v.
-    """
+def _pairing_inverse(mu: LinearMap, eps: LinearMap, dim: int) -> list:
+    """Inverse g^{-1} of the counit pairing g(u, v) = eps(uv); raises
+    unless the pairing is nondegenerate."""
     gram = [[Fraction(0)] * dim for _ in range(dim)]
     for (r, c), v in mu.data.items():
         coeff = eps.entry(0, r)
@@ -565,6 +553,12 @@ def _derive_comult(mu: LinearMap, eps: LinearMap, dim: int) -> LinearMap:
     if ginv is None:
         raise OcbordError(
             "counit pairing is degenerate; not a Frobenius algebra")
+    return ginv
+
+
+def _derive_comult(mu: LinearMap, ginv: list, dim: int) -> LinearMap:
+    """Comultiplication forced by mu via the inverse counit pairing:
+    Delta(e_w) = sum_{u,v} (g^{-1})[u][v] (e_w e_u) (x) e_v."""
     delta = {}
     for (r, c), v in mu.data.items():
         w, u = divmod(c, dim)
@@ -595,7 +589,7 @@ def builtin_matrix_example(n: int) -> KFA:
     mu = LinearMap(d, d * d, mu)
     eta = LinearMap(d, 1, {(i * n + i, 0): Fraction(1) for i in range(n)})
     eps = LinearMap(1, d, {(0, i * n + i): Fraction(1) for i in range(n)})
-    delta = _derive_comult(mu, eps, d)
+    delta = _derive_comult(mu, _pairing_inverse(mu, eps, d), d)
     one = LinearMap.identity(1)
     maps = {
         ("mu_A", (a, a, a)): mu,
@@ -805,8 +799,8 @@ def groupoid_algebra(gpd: Groupoid) -> KFA:
         eps_c[(0, c_index[(k, id_cls)])] = Fraction(1, len(group))
     maps[("eta_C", ())] = LinearMap(c_dim, 1, eta_c)
     maps[("eps_C", ())] = LinearMap(1, c_dim, eps_c)
-    maps[("Delta_C", ())] = _derive_comult(
-        maps[("mu_C", ())], maps[("eps_C", ())], c_dim)
+    ginv = _pairing_inverse(maps[("mu_C", ())], maps[("eps_C", ())], c_dim)
+    maps[("Delta_C", ())] = _derive_comult(maps[("mu_C", ())], ginv, c_dim)
 
     for a in objs:
         k = comp_of[a]
@@ -823,16 +817,6 @@ def groupoid_algebra(gpd: Groupoid) -> KFA:
         maps[("zip", (a,))] = LinearMap(daa, c_dim, z)
 
         # cozip solved from duality: <cozip(f), c>_C = <f, zip(c)>_A
-        gram = [[Fraction(0)] * c_dim for _ in range(c_dim)]
-        mc, ec = maps[("mu_C", ())], maps[("eps_C", ())]
-        for (r, c_), v in mc.data.items():
-            w = ec.entry(0, r)
-            if w:
-                u, vv = divmod(c_, c_dim)
-                gram[u][vv] += v * w
-        ginv = _invert(gram)
-        if ginv is None:
-            raise OcbordError("degenerate pairing on C")
         ma = maps[("mu_A", (a, a, a))]
         ea = maps[("eps_A", (a,))]
         za = maps[("zip", (a,))]

@@ -10,7 +10,7 @@ from ocbord.diagram import (DEFAULT_COLOR, Cross, DiagramTerm, Gen, Id, Seg,
                             tensor, to_port_graph)
 from ocbord.dsl import (_NAME, ParseError, SourceSpan, TypeMismatch,
                         _parse_atom, _parse_seg, _statements, _used_colors)
-from ocbord.invariants import invariants, profile_key
+from ocbord.invariants import _ARCS, invariants, profile_key
 from ocbord.rewrite import (Match, _bind, _pattern, _splice_is_acyclic,
                             _unify_seg, apply_match, find_matches, rules)
 
@@ -180,13 +180,13 @@ def perturb(rng: random.Random, t: DiagramTerm) -> DiagramTerm:
     for _ in range(60):
         h = g.copy()
         prod, cons = rng.choice(wires)
+        del h.out_to_in[prod], h.in_to_out[cons]     # rewired below
         seg = h.producer_seg(prod)
         if seg.is_interval:
             if seg.left == seg.right and rng.random() < 0.5:
                 # round trip through the closed sector
                 cz = h.add_node(Gen("cozip", (seg.left,)))
                 z = h.add_node(Gen("zip", (seg.left,)))
-                h.unwire_prod(prod)
                 h.wire(prod, ("in", cz, 0))
                 h.wire(("out", cz, 0), ("in", z, 0))
                 h.wire(("out", z, 0), cons)
@@ -195,7 +195,6 @@ def perturb(rng: random.Random, t: DiagramTerm) -> DiagramTerm:
                 b = rng.choice(colors)
                 d = h.add_node(Gen("Delta_A", (seg.left, b, seg.right)))
                 m = h.add_node(Gen("mu_A", (seg.left, b, seg.right)))
-                h.unwire_prod(prod)
                 h.wire(prod, ("in", d, 0))
                 h.wire(("out", d, 0), ("in", m, 0))
                 h.wire(("out", d, 1), ("in", m, 1))
@@ -204,7 +203,6 @@ def perturb(rng: random.Random, t: DiagramTerm) -> DiagramTerm:
             if rng.random() < 0.5:
                 d = h.add_node(Gen("Delta_C"))
                 m = h.add_node(Gen("mu_C"))
-                h.unwire_prod(prod)
                 h.wire(prod, ("in", d, 0))
                 h.wire(("out", d, 0), ("in", m, 0))
                 h.wire(("out", d, 1), ("in", m, 1))
@@ -213,7 +211,6 @@ def perturb(rng: random.Random, t: DiagramTerm) -> DiagramTerm:
                 c = rng.choice(colors)
                 z = h.add_node(Gen("zip", (c,)))
                 cz = h.add_node(Gen("cozip", (c,)))
-                h.unwire_prod(prod)
                 h.wire(prod, ("in", z, 0))
                 h.wire(("out", z, 0), ("in", cz, 0))
                 h.wire(("out", cz, 0), cons)
@@ -314,6 +311,17 @@ def mu_c_comb_text(n: int) -> str:
         for k in range(n - 1))
 
 
+def reversed_merge_text(n: int) -> str:
+    """``.ocd`` text closing ``n`` source intervals into one-interval
+    blocks (``cozip``) whose circles ``mu_C`` merges in reverse order:
+    the two leftmost circles cross, then merge, until one is left."""
+    rows = ["source " + ", ".join(["I"] * n), " | ".join(["cozip"] * n)]
+    for w in range(n, 1, -1):
+        ids = ["id:O"] * (w - 2)
+        rows += [" | ".join(["cross(O,O)"] + ids), " | ".join(["mu_C"] + ids)]
+    return "\n".join(rows) + "\n"
+
+
 def product_find_matches(host, rule_id: str, reverse: bool = False) -> list:
     """Reference for ``find_matches``: try every tuple of distinct host
     nodes whose kinds fit the pattern, O(N^k) for a k-node side."""
@@ -359,6 +367,79 @@ def product_find_matches(host, rule_id: str, reverse: bool = False) -> list:
     assign(0, ())
     out.sort(key=lambda m: (m.nodes, m.src_prod, m.tgt_cons))
     return out
+
+
+def union_find_free_boundary(g):
+    """Reference for ``invariants._free_boundary``: glue the corners of
+    ``g`` across wires with a union-find, list every coloured arc (a
+    bare source-to-target wire contributes its two side arcs), and walk
+    the resulting 2-regular corner graph.  Returns ``(sigma, gamma,
+    windows)`` in the same form."""
+    port_no = {}
+    for i, seg in enumerate(g.source):
+        if seg.is_interval:
+            port_no[("src", i)] = len(port_no) + 1
+    for j, seg in enumerate(g.target):
+        if seg.is_interval:
+            port_no[("tgt", j)] = len(port_no) + 1
+
+    uf = UnionFind()
+    arcs = []                       # (cornerA, cornerB, colour)
+    for prod, cons in g.wires():
+        seg = g.producer_seg(prod)
+        if not seg.is_interval:
+            continue
+        if prod[0] == "src" and cons[0] == "tgt":
+            arcs.append(((prod, "L"), (cons, "L"), seg.left))
+            arcs.append(((prod, "R"), (cons, "R"), seg.right))
+        else:
+            uf.union((prod, "L"), (cons, "L"))
+            uf.union((prod, "R"), (cons, "R"))
+    for nid, gen in g.nodes.items():
+        for (p1, c1), (p2, c2) in _ARCS[gen.kind]:
+            ep1 = (p1[0], nid, p1[1])
+            ep2 = (p2[0], nid, p2[1])
+            seg = (g.consumer_seg if p1[0] == "in" else g.producer_seg)(ep1)
+            colour = seg.left if c1 == "L" else seg.right
+            arcs.append(((ep1, c1), (ep2, c2), colour))
+
+    adj = {}                        # corner class -> [(edge id, other class)]
+    for eid, (ca, cb, _colour) in enumerate(arcs):
+        a, b = uf.find(ca), uf.find(cb)
+        adj.setdefault(a, []).append((eid, b))
+        adj.setdefault(b, []).append((eid, a))
+    black_at = {}                   # corner class -> port number
+    for p, j in port_no.items():
+        black_at[uf.find((p, "L"))] = j
+        black_at[uf.find((p, "R"))] = j
+
+    sigma, gamma = {}, {}
+    used = set()
+    for p, j in port_no.items():
+        exit_corner = (p, "L") if p[0] == "src" else (p, "R")
+        (eid, cur) = adj[uf.find(exit_corner)][0]
+        gamma[j] = arcs[eid][2]
+        used.add(eid)
+        while cur not in black_at:
+            eid, cur = next((e, c) for e, c in adj[cur] if e != eid)
+            used.add(eid)
+        sigma[j] = black_at[cur]
+
+    windows = []                    # (an incident node id, colour)
+    for eid0 in range(len(arcs)):
+        if eid0 in used:
+            continue
+        (ca, cb, colour) = arcs[eid0]
+        windows.append((ca[0][1], colour))
+        cur = uf.find(cb)
+        used.add(eid0)
+        while True:
+            step = [(e, c) for e, c in adj[cur] if e not in used]
+            if not step:
+                break
+            eid, cur = step[0]
+            used.add(eid)
+    return sigma, gamma, windows
 
 
 def scan_contraction_plan(legs, wire_dim) -> list:

@@ -16,7 +16,8 @@ from ocbord.invariants import equivalent
 from ocbord.rewrite import check_trace, read_trace
 from ocbord.tqft import builtin_matrix_example, evaluate, save_kfa
 
-from helpers import mu_c_comb_text, mutate_algebra, wide_text, window_strip
+from helpers import (mu_c_comb_text, mutate_algebra, reversed_merge_text,
+                     wide_text, window_strip)
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 FIG = str(CORPUS / "figure1.ocd")
@@ -84,6 +85,16 @@ def test_normalize_a_101_circle_merge(tmp_path, capsys):
     # the split that fans the one circle back out to 101 leaves starts in
     # the reverse of its sorted order: 5050 adjacent swaps
     src = _ocd(tmp_path, "comb.ocd", mu_c_comb_text(101))
+    assert run(["normalize", src]) == 0
+    got = capsys.readouterr()
+    assert got.err == ""
+    assert equivalent(parse(got.out), parse_file(src))
+
+
+def test_normalize_a_reversed_101_block_merge(tmp_path, capsys):
+    # the closed merge of the 101 blocks starts in the reverse of its
+    # sorted order: 5050 adjacent swaps
+    src = _ocd(tmp_path, "merge.ocd", reversed_merge_text(101))
     assert run(["normalize", src]) == 0
     got = capsys.readouterr()
     assert got.err == ""

@@ -28,7 +28,10 @@ from ocbord.diagram import (
 )
 
 from ocbord.dsl import parse, parse_file
+from ocbord.invariants import equivalent, invariants
 from ocbord.normalform import normal_form
+from ocbord.rewrite import check_trace, normalize_with_trace
+from ocbord.tqft import builtin_matrix_example, evaluate
 
 from helpers import closed_surface, random_term, seedwise_canonical_order
 
@@ -166,6 +169,58 @@ def test_validate_rejects_dangling_port():
     # out port 1 left dangling
     with pytest.raises(OcbordError):
         g.validate()
+
+
+def _ill_typed_graphs():
+    dangling = PortGraph((O,), (O,))
+    dangling.add_node(Gen("mu_C"))
+    dangling.wire(("src", 0), ("in", 0, 0))
+    dangling.wire(("out", 0, 0), ("tgt", 0))
+    # input 1 of the mu_C is left dangling
+    bare = PortGraph((I(),), (O,))
+    bare.wire(("src", 0), ("tgt", 0))
+    return dangling, bare
+
+
+@pytest.mark.parametrize("entry", [
+    invariants,
+    lambda g: equivalent(g, g),
+    normal_form,
+    normalize_with_trace,
+    lambda g: evaluate(g, builtin_matrix_example(1)),
+], ids=["invariants", "equivalent", "normal_form", "normalize_with_trace",
+        "evaluate"])
+def test_entry_points_reject_ill_typed_graphs(entry):
+    for g in _ill_typed_graphs():
+        with pytest.raises(TypingError):
+            entry(g)
+
+
+def test_a_diagram_is_type_checked_once_where_it_enters(monkeypatch):
+    t = parse_file(CORPUS / "figure1.ocd")
+    m2 = builtin_matrix_example(2)
+    _, trace = normalize_with_trace(t)
+    calls = []
+    validate = PortGraph.validate
+
+    def counting(self):
+        calls.append(self)
+        return validate(self)
+
+    monkeypatch.setattr(PortGraph, "validate", counting)
+    for name, entry in (("invariants", invariants),
+                        ("equivalent", lambda x: equivalent(x, t)),
+                        ("normal_form", normal_form),
+                        ("normalize_with_trace", normalize_with_trace),
+                        ("evaluate", lambda x: evaluate(x, m2))):
+        # a term's typing makes its graph; a caller's graph is validated
+        for x, want in ((t, 0), (to_port_graph(t), 1)):
+            calls.clear()
+            entry(x)
+            assert len(calls) == want, (name, type(x).__name__)
+    calls.clear()
+    assert check_trace(trace)
+    assert calls == []
 
 
 def test_syntactic_eq_is_strict_on_slicing():

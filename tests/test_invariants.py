@@ -1,16 +1,23 @@
 """Topological invariants: objects, sigma, gamma, genus, windows, chi."""
 
 import random
+import sys
 from pathlib import Path
 
-from ocbord.diagram import Seg, identity_term, to_port_graph, from_port_graph
-from ocbord.invariants import equivalent, invariants, profile_key
-from ocbord.dsl import parse_file
+from ocbord.diagram import (Seg, as_graph, identity_term, to_port_graph,
+                            from_port_graph)
+from ocbord.invariants import _assemble, equivalent, invariants, profile_key
+from ocbord.dsl import parse, parse_file
+from ocbord.normalform import normal_form
 
 from cw_oracle import cw_profile
-from helpers import perturb, random_mutant, random_term
+from helpers import (closed_surface, perturb, random_mutant, random_term,
+                     union_find_free_boundary, wide_text, window_strip)
 
-CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "corpus"
+sys.path.insert(0, str(ROOT / "perfbench"))
+import gen  # noqa: E402  (the ladder workload's walk generator)
 
 
 def _load(name):
@@ -76,8 +83,8 @@ def test_sigma_is_a_permutation_with_colours():
                         connected=False)
         inv = invariants(t)
         ports = sorted(j for cyc in inv.cycles for j in cyc)
-        assert sorted(inv.sigma_map) == ports
-        assert sorted(inv.sigma_map.values()) == ports
+        assert sorted(dict(inv.sigma)) == ports
+        assert sorted(dict(inv.sigma).values()) == ports
         assert sorted(inv.gamma_map) == ports
         n_src = sum(1 for s in inv.source if s.is_interval)
         n_tgt = sum(1 for s in inv.target if s.is_interval)
@@ -136,3 +143,36 @@ def test_profile_key_is_hashable_and_stable():
     k1 = profile_key(invariants(t))
     k2 = profile_key(invariants(from_port_graph(to_port_graph(t))))
     assert hash(k1) == hash(k2) and k1 == k2
+
+
+def _walk_matches_union_find(x):
+    g = as_graph(x)
+    sigma, gamma, windows = union_find_free_boundary(g)
+    inv = invariants(g)
+    assert dict(inv.sigma) == sigma and dict(inv.gamma) == gamma
+    # the same windows, colour by colour, in the same components
+    assert inv == _assemble(g, sigma, gamma, windows)
+
+
+def test_boundary_walk_matches_union_find_on_samples():
+    for f in sorted(CORPUS.glob("*.ocd")):
+        _walk_matches_union_find(parse_file(f))
+    rng = random.Random(314159)         # the criterion-3 sample
+    for _ in range(500):
+        t = random_term(rng, max_gens=25, max_width=6)
+        _walk_matches_union_find(t)
+        _walk_matches_union_find(normal_form(t))
+    rng = random.Random(26)
+    for colors in (("*",), ("a", "b"), ("a", "b", "c")):
+        for connected in (True, False):
+            for _ in range(100):
+                _walk_matches_union_find(random_term(
+                    rng, max_gens=20, colors=colors, connected=connected))
+
+
+def test_boundary_walk_matches_union_find_at_scale():
+    for n in (200, 400, 800, 1600, 3200):
+        _walk_matches_union_find(parse(gen.ladder_walk(n, str(n)).text()))
+    _walk_matches_union_find(window_strip(600))
+    _walk_matches_union_find(parse(closed_surface(200)))
+    _walk_matches_union_find(parse(wide_text(300)))

@@ -6,7 +6,8 @@ from pathlib import Path
 from ocbord.diagram import from_port_graph, syntactic_eq, to_port_graph
 from ocbord.dsl import parse_file
 from ocbord.invariants import equivalent, invariants
-from ocbord.normalform import normal_form, unwrap, wrap
+from ocbord.normalform import (nf_wrapped_graph, normal_form, unwrap,
+                               unwrap_graph, wrap, wrap_graph)
 
 from helpers import perturb, random_mutant, random_term, window_strip
 
@@ -35,6 +36,18 @@ def test_unwrap_undoes_wrap_up_to_equivalence():
         # the zig-zag bends introduced by the round trip are invisible
         # to the normal form
         assert syntactic_eq(normal_form(back), normal_form(t))
+
+
+def test_wrapped_and_normal_form_graphs_are_well_formed():
+    rng = random.Random(35)
+    terms = [parse_file(f) for f in sorted(CORPUS.glob("*.ocd"))]
+    terms += [random_term(rng, max_gens=15, colors=("*", "a", "b"),
+                          connected=False) for _ in range(60)]
+    for t in terms:
+        h, w = wrap_graph(to_port_graph(t))
+        target = nf_wrapped_graph(invariants(h))
+        for g in (h, target, unwrap_graph(h, w), unwrap_graph(target, w)):
+            g.validate()
 
 
 def test_normal_form_preserves_class():

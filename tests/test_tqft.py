@@ -42,7 +42,7 @@ import gen  # noqa: E402  (the ladder workload's walk generator)
 
 
 def test_linear_map_basics():
-    m = LinearMap.from_rows([[1, 2], [0, Fraction(1, 3)]])
+    m = LinearMap(2, 2, {(0, 0): 1, (0, 1): 2, (1, 1): Fraction(1, 3)})
     assert m.entry(1, 1) == Fraction(1, 3)
     assert m.to_rows() == [[1, 2], [0, Fraction(1, 3)]]
     i2 = LinearMap.identity(2)
@@ -54,8 +54,8 @@ def test_linear_map_basics():
 
 
 def test_linear_map_tensor_is_left_factor_major():
-    a = LinearMap.from_rows([[2]])
-    b = LinearMap.from_rows([[1, 0], [0, 3]])
+    a = LinearMap(1, 1, {(0, 0): 2})
+    b = LinearMap(2, 2, {(0, 0): 1, (1, 1): 3})
     ab = a.tensor(b)
     assert ab.rows == 2 and ab.cols == 2
     assert ab.to_rows() == [[2, 0], [0, 6]]
