@@ -7,12 +7,16 @@ with the machine, the Python version, the sizes, the seconds and the
 exponents.
 
 Every input is built once, by this checkout, and written as ``.ocd`` text,
-so both checkouts time the same diagrams.  Each size runs in a fresh child
-process that imports the checkout's ``src/``, reads the file and, for
-every layer but ``parse``, parses it (untimed), then times the layer:
-repeated up to twenty times while under a second in all, keeping the
-fastest run.  A size that exceeds ``TIMEOUT_S`` seconds is recorded as
-``null`` and ends its series, so a slow checkout still finishes.
+so both checkouts time the same diagrams.  Each timing runs in a fresh
+child process that imports the checkout's ``src/``, reads the file and,
+for every layer but ``parse``, parses it and does the layer's other
+set-up (untimed), then times the layer: repeated up to twenty times
+while under a second in all, keeping the fastest run.  The checkouts'
+children alternate size by size, ``ROUNDS`` times over, the first side
+swapping each round, and each side keeps its fastest time, so a swing in
+the host's speed reaches both sides alike.  A size that exceeds
+``TIMEOUT_S`` seconds is recorded as ``null`` and ends its series for
+that side, so a slow checkout still finishes.
 
 Usage, from any directory::
 
@@ -37,6 +41,7 @@ import time
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
 TIMEOUT_S = 60.0
+ROUNDS = 3
 
 
 def _ladder(n):
@@ -60,30 +65,41 @@ def _strip(n):
     return render(helpers.window_strip(n))
 
 
-def _parse():
+def _parse(text):
     from ocbord.dsl import parse
-    return parse
+    return lambda: parse(text)
 
 
-def _eval_matrix2():
+def _eval_matrix2(term):
     from ocbord.tqft import builtin_algebra, evaluate
     alg = builtin_algebra("matrix2")
-    return lambda term: evaluate(term, alg)
+    return lambda: evaluate(term, alg)
 
 
-def _canonical_key():
+def _canonical_key(term):
     from ocbord.diagram import canonical_key, to_port_graph
-    return lambda term: canonical_key(to_port_graph(term))
+    return lambda: canonical_key(to_port_graph(term))
 
 
-def _invariants():
+def _invariants(term):
     from ocbord.invariants import invariants
-    return invariants
+    return lambda: invariants(term)
 
 
-def _normal_form():
+def _normal_form(term):
     from ocbord.normalform import normal_form
-    return normal_form
+    return lambda: normal_form(term)
+
+
+def _normalize_with_trace(term):
+    from ocbord.rewrite import normalize_with_trace
+    return lambda: normalize_with_trace(term)
+
+
+def _check_trace(term):
+    from ocbord.rewrite import check_trace, normalize_with_trace
+    trace = normalize_with_trace(term)[1]
+    return lambda: check_trace(trace)
 
 
 # the series of the layers that name a port graph up to node ids
@@ -94,9 +110,18 @@ _CANON_SERIES = {
                (200, 400, 800, 1600, 3200)),
 }
 
+# the series of the rewrite layers: moves on long walks and deep strips
+_REWRITE_SERIES = {
+    "ladder": ("perfbench/gen.ladder_walk(n, str(n))", _ladder,
+               (200, 400, 800, 1600, 3200)),
+    "strip": ("render(tests/helpers.window_strip(n))", _strip,
+              (300, 600, 1200)),
+}
+
 # layer -> (the call timed; in the child, a function that imports the
-# checkout and returns that call on a parsed term, or on the file's text
-# for parse; {series: (the input, builder, sizes)})
+# checkout, does any untimed set-up on a parsed term, or on the file's
+# text for parse, and returns the call to time; {series: (the input,
+# builder, sizes)})
 LAYERS = {
     "parse": ("ocbord.dsl.parse(text)", _parse, {
         "ladder": ("perfbench/gen.ladder_walk(n, str(n))", _ladder,
@@ -117,6 +142,11 @@ LAYERS = {
                    _CANON_SERIES),
     "normal_form": ("ocbord.normalform.normal_form(term)", _normal_form,
                     _CANON_SERIES),
+    "normalize_with_trace": ("ocbord.rewrite.normalize_with_trace(term)",
+                             _normalize_with_trace, _REWRITE_SERIES),
+    "check_trace": ("ocbord.rewrite.check_trace(trace), the trace made "
+                    "untimed by the checkout's normalize_with_trace(term)",
+                    _check_trace, _REWRITE_SERIES),
 }
 
 
@@ -127,11 +157,11 @@ def _child(layer, path):
             arg = fh.read()
     else:
         arg = parse_file(path)
-    call = LAYERS[layer][1]()
+    call = LAYERS[layer][1](arg)
     best, spent = math.inf, 0.0
     for _ in range(20):
         t0 = time.perf_counter()
-        call(arg)
+        call()
         dt = time.perf_counter() - t0
         best, spent = min(best, dt), spent + dt
         if spent >= 1.0:
@@ -192,17 +222,26 @@ def _bench(layer, sides, tmp):
             paths.append(os.path.join(tmp, f"{layer}-{name}-{n}.ocd"))
             with open(paths[-1], "w", encoding="utf-8") as fh:
                 fh.write(build(n))
-        for side, checkout in sides:
-            seconds = []
-            for n, path in zip(sizes, paths):
-                s, shown = None, "skipped"
-                if not seconds or seconds[-1] is not None:
-                    s = _time(checkout, layer, path)
-                    shown = "timeout" if s is None else f"{s:.4f} s"
-                seconds.append(s)
+        seconds = {side: [] for side, _ in sides}
+        for n, path in zip(sizes, paths):
+            # a side that timed out on a smaller size is skipped
+            best = {side: math.inf for side, _ in sides
+                    if not seconds[side] or seconds[side][-1] is not None}
+            for r in range(ROUNDS):
+                for side, checkout in sides[::-1] if r % 2 else sides:
+                    if best.get(side) is not None:     # still running
+                        s = _time(checkout, layer, path)
+                        best[side] = None if s is None \
+                            else min(best[side], s)
+            for side, _ in sides:
+                s = best.get(side)
+                seconds[side].append(s)
+                shown = ("skipped" if side not in best else
+                         "timeout" if s is None else f"{s:.4f} s")
                 print(f"{layer} {name} n={n} {side}: {shown}", flush=True)
-            entry[side] = {"seconds": seconds,
-                           "exponent": growth(sizes, seconds)}
+        for side, _ in sides:
+            entry[side] = {"seconds": seconds[side],
+                           "exponent": growth(sizes, seconds[side])}
         doc["series"][name] = entry
     out = os.path.join(ROOT, f"BENCH_{layer}.json")
     with open(out, "w", encoding="utf-8") as fh:

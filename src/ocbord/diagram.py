@@ -20,7 +20,7 @@ free-boundary labels.  Monochrome diagrams use the single colour ``*``.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 DEFAULT_COLOR = "*"
@@ -93,10 +93,16 @@ def _sig(kind: str, colors: tuple) -> tuple:
 
 @dataclass(frozen=True)
 class Gen:
-    """A single generator occurrence, e.g. ``Gen("mu_A", ("a","b","c"))``."""
+    """A single generator occurrence, e.g. ``Gen("mu_A", ("a","b","c"))``.
+
+    ``source`` and ``target`` are read from the signature table once, at
+    construction; they take no part in equality, hashing or the repr.
+    """
 
     kind: str
     colors: tuple = ()
+    source: tuple = field(init=False, compare=False, repr=False)
+    target: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in GEN_ARITY:
@@ -105,14 +111,9 @@ class Gen:
         if len(self.colors) != want:
             raise ValueError(
                 f"{self.kind} takes {want} colour(s), got {len(self.colors)}")
-
-    @property
-    def source(self) -> tuple:
-        return _sig(self.kind, self.colors)[0]
-
-    @property
-    def target(self) -> tuple:
-        return _sig(self.kind, self.colors)[1]
+        source, target = _sig(self.kind, self.colors)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
 
     def __str__(self) -> str:
         if not self.colors or all(c == DEFAULT_COLOR for c in self.colors):
@@ -526,6 +527,13 @@ def canonical_relabel(g: PortGraph) -> PortGraph:
     return h
 
 
+# The most factors (generators, identities, crossings) a layout may hold.
+# The largest layout in the test suite, the corpus, the bench series and
+# the benchmark has about 51,000; the normal form of 200 genus-one
+# circles side by side would need about 19 million.
+LAYOUT_ATOM_CAP = 1_000_000
+
+
 def from_port_graph(g: PortGraph) -> DiagramTerm:
     """Lay a port graph out as a term.
 
@@ -534,14 +542,26 @@ def from_port_graph(g: PortGraph) -> DiagramTerm:
     ready node first; crossings are synthesised to gather each node's
     inputs; input-less nodes join at the right edge when nothing else is
     ready.  Each placement scans the frontier once, so the cost is
-    O(nodes x width).
+    O(nodes x width).  The crossings alone can number O(width^2), each in
+    a row O(width) wide, so a layout of more than :data:`LAYOUT_ATOM_CAP`
+    factors is refused with :class:`OcbordError` before it is built.
     """
     g = canonical_relabel(g)
     frontier = [("src", i) for i in range(len(g.source))]
     segs = [g.producer_seg(p) for p in frontier]
     slices = []
+    factors = 0
+
+    def count(width):
+        nonlocal factors
+        factors += width
+        if factors > LAYOUT_ATOM_CAP:
+            raise OcbordError(
+                f"the layout needs more than {LAYOUT_ATOM_CAP} factors; "
+                f"the diagram is too wide to write out as a term")
 
     def emit_swap(i):
+        count(len(segs) - 1)
         row = tuple(Id(segs[p]) for p in range(i)) \
             + (Cross(segs[i], segs[i + 1]),) \
             + tuple(Id(segs[p]) for p in range(i + 2, len(segs)))
@@ -552,6 +572,7 @@ def from_port_graph(g: PortGraph) -> DiagramTerm:
     def place(nid):
         gen = g.nodes[nid]
         ins = [g.in_to_out[("in", nid, k)] for k in range(len(gen.source))]
+        count(len(segs) - len(ins) + 1)
         if ins:
             q = min(frontier.index(p) for p in ins)
             for k, p in enumerate(ins):

@@ -18,7 +18,8 @@ brackets may be omitted; a bare atom uses the colour ``*``.
 Within a row the atoms bind left to right against the current boundary;
 an atom with empty source (``eta_A``, ``eta_C``) sits at the cursor
 position between its neighbours' wires.  Each distinct atom text is read
-and type-checked once per file; rows are assembled from those entries.
+and type-checked once per process, into a table that every ``parse`` call
+shares; rows are assembled from its entries.
 
 >>> t = parse("source I,I ; mu_A ; Delta_A")
 >>> print(render(t), end="")
@@ -210,6 +211,13 @@ def _parse_atom(text: str, span: SourceSpan) -> DiagramTerm:
     return _macro(name, brack, span)
 
 
+# atom text -> (source, target, slices, identity slice on the target).
+# Only atoms that parsed are stored, so an error always carries the span
+# of the file being read.  The table is emptied when it reaches the cap.
+ATOM_TABLE_CAP = 4096
+_ATOMS: dict = {}
+
+
 def _statements(text: str, filename: str):
     """Yield (statement_text, span) with comments stripped."""
     for ln, line in enumerate(text.splitlines(), start=1):
@@ -230,7 +238,6 @@ def parse(text: str, filename: str = "<string>") -> DiagramTerm:
     source = None
     cur = None          # the boundary below the rows read so far
     slices = []
-    atoms = {}          # atom text -> (source, target, slices, identity slice)
     for stmt, span in _statements(text, filename):
         head = stmt.split(None, 1)[0]
         rest = stmt[len(head):].strip()
@@ -252,11 +259,13 @@ def parse(text: str, filename: str = "<string>") -> DiagramTerm:
             raise ParseError("expected a source line before rows", span)
         row = []
         for a in _split_top(stmt, "|"):
-            entry = atoms.get(a)
+            entry = _ATOMS.get(a)
             if entry is None:
                 t = _parse_atom(a, span)
                 tgt = t.validate()
-                entry = atoms[a] = (t.source, tgt, t.slices, _id_slice(tgt))
+                if len(_ATOMS) >= ATOM_TABLE_CAP:
+                    _ATOMS.clear()
+                entry = _ATOMS[a] = (t.source, tgt, t.slices, _id_slice(tgt))
             row.append(entry)
         try:
             check_composable(cur, tuple(s for e in row for s in e[0]))

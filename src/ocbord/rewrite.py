@@ -44,6 +44,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from typing import NamedTuple
 
 from .diagram import (DiagramTerm, Gen, OcbordError, PortGraph, as_graph,
                       from_port_graph, graph_eq, syntactic_eq, to_port_graph)
@@ -130,6 +131,61 @@ def _replacement_links(rule_id: str, reverse: bool) -> tuple:
     return tuple(conn)
 
 
+class _Kernel(NamedTuple):
+    """A rule side compiled for matching, and the other side for gluing.
+
+    Pattern nodes are named by their index in pattern order (a rule
+    side's port graph numbers them 0, 1, ..).  ``inner`` holds the wires
+    ``(i, k, j, l)`` from output k of node i to input l of node j;
+    ``src`` the wires ``(s, j, l, seg)`` from source port s; ``tgt`` the
+    wires ``(i, k, t, seg)`` into target port t; ``bare`` the pairs
+    ``(s, t)`` wired straight through, in the side's wire order.  ``gens``
+    are the replacement's ``(kind, colour variables)`` in its node order
+    and ``plan`` its wires, with ``("out"/"in", index, port)`` naming a
+    replacement node by its index.
+    """
+    kinds: tuple
+    colors: tuple
+    source: tuple
+    target: tuple
+    steps: tuple
+    inner: tuple
+    src: tuple
+    tgt: tuple
+    bare: tuple
+    gens: tuple
+    plan: tuple
+
+
+@lru_cache(maxsize=None)
+def _kernel(rule_id: str, reverse: bool) -> _Kernel:
+    P, R = _pattern(rule_id, reverse), _pattern(rule_id, not reverse)
+    inner, src, tgt, bare = [], [], [], []
+    for prod, cons in P.wires():
+        if prod[0] == "out" and cons[0] == "in":
+            inner.append((prod[1], prod[2], cons[1], cons[2]))
+        elif prod[0] == "src" and cons[0] == "in":
+            src.append((prod[1], cons[1], cons[2], P.source[prod[1]]))
+        elif prod[0] == "out" and cons[0] == "tgt":
+            tgt.append((prod[1], prod[2], cons[1], P.target[cons[1]]))
+        else:
+            bare.append((prod[1], cons[1]))
+    gens = [R.nodes[n] for n in range(len(R.nodes))]
+    return _Kernel(
+        tuple(P.nodes[n].kind for n in range(len(P.nodes))),
+        tuple(P.nodes[n].colors for n in range(len(P.nodes))),
+        P.source, P.target,
+        _anchor_plan(rule_id, reverse) if P.nodes else (),
+        tuple(inner), tuple(src), tuple(tgt), tuple(bare),
+        tuple((gen.kind, gen.colors) for gen in gens),
+        tuple(R.wires()))
+
+
+# replacement generators, shared between moves; bounded, since their
+# colours come from the host
+_gen = lru_cache(maxsize=1024)(Gen)
+
+
 @dataclass(frozen=True)
 class Match:
     """One site where a rule side matches, with its colour binding."""
@@ -152,53 +208,43 @@ def _unify_seg(env, pseg, hseg) -> bool:
     return True
 
 
-def _bind(host: PortGraph, P: PortGraph, nodes: tuple):
+def _bind(host: PortGraph, K: _Kernel, nodes: tuple):
     """Check a node assignment; return (env, src_prod, tgt_cons, bare).
 
     ``bare`` lists pattern source->target wires still needing a host wire.
     Returns None when the assignment is not a match.
     """
-    pnodes = sorted(P.nodes)
-    if len(nodes) != len(pnodes) or len(set(nodes)) != len(nodes):
+    if len(nodes) != len(K.kinds) or len(set(nodes)) != len(nodes):
         return None
-    mp = dict(zip(pnodes, nodes))
+    hnodes, o2i, i2o = host.nodes, host.out_to_in, host.in_to_out
     env: dict = {}
-    for pn, hn in mp.items():
-        if hn not in host.nodes:
+    for hn, kind, cvars in zip(nodes, K.kinds, K.colors):
+        hg = hnodes.get(hn)
+        if hg is None or hg.kind != kind:
             return None
-        pg, hg = P.nodes[pn], host.nodes[hn]
-        if pg.kind != hg.kind:
-            return None
-        for v, c in zip(pg.colors, hg.colors):
+        for v, c in zip(cvars, hg.colors):
             if env.setdefault(v, c) != c:
                 return None
-    mapped = set(nodes)
-    src_prod: list = [None] * len(P.source)
-    tgt_cons: list = [None] * len(P.target)
-    bare = []
-    for prod, cons in P.wires():
-        if prod[0] == "out" and cons[0] == "in":
-            hp = ("out", mp[prod[1]], prod[2])
-            if host.out_to_in.get(hp) != ("in", mp[cons[1]], cons[2]):
-                return None
-        elif prod[0] == "src" and cons[0] == "in":
-            hp = host.in_to_out[("in", mp[cons[1]], cons[2])]
-            if hp[0] == "out" and hp[1] in mapped:
-                return None
-            if not _unify_seg(env, P.source[prod[1]], host.producer_seg(hp)):
-                return None
-            src_prod[prod[1]] = hp
-        elif prod[0] == "out" and cons[0] == "tgt":
-            hc = host.out_to_in[("out", mp[prod[1]], prod[2])]
-            if hc[0] == "in" and hc[1] in mapped:
-                return None
-            if not _unify_seg(env, P.target[cons[1]],
-                              host.consumer_seg(hc)):
-                return None
-            tgt_cons[cons[1]] = hc
-        else:
-            bare.append((prod[1], cons[1]))
-    return env, src_prod, tgt_cons, bare
+    for i, k, j, l in K.inner:
+        if o2i.get(("out", nodes[i], k)) != ("in", nodes[j], l):
+            return None
+    src_prod: list = [None] * len(K.source)
+    tgt_cons: list = [None] * len(K.target)
+    for s, j, l, pseg in K.src:
+        hp = i2o[("in", nodes[j], l)]
+        if hp[0] == "out" and hp[1] in nodes:
+            return None
+        if not _unify_seg(env, pseg, host.producer_seg(hp)):
+            return None
+        src_prod[s] = hp
+    for i, k, t, pseg in K.tgt:
+        hc = o2i[("out", nodes[i], k)]
+        if hc[0] == "in" and hc[1] in nodes:
+            return None
+        if not _unify_seg(env, pseg, host.consumer_seg(hc)):
+            return None
+        tgt_cons[t] = hc
+    return env, src_prod, tgt_cons, list(K.bare)
 
 
 def _reaches(host: PortGraph, start: int, goals: set) -> bool:
@@ -239,8 +285,7 @@ def find_matches(host: PortGraph, rule_id: str, reverse: bool = False,
     ``at`` pins the host node assignment (pattern node order) instead of
     searching.
     """
-    P = _pattern(rule_id, reverse)
-    pnodes = sorted(P.nodes)
+    K = _kernel(rule_id, reverse)
     out = []
 
     def settle(nodes, env, src_prod, tgt_cons, bare):
@@ -264,37 +309,36 @@ def find_matches(host: PortGraph, rule_id: str, reverse: bool = False,
             if hp in used or hc in used:
                 continue
             e2 = dict(env)
-            if not _unify_seg(e2, P.source[i], host.producer_seg(hp)):
+            if not _unify_seg(e2, K.source[i], host.producer_seg(hp)):
                 continue
             sp, tc = list(src_prod), list(tgt_cons)
             sp[i], tc[j] = hp, hc
             settle(nodes, e2, sp, tc, rest)
 
     def attempt(nodes):
-        got = _bind(host, P, nodes)
+        got = _bind(host, K, nodes)
         if got is not None:
             settle(nodes, *got)
 
     if at is not None:
         attempt(tuple(at))
-    elif not pnodes:
+    elif not K.kinds:
         attempt(())
     else:
         # each anchor fixes at most one tuple; _bind re-checks everything
         # the walk skips (port numbers, colours, the other wires)
-        steps = _anchor_plan(rule_id, reverse)
-        kind = P.nodes[pnodes[0]].kind
-        for anchor in [n for n, gen in host.nodes.items() if gen.kind == kind]:
-            mp = {pnodes[0]: anchor}
-            for side, x, k, y in steps:
-                wires = host.out_to_in if side == "out" else host.in_to_out
-                far = wires[(side, mp[x], k)]
+        hnodes, kinds = host.nodes, K.kinds
+        wires = {"out": host.out_to_in, "in": host.in_to_out}
+        for anchor in [n for n, gen in hnodes.items() if gen.kind == kinds[0]]:
+            mp = [anchor] * len(kinds)
+            for side, x, k, y in K.steps:
+                far = wires[side][(side, mp[x], k)]
                 if far[0] not in ("in", "out") \
-                        or host.nodes[far[1]].kind != P.nodes[y].kind:
+                        or hnodes[far[1]].kind != kinds[y]:
                     break
                 mp[y] = far[1]
             else:
-                attempt(tuple(mp[pn] for pn in pnodes))
+                attempt(tuple(mp))
     out.sort(key=lambda m: (m.nodes, m.src_prod, m.tgt_cons))
     return out
 
@@ -302,29 +346,26 @@ def find_matches(host: PortGraph, rule_id: str, reverse: bool = False,
 def _apply_full(h: PortGraph, m: Match) -> list:
     """Cut out the matched side and glue in the other side of the rule,
     editing ``h`` itself; returns the new node ids in pattern order."""
-    rule = rules()[m.rule]
-    R = _pattern(m.rule, not m.reverse)
+    K = _kernel(m.rule, m.reverse)
     env = dict(m.env)
-    gens = []
-    for rn in sorted(R.nodes):
-        gen = R.nodes[rn]
-        try:
-            gens.append(Gen(gen.kind, tuple(env[v] for v in gen.colors)))
-        except KeyError as e:
-            raise OcbordError(
-                f"rule {rule.id} cannot be applied "
-                f"{'backwards' if m.reverse else 'forwards'}: "
-                f"colour {e} is not determined by the matched side")
+    try:
+        gens = [_gen(kind, tuple(env[v] for v in cvars))
+                for kind, cvars in K.gens]
+    except KeyError as e:
+        raise OcbordError(
+            f"rule {m.rule} cannot be applied "
+            f"{'backwards' if m.reverse else 'forwards'}: "
+            f"colour {e} is not determined by the matched side")
     for hn in m.nodes:
         h.remove_node(hn)
-    idmap = {rn: h.add_node(gen) for rn, gen in zip(sorted(R.nodes), gens)}
-    for prod, cons in R.wires():
+    new = [h.add_node(gen) for gen in gens]
+    for prod, cons in K.plan:
         hp = m.src_prod[prod[1]] if prod[0] == "src" \
-            else ("out", idmap[prod[1]], prod[2])
+            else ("out", new[prod[1]], prod[2])
         hc = m.tgt_cons[cons[1]] if cons[0] == "tgt" \
-            else ("in", idmap[cons[1]], cons[2])
+            else ("in", new[cons[1]], cons[2])
         h.wire(hp, hc)
-    return [idmap[rn] for rn in sorted(R.nodes)]
+    return new
 
 
 def apply_match(host: PortGraph, m: Match) -> PortGraph:
@@ -464,7 +505,8 @@ def check_trace(trace: MoveTrace) -> bool:
 
     Each recorded site is re-matched against the replayed diagram, so a
     log edited to use a rule where it does not apply is rejected.  The
-    replayed result must equal the recorded final diagram.
+    moves rewrite one graph, built from the initial diagram, in place.
+    The replayed result must equal the recorded final diagram.
     """
     g = to_port_graph(trace.initial)
     for step, mv in enumerate(trace.moves, 1):
@@ -478,7 +520,7 @@ def check_trace(trace: MoveTrace) -> bool:
         if found is None:
             raise TraceError(
                 f"step {step}: {mv.rule} does not match at the recorded site")
-        g = apply_match(g, found)
+        _apply_full(g, found)
     if not graph_eq(g, to_port_graph(trace.final)):
         raise TraceError("replayed moves do not produce the recorded "
                          "final diagram")

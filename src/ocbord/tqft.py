@@ -23,6 +23,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .diagram import (
     Cross,
@@ -903,7 +904,11 @@ BUILTIN_ALGEBRAS = ("matrix1", "matrix2", "matrix3",
                     "groupoid-pair_z2", "groupoid-s3", "groupoid-two_comps")
 
 
+@lru_cache(maxsize=16)
 def builtin_algebra(name: str) -> KFA:
+    """The builtin algebra called ``name`` (see :data:`BUILTIN_ALGEBRAS`;
+    ``matrixN`` for any N >= 1).  Built once per name and shared by every
+    caller in the process: treat it as read-only."""
     if name.startswith("matrix"):
         try:
             n = int(name[len("matrix"):])

@@ -11,8 +11,8 @@ from ocbord.diagram import (DEFAULT_COLOR, Cross, DiagramTerm, Gen, Id, Seg,
 from ocbord.dsl import (_NAME, ParseError, SourceSpan, TypeMismatch,
                         _parse_atom, _parse_seg, _statements, _used_colors)
 from ocbord.invariants import _ARCS, invariants, profile_key
-from ocbord.rewrite import (Match, _bind, _pattern, _splice_is_acyclic,
-                            _unify_seg, apply_match, find_matches, rules)
+from ocbord.rewrite import (Match, _pattern, _splice_is_acyclic, _unify_seg,
+                            apply_match, find_matches, rules)
 
 
 def _interval(rng, colors):
@@ -322,9 +322,78 @@ def reversed_merge_text(n: int) -> str:
     return "\n".join(rows) + "\n"
 
 
+def graph_bind(host, P, nodes: tuple):
+    """Reference for ``rewrite._bind``: check a node assignment against
+    the rule side's port graph ``P``, sorting and classifying its nodes
+    and wires on every call.  Returns (env, src_prod, tgt_cons, bare) or
+    None."""
+    pnodes = sorted(P.nodes)
+    if len(nodes) != len(pnodes) or len(set(nodes)) != len(nodes):
+        return None
+    mp = dict(zip(pnodes, nodes))
+    env: dict = {}
+    for pn, hn in mp.items():
+        if hn not in host.nodes:
+            return None
+        pg, hg = P.nodes[pn], host.nodes[hn]
+        if pg.kind != hg.kind:
+            return None
+        for v, c in zip(pg.colors, hg.colors):
+            if env.setdefault(v, c) != c:
+                return None
+    mapped = set(nodes)
+    src_prod: list = [None] * len(P.source)
+    tgt_cons: list = [None] * len(P.target)
+    bare = []
+    for prod, cons in P.wires():
+        if prod[0] == "out" and cons[0] == "in":
+            hp = ("out", mp[prod[1]], prod[2])
+            if host.out_to_in.get(hp) != ("in", mp[cons[1]], cons[2]):
+                return None
+        elif prod[0] == "src" and cons[0] == "in":
+            hp = host.in_to_out[("in", mp[cons[1]], cons[2])]
+            if hp[0] == "out" and hp[1] in mapped:
+                return None
+            if not _unify_seg(env, P.source[prod[1]], host.producer_seg(hp)):
+                return None
+            src_prod[prod[1]] = hp
+        elif prod[0] == "out" and cons[0] == "tgt":
+            hc = host.out_to_in[("out", mp[prod[1]], prod[2])]
+            if hc[0] == "in" and hc[1] in mapped:
+                return None
+            if not _unify_seg(env, P.target[cons[1]],
+                              host.consumer_seg(hc)):
+                return None
+            tgt_cons[cons[1]] = hc
+        else:
+            bare.append((prod[1], cons[1]))
+    return env, src_prod, tgt_cons, bare
+
+
+def graph_apply(h, m) -> list:
+    """Reference for ``rewrite._apply_full``: glue in the other side of
+    the rule, read from its port graph and building fresh generators, in
+    ``h`` itself; returns the new node ids in pattern order."""
+    R = _pattern(m.rule, not m.reverse)
+    env = dict(m.env)
+    gens = [Gen(R.nodes[rn].kind, tuple(env[v] for v in R.nodes[rn].colors))
+            for rn in sorted(R.nodes)]
+    for hn in m.nodes:
+        h.remove_node(hn)
+    idmap = {rn: h.add_node(gen) for rn, gen in zip(sorted(R.nodes), gens)}
+    for prod, cons in R.wires():
+        hp = m.src_prod[prod[1]] if prod[0] == "src" \
+            else ("out", idmap[prod[1]], prod[2])
+        hc = m.tgt_cons[cons[1]] if cons[0] == "tgt" \
+            else ("in", idmap[cons[1]], cons[2])
+        h.wire(hp, hc)
+    return [idmap[rn] for rn in sorted(R.nodes)]
+
+
 def product_find_matches(host, rule_id: str, reverse: bool = False) -> list:
     """Reference for ``find_matches``: try every tuple of distinct host
-    nodes whose kinds fit the pattern, O(N^k) for a k-node side."""
+    nodes whose kinds fit the pattern, O(N^k) for a k-node side, and bind
+    each with :func:`graph_bind`."""
     P = _pattern(rule_id, reverse)
     pnodes = sorted(P.nodes)
     kinds = [P.nodes[n].kind for n in pnodes]
@@ -356,7 +425,7 @@ def product_find_matches(host, rule_id: str, reverse: bool = False) -> list:
 
     def assign(i, chosen):
         if i == len(pnodes):
-            got = _bind(host, P, chosen)
+            got = graph_bind(host, P, chosen)
             if got is not None:
                 settle(chosen, *got)
             return

@@ -198,6 +198,30 @@ def test_check_and_invariants_on_a_1500_wide_diagram(tmp_path, capsys):
     assert "components = 1500" in got.out
 
 
+def test_normalize_refuses_a_layout_past_the_cap(tmp_path):
+    # 200 genus-one circles side by side: the normal form would lay out
+    # about 19 million factors; under a 1.5 GB address space that ended in
+    # a MemoryError traceback
+    import resource
+    path = _ocd(tmp_path, "wide.ocd", wide_text(200))
+    src = str(Path(ocbord.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    limit = 1500 * 2 ** 20
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = subprocess.run([sys.executable, "-m", "ocbord.cli", "normalize",
+                           path], capture_output=True, text=True, env=env,
+                          preexec_fn=cap_memory, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "factors" in lines[0]
+
+
 def test_eval_on_a_1500_wide_diagram(tmp_path, capsys):
     # 1500 components, each one tensor after its own contractions, joined
     # by one outer product

@@ -1,11 +1,15 @@
 """Generator signatures, term typing, and the port graph layer."""
 
+import dataclasses
 import random
 from pathlib import Path
 
 import pytest
 
+from ocbord import diagram
 from ocbord.diagram import (
+    GEN_ARITY,
+    _SIGS,
     Cross,
     DiagramTerm,
     Gen,
@@ -33,7 +37,8 @@ from ocbord.normalform import normal_form
 from ocbord.rewrite import check_trace, normalize_with_trace
 from ocbord.tqft import builtin_matrix_example, evaluate
 
-from helpers import closed_surface, random_term, seedwise_canonical_order
+from helpers import (closed_surface, random_term, seedwise_canonical_order,
+                     wide_text)
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -60,6 +65,32 @@ def test_generator_signatures():
     assert Gen("zip", ("a",)).target == (I("a", "a"),)
     assert Gen("cozip", ("a",)).source == (I("a", "a"),)
     assert Gen("cozip", ("a",)).target == (O,)
+
+
+def test_generator_identity_is_kind_and_colours():
+    # source and target are stored at construction but stay out of
+    # equality, hashing and the repr
+    for kind, arity in sorted(GEN_ARITY.items()):
+        cols = ("a", "b", "c")[:arity]
+        g = Gen(kind, cols)
+        assert repr(g) == f"Gen(kind={kind!r}, colors={cols!r})"
+        assert g == Gen(kind, cols) and hash(g) == hash((kind, cols))
+        assert (g.source, g.target) == _SIGS[kind][1](*cols)
+        if arity:
+            assert g != Gen(kind, ("d",) * arity)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.source = ()
+    assert [f.name for f in dataclasses.fields(Gen) if f.compare] \
+        == ["kind", "colors"]
+
+
+def test_a_layout_past_the_cap_is_refused(monkeypatch):
+    # 50 genus-one circles side by side lay out as about 318,000 factors,
+    # almost all of them identities beside the crossings
+    t = parse(wide_text(50))
+    monkeypatch.setattr(diagram, "LAYOUT_ATOM_CAP", 10 ** 5)
+    with pytest.raises(OcbordError, match="more than 100000 factors"):
+        normal_form(t)
 
 
 def test_generator_arity_checked():

@@ -251,6 +251,7 @@ def test_parse_reads_each_distinct_atom_once(monkeypatch):
                 for a in row.split("|")}
     read, walked = [], []
     parse_atom, validate = dsl._parse_atom, DiagramTerm.validate
+    dsl._ATOMS.clear()      # the table is shared with every earlier parse
 
     def counting_atom(a, span):
         read.append(a)
@@ -269,3 +270,49 @@ def test_parse_reads_each_distinct_atom_once(monkeypatch):
     assert sorted(read) == sorted(distinct)
     assert len(walked) <= len(distinct)
     assert len(t.slices) not in walked
+
+
+def test_a_shared_atom_is_checked_against_each_colors_header():
+    atom = "mu_A[a,b,a]"
+    t = parse(f"colors a, b\nsource I[a,b], I[b,a]\n{atom}\n", "f.ocd")
+    assert t.target == (Seg.I("a", "a"),)
+    assert atom in dsl._ATOMS
+    with pytest.raises(ParseError) as e:
+        parse(f"colors a\nsource I[a,b], I[b,a]\n{atom}\n", "g.ocd")
+    assert str(e.value) == ("g.ocd:1:1: colour(s) ['b'] not declared in "
+                            "the colors header")
+
+
+def test_a_malformed_atom_is_reported_where_each_file_has_it():
+    bad = "mu_A[a,b]"
+    for text, where in (("source I\n" + bad + "\n", "f.ocd:2:1"),
+                        ("source I\nid:I\n  id:I ; " + bad + "\n",
+                         "g.ocd:3:10")):
+        with pytest.raises(ParseError) as e:
+            parse(text, where.split(":")[0])
+        assert str(e.value) == f"{where}: mu_A takes 3 colour(s), got 2"
+    assert bad not in dsl._ATOMS
+
+
+def test_a_batch_reads_each_distinct_atom_once(monkeypatch, capsys):
+    from ocbord.cli import run
+    paths = sorted(CORPUS.glob("*.ocd"))
+    assert len(paths) == 13
+    distinct = set()
+    for p in paths:
+        for stmt, _ in dsl._statements(p.read_text(encoding="utf-8"), ""):
+            if stmt.split()[0] not in ("colors", "source"):
+                distinct.update(dsl._split_top(stmt, "|"))
+    read = []
+    parse_atom = dsl._parse_atom
+
+    def counting_atom(a, span):
+        read.append(a)
+        return parse_atom(a, span)
+
+    dsl._ATOMS.clear()
+    monkeypatch.setattr(dsl, "_parse_atom", counting_atom)
+    assert run(["check", *map(str, paths)]) == 0
+    monkeypatch.undo()
+    assert capsys.readouterr().err == ""
+    assert sorted(read) == sorted(distinct)

@@ -30,7 +30,7 @@ from ocbord.rewrite import (
     write_trace,
 )
 
-from helpers import product_find_matches, random_term
+from helpers import graph_apply, product_find_matches, random_term
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -93,6 +93,30 @@ def test_anchored_search_equals_the_product_search():
                     == product_find_matches(g, rid, rev), (rid, rev)
 
 
+def test_kernel_splice_equals_the_graph_splice():
+    # every match splices as the uncompiled graph_apply does: the same
+    # new node ids, generators and wire maps, in the same order
+    rng = random.Random(43)
+    hosts = [to_port_graph(random_term(rng, max_gens=10, colors=("*", "a"),
+                                       connected=False)) for _ in range(12)]
+    hosts += [to_port_graph(r.side(rev)) for r in rules().values()
+              for rev in (False, True)]
+    spliced = 0
+    for rid in sorted(rules()):
+        for rev in (False, True):
+            for g in hosts:
+                for m in find_matches(g, rid, rev):
+                    h, ref = g.copy(), g.copy()
+                    assert rewrite._apply_full(h, m) == graph_apply(ref, m)
+                    assert list(h.nodes.items()) == list(ref.nodes.items())
+                    assert list(h.out_to_in.items()) \
+                        == list(ref.out_to_in.items())
+                    assert list(h.in_to_out.items()) \
+                        == list(ref.in_to_out.items())
+                    spliced += 1
+    assert spliced > 1000
+
+
 def test_search_binds_once_per_anchor(monkeypatch):
     # 60 closed units each feeding the left input of a closed product: a
     # product search would bind 60 x 60 pairs
@@ -112,6 +136,22 @@ def test_search_binds_once_per_anchor(monkeypatch):
     monkeypatch.undo()
     assert len(ms) == n
     assert len(calls) <= n
+
+
+def test_check_trace_replays_in_place(monkeypatch):
+    _, tr = normalize_with_trace(parse_file(CORPUS / "figure1.ocd"))
+    assert len(tr.moves) > 10
+    copies = []
+    copy = PortGraph.copy
+
+    def counting(self):
+        copies.append(self)
+        return copy(self)
+
+    monkeypatch.setattr(PortGraph, "copy", counting)
+    assert check_trace(tr)
+    monkeypatch.undo()
+    assert copies == []
 
 
 def test_handle_is_not_a_frobenius_redex():

@@ -314,3 +314,8 @@ def test_kfa_load_errors(tmp_path):
 def test_unknown_builtin_rejected():
     with pytest.raises(OcbordError):
         builtin_algebra("matrixx")
+
+
+def test_builtin_algebras_are_built_once():
+    for name in BUILTIN_ALGEBRAS:
+        assert builtin_algebra(name) is builtin_algebra(name), name
