@@ -576,62 +576,159 @@ def _heights(g: PortGraph) -> dict:
     return memo
 
 
-def _chase_to_cozip(g: PortGraph, prod, where: str) -> int:
-    while True:
-        cons = g.out_to_in[prod]
-        if cons[0] != "in":
-            raise StrategyStuck(f"{where}: open strand reaches the boundary")
-        kind = g.nodes[cons[1]].kind
-        if kind == "cozip":
-            return cons[1]
-        if kind != "mu_A":
-            raise StrategyStuck(f"{where}: open strand blocked by {kind}")
-        prod = ("out", cons[1], 0)
+def _is_handle(g: PortGraph, s: int) -> bool:
+    c0 = g.out_to_in[("out", s, 0)]
+    c1 = g.out_to_in[("out", s, 1)]
+    return (c0[0] == "in" and c1[0] == "in" and c0[1] == c1[1]
+            and g.nodes[c0[1]].kind == "mu_C")
 
 
-def _tree_leaves(g: PortGraph, prod, kind: str) -> list:
-    """Leaves, left to right, of the ``kind`` tree whose root output is
-    ``prod``; iterative, since combs can be deeper than the recursion limit."""
-    leaves, stack = [], [prod]
-    while stack:
-        prod = stack.pop()
-        if prod[0] == "out" and prod[1] in g.nodes \
-                and g.nodes[prod[1]].kind == kind:
-            n = prod[1]
-            stack.append(g.in_to_out[("in", n, 1)])
-            stack.append(g.in_to_out[("in", n, 0)])
-        else:
-            leaves.append(prod)
-    return leaves
+class _Comb(NamedTuple):
+    """A kind of binary tree the strategy combs.  The tree hangs off a
+    root endpoint and is read along ``direction``, the wire map walked
+    away from the root: ``in_to_out`` for products above a consumer,
+    ``out_to_in`` for coproducts below a producer.  Port 0 of a node is
+    its left arm.  A ``kind`` node for which ``stop`` holds is a leaf."""
+    kind: str
+    direction: str
+    assoc: str
+    comm: str = None
+    stop: object = None
 
 
-def _left_comb(rec: _Recorder, root_cons, kind: str, assoc_rule: str):
-    # reassociate the tree above root_cons into ((l1 l2) l3) .. shape
-    while True:
-        site = None
-        stack = [rec.g.in_to_out[root_cons]]
+_MU_A = _Comb("mu_A", "in_to_out", "assoc_A")
+_MU_C = _Comb("mu_C", "in_to_out", "assoc_C", "comm_C")
+_DELTA_C = _Comb("Delta_C", "out_to_in", "coassoc_C", "cocomm_C", _is_handle)
+
+
+class _CombView:
+    """The ``spec`` tree at endpoint ``root`` of the working graph.
+
+    The spine runs from the root along left arms; a left comb has a leaf
+    on every right arm.  Every operation re-reads the tree from the root.
+    """
+
+    def __init__(self, rec: _Recorder, spec: _Comb, root):
+        self.rec, self.spec, self.root = rec, spec, root
+        self.g = rec.g
+        self.port = "in" if spec.direction == "in_to_out" else "out"
+
+    @classmethod
+    def holding(cls, rec: _Recorder, spec: _Comb, leaf):
+        """The view of the tree that ``leaf`` is a leaf of, rooted at the
+        first endpoint towards the root that is not a tree node."""
+        view = cls(rec, spec, None)
+        back = "out" if view.port == "in" else "in"
+        wires = view.g.out_to_in if back == "out" else view.g.in_to_out
+        end = wires[leaf]
+        while (n := view._node(end)) is not None:
+            end = wires[(back, n, 0)]
+        view.root = end
+        return view
+
+    def across(self, end):
+        """The far end of the wire at ``end``, away from the root."""
+        return getattr(self.g, self.spec.direction)[end]
+
+    def _node(self, end):
+        # the tree node at a far end, or None for a leaf
+        g, spec = self.g, self.spec
+        if end[0] in ("in", "out") and g.nodes[end[1]].kind == spec.kind \
+                and not (spec.stop and spec.stop(g, end[1])):
+            return end[1]
+        return None
+
+    def _flow(self, child, parent) -> tuple:
+        # two adjacent tree nodes as a rule site: producer first
+        return (child, parent) if self.port == "in" else (parent, child)
+
+    def walk(self) -> tuple:
+        """The spine, root first, and the leaves, left to right;
+        iterative, since combs can be deeper than the recursion limit."""
+        wires, node, port = getattr(self.g, self.spec.direction), \
+            self._node, self.port
+        spine, arms = [], []
+        end = wires[self.root]
+        while (n := node(end)) is not None:
+            spine.append(n)
+            arms.append(wires[(port, n, 1)])
+            end = wires[(port, n, 0)]
+        leaves, stack = [end], arms     # right arms pop farthest first
         while stack:
-            prod = stack.pop()
-            if prod[0] != "out" or rec.g.nodes[prod[1]].kind != kind:
+            end = stack.pop()
+            if (n := node(end)) is None:
+                leaves.append(end)
+            else:
+                stack += (wires[(port, n, 1)], wires[(port, n, 0)])
+        return spine, leaves
+
+    def _branch(self):
+        # the reassociation site nearest the root: a spine node whose
+        # right arm holds a tree node
+        end = self.across(self.root)
+        while (n := self._node(end)) is not None:
+            c = self._node(self.across((self.port, n, 1)))
+            if c is not None:
+                return self._flow(c, n)
+            end = self.across((self.port, n, 0))
+        return None
+
+    def left_comb(self):
+        """Reassociate into a left comb.  Each move puts one more node on
+        the spine, so the internal node count on entry bounds the moves."""
+        moves = len(self.walk()[1]) - 1
+        while (site := self._branch()) is not None:
+            if moves == 0:
+                raise StrategyStuck(f"{self.spec.kind} comb reassociation "
+                                    "did not converge")
+            moves -= 1
+            self.rec.do(self.spec.assoc, True, site)
+
+    def rotate_until(self, want):
+        """Rotate a left comb of ``mu_A`` under a cozip, moving its last
+        leaf to the front, until ``want(leaves)`` holds.  As many turns
+        as leaves bring the comb back to where it started."""
+        leaves = self.walk()[1]
+        for _ in range(len(leaves) + 1):
+            if want(leaves):
+                return
+            top = self.across(self.root)[1]
+            cz = self.rec.do("cozip_mul_rot", False, (top, self.root[1]))[1]
+            self.root = ("in", cz, 0)
+            self.left_comb()
+            leaves = self.walk()[1]
+        raise StrategyStuck("comb rotation did not reach the wanted leaf")
+
+    def sort(self, key):
+        """Sort a left comb's leaves ascending by ``key``.  Each round swaps
+        the out-of-order adjacent pair met first from the top of the
+        diagram (the far end of a product comb, the root of a coproduct
+        comb), so the k leaves on entry need at most k(k-1)/2 rounds and
+        a last one.  The moves touch only tree nodes, so a leaf's key is
+        computed once."""
+        key = lru_cache(maxsize=None)(key)
+        k = len(self.walk()[1])
+        for _ in range(k * (k - 1) // 2 + 1):
+            spine, leaves = self.walk()
+            if not spine:
+                return
+            keys = [key(lf) for lf in leaves]
+            pairs = range(len(keys) - 1)
+            if self.port == "out":
+                pairs = reversed(pairs)
+            pos = next((i for i in pairs if keys[i] > keys[i + 1]), None)
+            if pos is None:
+                return
+            m, do = len(spine), self.rec.do
+            if pos == 0:                # both leaves on the last node
+                do(self.spec.comm, True, (spine[-1],))
                 continue
-            n = prod[1]
-            in1 = rec.g.in_to_out[("in", n, 1)]
-            if in1[0] == "out" and rec.g.nodes[in1[1]].kind == kind:
-                site = (in1[1], n)
-                break
-            stack.append(rec.g.in_to_out[("in", n, 0)])
-        if site is None:
-            return
-        rec.do(assoc_rule, True, site)
-
-
-def _rotate_comb(rec: _Recorder, cz: int) -> int:
-    """Move the last leaf of the comb under cozip ``cz`` to the front."""
-    top = rec.g.in_to_out[("in", cz, 0)]
-    new = rec.do("cozip_mul_rot", False, (top[1], cz))
-    cz = new[1]
-    _left_comb(rec, ("in", cz, 0), "mu_A", "assoc_A")
-    return cz
+            far, near = spine[m - pos], spine[m - 1 - pos]
+            new = do(self.spec.assoc, False, self._flow(far, near))
+            child, parent = self._flow(*new)
+            swapped = do(self.spec.comm, True, (child,))[0]
+            do(self.spec.assoc, True, self._flow(swapped, parent))
+        raise StrategyStuck(f"{self.spec.kind} comb sorting did not converge")
 
 
 def _phase_boundary(rec: _Recorder):
@@ -661,68 +758,59 @@ def _phase_open(rec: _Recorder):
                                 "did not terminate")
         hs = _heights(rec.g)
         d = min(deltas, key=lambda n: (hs[n], n))
-        cz0 = _chase_to_cozip(rec.g, ("out", d, 0), "comult elimination")
-        cz1 = _chase_to_cozip(rec.g, ("out", d, 1), "comult elimination")
-        if cz0 == cz1:
-            _comult_one_cozip(rec, d, cz0)
+        blocks = [_CombView.holding(rec, _MU_A, ("out", d, k)) for k in (0, 1)]
+        for blk in blocks:
+            if blk.root[0] != "in":
+                raise StrategyStuck("comult elimination: open strand "
+                                    "reaches the boundary")
+            kind = rec.g.nodes[blk.root[1]].kind
+            if kind != "cozip":
+                raise StrategyStuck("comult elimination: open strand "
+                                    f"blocked by {kind}")
+        if blocks[0].root == blocks[1].root:
+            _comult_one_cozip(rec, d, blocks[0])
         else:
-            _comult_two_cozips(rec, d, cz0, cz1)
+            _comult_two_cozips(rec, d, *blocks)
 
 
-def _spin_until(rec: _Recorder, cz: int, want) -> int:
-    """Rotate the comb under ``cz`` until ``want(leaves)`` holds."""
-    root = ("in", cz, 0)
-    leaves = _tree_leaves(rec.g, rec.g.in_to_out[root], "mu_A")
-    for _ in range(len(leaves) + 1):
-        if want(leaves):
-            return cz
-        cz = _rotate_comb(rec, cz)
-        root = ("in", cz, 0)
-        leaves = _tree_leaves(rec.g, rec.g.in_to_out[root], "mu_A")
-    raise StrategyStuck("comb rotation did not reach the wanted leaf")
-
-
-def _comult_one_cozip(rec: _Recorder, d: int, cz: int):
-    # both legs reach the same cozip: rotate the second leg to the
-    # front, absorb everything between the legs, then fold by cardy
-    _left_comb(rec, ("in", cz, 0), "mu_A", "assoc_A")
-    cz = _spin_until(rec, cz, lambda ls: ls[0] == ("out", d, 1))
-    # each absorption removes one leaf, so the leaf count on entry bounds
-    # the number of steps
-    bound = len(_tree_leaves(rec.g, rec.g.in_to_out[("in", cz, 0)], "mu_A"))
-    guard = 0
-    while True:
-        leaves = _tree_leaves(rec.g, rec.g.in_to_out[("in", cz, 0)], "mu_A")
-        if leaves[1] == ("out", d, 0):
-            break
-        guard += 1
-        if guard > bound:
+def _absorb_legs(rec: _Recorder, d: int, blk: _CombView, done) -> int:
+    """Move leaves of ``blk`` above ``d`` by frobL_A until ``done(d)``
+    holds; returns the last ``d``.  Each move takes one leaf off the
+    block, so the leaf count on entry bounds the moves."""
+    moves = len(blk.walk()[1])
+    while not done(d):
+        if moves == 0:
             raise StrategyStuck("leg absorption did not converge")
+        moves -= 1
         b = rec.g.out_to_in[("out", d, 1)][1]
         d = rec.do("frobL_A", False, (d, b))[1]
+    return d
+
+
+def _comult_one_cozip(rec: _Recorder, d: int, blk: _CombView):
+    # both legs reach the same cozip: rotate the second leg to the
+    # front, absorb everything between the legs, then fold by cardy
+    blk.left_comb()
+    blk.rotate_until(lambda ls: ls[0] == ("out", d, 1))
+    d = _absorb_legs(rec, d, blk, lambda d: blk.walk()[1][1] == ("out", d, 0))
     b = rec.g.out_to_in[("out", d, 1)][1]
     rec.do("cardy", True, (d, b))
 
 
-def _comult_two_cozips(rec: _Recorder, d: int, cz0: int, cz1: int):
+def _comult_two_cozips(rec: _Recorder, d: int, blk0: _CombView,
+                       blk1: _CombView):
     # legs reach different cozips: bring each leg directly under its
     # cozip, then split off a closed comultiplication
-    if rec.g.in_to_out[("in", cz0, 0)] != ("out", d, 0):
-        _left_comb(rec, ("in", cz0, 0), "mu_A", "assoc_A")
-        cz0 = _spin_until(rec, cz0, lambda ls: ls[-1] == ("out", d, 0))
-        top = rec.g.in_to_out[("in", cz0, 0)]
-        d = rec.do("frobR_A", False, (d, top[1]))[1]
-    if rec.g.in_to_out[("in", cz1, 0)] != ("out", d, 1):
-        _left_comb(rec, ("in", cz1, 0), "mu_A", "assoc_A")
-        cz1 = _spin_until(rec, cz1, lambda ls: ls[0] == ("out", d, 1))
-        guard = 0
-        while rec.g.in_to_out[("in", cz1, 0)] != ("out", d, 1):
-            guard += 1
-            if guard > 1000:
-                raise StrategyStuck("leg absorption did not converge")
-            b = rec.g.out_to_in[("out", d, 1)][1]
-            d = rec.do("frobL_A", False, (d, b))[1]
-    rec.do("comul_to_cozips", False, (d, cz0, cz1))
+    if blk0.across(blk0.root) != ("out", d, 0):
+        blk0.left_comb()
+        blk0.rotate_until(lambda ls: ls[-1] == ("out", d, 0))
+        d = rec.do("frobR_A", False, (d, blk0.across(blk0.root)[1]))[1]
+    if blk1.across(blk1.root) != ("out", d, 1):
+        blk1.left_comb()
+        blk1.rotate_until(lambda ls: ls[0] == ("out", d, 1))
+        d = _absorb_legs(rec, d, blk1,
+                         lambda d: blk1.across(blk1.root) == ("out", d, 1))
+    rec.do("comul_to_cozips", False, (d, blk0.root[1], blk1.root[1]))
 
 
 def _phase_zip(rec: _Recorder):
@@ -772,9 +860,7 @@ def _closed_frob_step(rec: _Recorder) -> bool:
             continue
         c0 = g.out_to_in[("out", s, 0)]
         c1 = g.out_to_in[("out", s, 1)]
-        both = (c0[0] == "in" and c1[0] == "in" and c0[1] == c1[1]
-                and g.nodes[c0[1]].kind == "mu_C")
-        if both:
+        if _is_handle(g, s):
             if c0[2] == 1:      # crossed handle: straighten it
                 rec.do("comm_C", True, (c0[1],))
                 return True
@@ -811,12 +897,9 @@ def _macros(g: PortGraph) -> list:
             if cons[0] == "in" and g.nodes[cons[1]].kind == "cozip":
                 out.append(("W", (n, cons[1]), ("in", n, 0),
                             ("out", cons[1], 0)))
-        elif gen.kind == "Delta_C":
+        elif gen.kind == "Delta_C" and _is_handle(g, n):
             c0 = g.out_to_in[("out", n, 0)]
-            c1 = g.out_to_in[("out", n, 1)]
-            if (c0[0] == "in" and c1[0] == "in" and c0[1] == c1[1]
-                    and g.nodes[c0[1]].kind == "mu_C"
-                    and c0[2] == 0 and c1[2] == 1):
+            if c0[2] == 0:      # straight, so leg 1 enters input 1
                 out.append(("G", (n, c0[1]), ("in", n, 0),
                             ("out", c0[1], 0)))
     return out
@@ -883,46 +966,6 @@ def _phase_closed(rec: _Recorder):
         return
 
 
-def _comb_mus(g: PortGraph, root_prod, kind: str) -> list:
-    """The spine of a left comb, bottom (root) to top."""
-    spine = []
-    prod = root_prod
-    while prod[0] == "out" and g.nodes[prod[1]].kind == kind:
-        spine.append(prod[1])
-        prod = g.in_to_out[("in", prod[1], 0)]
-    return spine
-
-
-def _sort_mu_comb(rec: _Recorder, root_cons, kind: str, assoc_rule: str,
-                  comm_rule: str, key):
-    """Sort the leaves of the comb above ``root_cons`` ascending by key."""
-    # each round swaps one adjacent pair of leaves that are out of order,
-    # so the k leaves on entry need at most k(k-1)/2 rounds and a last one
-    k = len(_tree_leaves(rec.g, rec.g.in_to_out[root_cons], kind))
-    bound = k * (k - 1) // 2 + 1
-    guard = 0
-    while True:
-        guard += 1
-        if guard > bound:
-            raise StrategyStuck("comb sorting did not converge")
-        prod = rec.g.in_to_out[root_cons]
-        leaves = _tree_leaves(rec.g, prod, kind)
-        keys = [key(lf) for lf in leaves]
-        pos = next((i for i in range(len(keys) - 1)
-                    if keys[i] > keys[i + 1]), None)
-        if pos is None:
-            return
-        spine = _comb_mus(rec.g, prod, kind)      # bottom to top
-        spine.reverse()                           # top to bottom: mu_1..mu_k
-        if pos == 0:
-            rec.do(comm_rule, True, (spine[0],))
-        else:
-            upper, lower = spine[pos - 1], spine[pos]
-            new = rec.do(assoc_rule, False, (upper, lower))
-            inner = rec.do(comm_rule, True, (new[0],))[0]
-            rec.do(assoc_rule, True, (inner, new[1]))
-
-
 def _phase_canonical(rec: _Recorder):
     # open blocks: left comb with the smallest source port leading
     for cz in [n for n in sorted(rec.g.nodes)
@@ -932,17 +975,16 @@ def _phase_canonical(rec: _Recorder):
         prod = rec.g.in_to_out[("in", cz, 0)]
         if prod[0] == "out" and rec.g.nodes[prod[1]].kind == "zip":
             continue            # window, not a block
-        _left_comb(rec, ("in", cz, 0), "mu_A", "assoc_A")
-        leaves = _tree_leaves(rec.g, rec.g.in_to_out[("in", cz, 0)], "mu_A")
-        if len(leaves) > 1:
-            _spin_until(rec, cz, lambda ls: ls[0] == min(ls))
+        blk = _CombView(rec, _MU_A, ("in", cz, 0))
+        blk.left_comb()
+        blk.rotate_until(lambda ls: ls[0] == min(ls))
 
     # closed merges: left comb sorted by each block's smallest port
     def block_min(leaf):
         if leaf[0] != "out" or rec.g.nodes[leaf[1]].kind != "cozip":
             raise StrategyStuck("closed merge leaf is not a block")
-        tree = rec.g.in_to_out[("in", leaf[1], 0)]
-        return min(lf[1] for lf in _tree_leaves(rec.g, tree, "mu_A"))
+        blk = _CombView(rec, _MU_A, ("in", leaf[1], 0))
+        return min(lf[1] for lf in blk.walk()[1])
 
     roots = []
     for n in sorted(rec.g.nodes):
@@ -957,22 +999,12 @@ def _phase_canonical(rec: _Recorder):
             continue
         roots.append(cons)
     for root_cons in roots:
-        _left_comb(rec, root_cons, "mu_C", "assoc_C")
-        _sort_mu_comb(rec, root_cons, "mu_C", "assoc_C", "comm_C", block_min)
+        merge = _CombView(rec, _MU_C, root_cons)
+        merge.left_comb()
+        merge.sort(block_min)
 
     # closed splits: spine along the first leg, outputs sorted so the
     # lowest target hangs off the deepest comultiplication
-    _canonical_splits(rec)
-
-
-def _is_handle(g: PortGraph, s: int) -> bool:
-    c0 = g.out_to_in[("out", s, 0)]
-    c1 = g.out_to_in[("out", s, 1)]
-    return (c0[0] == "in" and c1[0] == "in" and c0[1] == c1[1]
-            and g.nodes[c0[1]].kind == "mu_C")
-
-
-def _canonical_splits(rec: _Recorder):
     tops = []
     for n in sorted(rec.g.nodes):
         if rec.g.nodes[n].kind != "Delta_C" or _is_handle(rec.g, n):
@@ -981,76 +1013,20 @@ def _canonical_splits(rec: _Recorder):
         if prod[0] == "out" and rec.g.nodes[prod[1]].kind == "Delta_C" \
                 and not _is_handle(rec.g, prod[1]):
             continue
-        tops.append(rec.g.in_to_out[("in", n, 0)])   # stable anchor above
+        tops.append(prod)       # stable anchor above
     for anchor in tops:
         _canonical_one_split(rec, anchor)
 
 
-def _split_spine(g: PortGraph, anchor) -> list:
-    spine = []
-    cons = g.out_to_in[anchor]
-    while cons[0] == "in" and g.nodes[cons[1]].kind == "Delta_C" \
-            and not _is_handle(g, cons[1]):
-        spine.append(cons[1])
-        cons = g.out_to_in[("out", cons[1], 0)]
-    return spine
-
-
 def _canonical_one_split(rec: _Recorder, anchor):
-    # reassociate into a spine chained along first legs
-    guard = 0
-    while True:
-        guard += 1
-        if guard > 5000:
-            raise StrategyStuck("split combing did not converge")
-        site = None
-        stack = [rec.g.out_to_in[anchor]]
-        while stack:
-            cons = stack.pop()
-            if cons[0] != "in" or rec.g.nodes[cons[1]].kind != "Delta_C" \
-                    or _is_handle(rec.g, cons[1]):
-                continue
-            n = cons[1]
-            c1 = rec.g.out_to_in[("out", n, 1)]
-            if c1[0] == "in" and rec.g.nodes[c1[1]].kind == "Delta_C" \
-                    and not _is_handle(rec.g, c1[1]):
-                site = (n, c1[1])
-                break
-            stack.append(rec.g.out_to_in[("out", n, 0)])
-        if site is None:
-            break
-        rec.do("coassoc_C", True, site)
+    def target(leg):
+        if leg[0] != "tgt":
+            raise StrategyStuck("split leg does not reach the boundary")
+        return leg[1]
 
-    # each round swaps one adjacent pair of leaves that are out of order,
-    # so the k leaves on entry need at most k(k-1)/2 rounds and a last one
-    k = len(_split_spine(rec.g, anchor)) + 1
-    bound = k * (k - 1) // 2 + 1
-    guard = 0
-    while True:
-        guard += 1
-        if guard > bound:
-            raise StrategyStuck("split sorting did not converge")
-        spine = _split_spine(rec.g, anchor)
-        if not spine:
-            return
-        leaves = [("out", n, 1) for n in spine] + [("out", spine[-1], 0)]
-        cur = []
-        for lf in leaves:
-            cons = rec.g.out_to_in[lf]
-            if cons[0] != "tgt":
-                raise StrategyStuck("split leg does not reach the boundary")
-            cur.append(cons[1])
-        pos = next((i for i in range(len(cur) - 1)
-                    if cur[i] < cur[i + 1]), None)
-        if pos is None:
-            return
-        if pos == len(cur) - 2:
-            rec.do("cocomm_C", True, (spine[-1],))
-        else:
-            upper, lower = spine[pos], spine[pos + 1]
-            new = rec.do("coassoc_C", False, (upper, lower))
-            hang = rec.do("cocomm_C", True, (new[1],))[0]
-            rec.do("coassoc_C", True, (new[0], hang))
+    split = _CombView(rec, _DELTA_C, anchor)
+    split.left_comb()
+    split.sort(target)
 
 
 def normalize_with_trace(x):

@@ -15,8 +15,13 @@ import ocbord.rewrite as rewrite
 from ocbord.rewrite import (
     MoveTrace,
     TraceError,
+    _CombView,
+    _DELTA_C,
+    _MU_A,
+    _Recorder,
+    _canonical_one_split,
+    _comult_two_cozips,
     _heights,
-    _tree_leaves,
     apply_match,
     check_trace,
     find_matches,
@@ -288,7 +293,77 @@ def test_tree_leaves_on_a_deep_comb():
         left = ("out", nid, 0)
     g.wire(left, ("tgt", 0))
     g.validate()
-    assert _tree_leaves(g, left, "mu_A") == [("src", i) for i in range(n + 1)]
+    spine, leaves = _CombView(_Recorder(g), _MU_A, ("tgt", 0)).walk()
+    assert leaves == [("src", i) for i in range(n + 1)]
+    assert spine == list(range(n - 1, -1, -1))
+
+
+def test_comb_walk_on_a_deep_split():
+    # the mirror image: a 3000-deep Delta_C spine chained along first
+    # legs, walked from the source port it hangs below
+    n = 3000
+    g = PortGraph([Seg.O()], [Seg.O()] * (n + 1))
+    up = ("src", 0)
+    for k in range(n):
+        nid = g.add_node(Gen("Delta_C", ()))
+        g.wire(up, ("in", nid, 0))
+        g.wire(("out", nid, 1), ("tgt", n - k))
+        up = ("out", nid, 0)
+    g.wire(up, ("tgt", 0))
+    g.validate()
+    spine, leaves = _CombView(_Recorder(g), _DELTA_C, ("src", 0)).walk()
+    assert leaves == [("tgt", i) for i in range(n + 1)]
+    assert spine == list(range(n))
+
+
+def test_comb_loops_are_bounded_by_the_input():
+    # leg absorption: Delta_A leg 0 straight into a cozip, leg 1 leading
+    # a left comb of mu_A over 1001 more strips into a second cozip, so
+    # 1001 frobL_A moves
+    n = 1001
+    star = ("*", "*", "*")
+    g = PortGraph([Seg.I()] * (n + 1), [Seg.O(), Seg.O()])
+    d = g.add_node(Gen("Delta_A", star))
+    cz0 = g.add_node(Gen("cozip", ("*",)))
+    g.wire(("src", 0), ("in", d, 0))
+    g.wire(("out", d, 0), ("in", cz0, 0))
+    g.wire(("out", cz0, 0), ("tgt", 0))
+    left = ("out", d, 1)
+    for k in range(n):
+        m = g.add_node(Gen("mu_A", star))
+        g.wire(left, ("in", m, 0))
+        g.wire(("src", k + 1), ("in", m, 1))
+        left = ("out", m, 0)
+    cz1 = g.add_node(Gen("cozip", ("*",)))
+    g.wire(left, ("in", cz1, 0))
+    g.wire(("out", cz1, 0), ("tgt", 1))
+    g.validate()
+    rec = _Recorder(g)
+    _comult_two_cozips(rec, d, _CombView(rec, _MU_A, ("in", cz0, 0)),
+                       _CombView(rec, _MU_A, ("in", cz1, 0)))
+    assert [mv.rule for mv in rec.moves] == ["frobL_A"] * n \
+        + ["comul_to_cozips"]
+    g.validate()
+
+    # split reassociation: a right comb of Delta_C with 5003 legs, each
+    # first leg to its own target, takes one move per internal node but
+    # the last
+    n = 5003
+    g = PortGraph([Seg.O()], [Seg.O()] * n)
+    up = ("src", 0)
+    for k in range(n - 1):
+        s = g.add_node(Gen("Delta_C", ()))
+        g.wire(up, ("in", s, 0))
+        g.wire(("out", s, 0), ("tgt", k))
+        up = ("out", s, 1)
+    g.wire(up, ("tgt", n - 1))
+    g.validate()
+    rec = _Recorder(g)
+    _canonical_one_split(rec, ("src", 0))
+    assert [mv.rule for mv in rec.moves] == ["coassoc_C"] * (n - 2)
+    spine, leaves = _CombView(rec, _DELTA_C, ("src", 0)).walk()
+    assert len(spine) == n - 1
+    assert leaves == [("tgt", i) for i in range(n)]
 
 
 def test_normalize_fixpoint_needs_no_moves():
