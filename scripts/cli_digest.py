@@ -3,7 +3,9 @@
 For every ``corpus/*.ocd`` file this runs ``ocbord.cli.run`` in-process
 for ``check``, ``invariants``, ``normalize --trace``, ``eval`` under
 ``matrix2`` and ``groupoid-pair_z2``, and ``equiv`` on every pair of
-files, each with and without ``--json``.  One output is the exit code,
+files; then ``axioms`` on every builtin algebra and every
+``algebras/*.kfa`` file, and ``examples --corpus corpus``; each with and
+without ``--json``.  One output is the exit code,
 stdout, stderr and, for ``normalize``, the trace file.  The script prints
 one digest per output and a total over all of them, so two checkouts give
 the same total exactly when every output is byte-identical.
@@ -12,9 +14,9 @@ Usage, from any directory::
 
     python3 scripts/cli_digest.py [CHECKOUT]
 
-``CHECKOUT`` is the root of the checkout whose ``src/`` and ``corpus/``
-are used; it defaults to the one holding this script.  Standard library
-only.
+``CHECKOUT`` is the root of the checkout whose ``src/``, ``corpus/`` and
+``algebras/`` are used; it defaults to the one holding this script.
+Standard library only.
 """
 
 import contextlib
@@ -28,7 +30,7 @@ import tempfile
 ALGEBRAS = ("matrix2", "groupoid-pair_z2")
 
 
-def _invocations(files, trace):
+def _invocations(files, algebras, trace):
     for f in files:
         yield ["check", f]
         yield ["invariants", f]
@@ -37,6 +39,9 @@ def _invocations(files, trace):
             yield ["eval", f, "--algebra", alg]
     for a, b in itertools.combinations(files, 2):
         yield ["equiv", a, b]
+    for alg in algebras:
+        yield ["axioms", alg]
+    yield ["examples", "--corpus", "corpus"]
 
 
 def _output(run, argv, tmp, trace):
@@ -58,15 +63,19 @@ def main(argv):
                            os.path.join(os.path.dirname(__file__), ".."))
     sys.path.insert(0, os.path.join(root, "src"))
     from ocbord.cli import run
+    from ocbord.tqft import BUILTIN_ALGEBRAS
 
     os.chdir(root)
     files = sorted(os.path.join("corpus", f) for f in os.listdir("corpus")
                    if f.endswith(".ocd"))
+    algebras = list(BUILTIN_ALGEBRAS) + sorted(
+        os.path.join("algebras", f) for f in os.listdir("algebras")
+        if f.endswith(".kfa"))
     total = hashlib.sha256()
     count = 0
     with tempfile.TemporaryDirectory() as tmp:
         trace = os.path.join(tmp, "trace.log")
-        for args in _invocations(files, trace):
+        for args in _invocations(files, algebras, trace):
             for cmd in (args, args[:1] + ["--json"] + args[1:]):
                 digest = hashlib.sha256(
                     _output(run, cmd, tmp, trace).encode()).hexdigest()

@@ -54,6 +54,8 @@ def _load_term(path):
             text = fh.read()
     except OSError as e:
         raise _UsageError(f"{path}: {e.strerror or e}") from None
+    except UnicodeDecodeError as e:
+        raise _UsageError(f"{path}: not UTF-8 text: {e}") from None
     return parse(text, filename=path)
 
 

@@ -75,31 +75,25 @@ class TypeMismatch(ParseError):
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 _ATOM_RE = re.compile(rf"^({_NAME})(?:\[([^\]]*)\]|\((.*)\))?$")
-# a stray closing bracket also changes the depth, so all four count
-_BRACKET = re.compile(r"[][()]")
 
 
 def _split_top(text: str, sep: str = ","):
-    """Split on ``sep`` outside brackets; returns [] for blank input."""
-    if not _BRACKET.search(text):
-        parts = [p.strip() for p in text.split(sep)]
-        return [] if parts == [""] else parts
-    parts, depth, cur = [], 0, []
-    for ch in text:
-        if ch in "[(":
-            depth += 1
-        elif ch in "])":
-            depth -= 1
-        if ch == sep and depth == 0:
-            parts.append("".join(cur))
-            cur = []
+    """Split on ``sep`` outside brackets; returns [] for blank input.
+
+    A piece joins the one before it while the bracket depth summed over
+    the earlier pieces is not zero; a stray closer counts as -1."""
+    parts, depth = [], 0
+    for piece in text.split(sep):
+        if depth:
+            parts[-1] += sep + piece
         else:
-            cur.append(ch)
-    parts.append("".join(cur))
+            parts.append(piece)
+        # most pieces hold no bracket; four counts would cost more
+        if "[" in piece or "(" in piece or "]" in piece or ")" in piece:
+            depth += (piece.count("[") + piece.count("(")
+                      - piece.count("]") - piece.count(")"))
     parts = [p.strip() for p in parts]
-    if parts == [""]:
-        return []
-    return parts
+    return [] if parts == [""] else parts
 
 
 def _parse_seg(text: str, span: SourceSpan) -> Seg:

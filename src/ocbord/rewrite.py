@@ -90,47 +90,6 @@ def _pattern(rule_id: str, reverse: bool) -> PortGraph:
     return to_port_graph(rules()[rule_id].side(reverse))
 
 
-@lru_cache(maxsize=None)
-def _anchor_plan(rule_id: str, reverse: bool) -> tuple:
-    """Steps ``(side, x, k, y)`` from the first node of a non-empty rule
-    side to all the others: the wire at output (``side == "out"``) or
-    input ``k`` of the node matched to ``x`` ends at the one matched to
-    ``y``.  Every such side in the catalog is connected."""
-    P = _pattern(rule_id, reverse)
-    ends = {**P.out_to_in, **P.in_to_out}
-    order, steps = [min(P.nodes)], []
-    for x in order:                 # grows while it is walked
-        for end, far in ends.items():
-            if end[0] in ("in", "out") and end[1] == x \
-                    and far[0] in ("in", "out") and far[1] not in order:
-                order.append(far[1])
-                steps.append((end[0], x, end[2], far[1]))
-    if len(order) != len(P.nodes):
-        raise OcbordError(f"rule {rule_id} has a disconnected side")
-    return tuple(steps)
-
-
-@lru_cache(maxsize=None)
-def _replacement_links(rule_id: str, reverse: bool) -> tuple:
-    """For each source port of the glued-in side, the set of target
-    ports it can reach through it."""
-    R = _pattern(rule_id, not reverse)
-    conn = []
-    for i in range(len(R.source)):
-        hit, seen = set(), set()
-        stack = [R.out_to_in[("src", i)]]
-        while stack:
-            c = stack.pop()
-            if c[0] == "tgt":
-                hit.add(c[1])
-            elif c[0] == "in" and c[1] not in seen:
-                seen.add(c[1])
-                for k in range(len(R.nodes[c[1]].target)):
-                    stack.append(R.out_to_in[("out", c[1], k)])
-        conn.append(frozenset(hit))
-    return tuple(conn)
-
-
 class _Kernel(NamedTuple):
     """A rule side compiled for matching, and the other side for gluing.
 
@@ -139,10 +98,14 @@ class _Kernel(NamedTuple):
     ``(i, k, j, l)`` from output k of node i to input l of node j;
     ``src`` the wires ``(s, j, l, seg)`` from source port s; ``tgt`` the
     wires ``(i, k, t, seg)`` into target port t; ``bare`` the pairs
-    ``(s, t)`` wired straight through, in the side's wire order.  ``gens``
-    are the replacement's ``(kind, colour variables)`` in its node order
-    and ``plan`` its wires, with ``("out"/"in", index, port)`` naming a
-    replacement node by its index.
+    ``(s, t)`` wired straight through, in the side's wire order.  ``steps``
+    lead from node 0 to all the others: the wire at output (``side ==
+    "out"``) or input ``k`` of node ``x`` ends at node ``y``, for each
+    ``(side, x, k, y)``.  ``gens`` are the replacement's ``(kind, colour
+    variables)`` in its node order and ``plan`` its wires, with
+    ``("out"/"in", index, port)`` naming a replacement node by its index;
+    ``links`` holds, for each source port of the replacement, the set of
+    target ports it reaches through it.
     """
     kinds: tuple
     colors: tuple
@@ -155,6 +118,7 @@ class _Kernel(NamedTuple):
     bare: tuple
     gens: tuple
     plan: tuple
+    links: tuple
 
 
 @lru_cache(maxsize=None)
@@ -170,15 +134,37 @@ def _kernel(rule_id: str, reverse: bool) -> _Kernel:
             tgt.append((prod[1], prod[2], cons[1], P.target[cons[1]]))
         else:
             bare.append((prod[1], cons[1]))
+    ends = {**P.out_to_in, **P.in_to_out}
+    order, steps = [0] if P.nodes else [], []
+    for x in order:                 # grows while it is walked
+        for end, far in ends.items():
+            if end[0] in ("in", "out") and end[1] == x \
+                    and far[0] in ("in", "out") and far[1] not in order:
+                order.append(far[1])
+                steps.append((end[0], x, end[2], far[1]))
+    if len(order) != len(P.nodes):
+        raise OcbordError(f"rule {rule_id} has a disconnected side")
+    links = []
+    for i in range(len(R.source)):
+        hit, seen = set(), set()
+        stack = [R.out_to_in[("src", i)]]
+        while stack:
+            c = stack.pop()
+            if c[0] == "tgt":
+                hit.add(c[1])
+            elif c[0] == "in" and c[1] not in seen:
+                seen.add(c[1])
+                for k in range(len(R.nodes[c[1]].target)):
+                    stack.append(R.out_to_in[("out", c[1], k)])
+        links.append(frozenset(hit))
     gens = [R.nodes[n] for n in range(len(R.nodes))]
     return _Kernel(
         tuple(P.nodes[n].kind for n in range(len(P.nodes))),
         tuple(P.nodes[n].colors for n in range(len(P.nodes))),
-        P.source, P.target,
-        _anchor_plan(rule_id, reverse) if P.nodes else (),
+        P.source, P.target, tuple(steps),
         tuple(inner), tuple(src), tuple(tgt), tuple(bare),
         tuple((gen.kind, gen.colors) for gen in gens),
-        tuple(R.wires()))
+        tuple(R.wires()), tuple(links))
 
 
 # replacement generators, shared between moves; bounded, since their
@@ -267,7 +253,7 @@ def _reaches(host: PortGraph, start: int, goals: set) -> bool:
 def _splice_is_acyclic(host, rule_id, reverse, src_prod, tgt_cons) -> bool:
     # gluing may not close a loop: no host path from a consumed target
     # back to a produced source that the new material connects again
-    conn = _replacement_links(rule_id, reverse)
+    conn = _kernel(rule_id, reverse).links
     for j, tc in enumerate(tgt_cons):
         if tc[0] != "in":
             continue

@@ -6,9 +6,13 @@ commutative Frobenius algebra C, intervals I[a,b] to spaces A_ab forming
 a colour-indexed symmetric Frobenius family, and zip/cozip to an algebra
 map C -> A_aa and its adjoint.  Such a family (a knowledgeable Frobenius
 algebra) is the :class:`KFA` record below; :func:`check_axioms` verifies
-the defining equations on basis vectors and reports a witness for every
+its defining equations on basis vectors and reports a witness for every
 failure, and :func:`evaluate` contracts the diagram's port graph as a
-sparse tensor network over exact fractions.
+sparse tensor network over exact fractions.  The equations are the rewrite
+catalog's relations outside group ``derived``, plus ``cocomm_C``, named by
+rule id except ``knowledge`` (``zipcenter``), ``duality`` (``zipdual``)
+and ``frob_A``, ``frob_A2``, ``frob_C``, ``frob_C2`` (``frobR_A``,
+``frobL_A``, ``frobR_C``, ``frobL_C`` read from rhs to lhs).
 
 Matrix conventions: a map with source dimension c and target dimension r
 is an r-by-c matrix acting on column vectors; tensor products index with
@@ -26,19 +30,14 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .diagram import (
-    Cross,
     DEFAULT_COLOR,
-    DiagramTerm,
     Gen,
     OcbordError,
     Seg,
     UnionFind,
     as_graph,
-    compose,
-    gen_term,
-    identity_term,
-    tensor,
 )
+from .rewrite import rules
 
 EVAL_DIM_CAP = 4096
 
@@ -382,114 +381,69 @@ class AxiomReport:
         return "\n".join(lines)
 
 
-def _axiom_terms(colors):
-    """Yield (name, colours, lhs term, rhs term) for every axiom instance."""
-    O = Seg.O()
+# Each axiom as (report name, catalog rule id, read from rhs to lhs), keyed
+# by how many of the catalog's colour variables a, b, c, d it binds.
+_AXIOMS = {
+    2: (("unitL_A", "unitL_A", False), ("unitR_A", "unitR_A", False),
+        ("counitL_A", "counitL_A", False), ("counitR_A", "counitR_A", False),
+        ("symm_A", "symm_A", False), ("knowledge", "zipcenter", False),
+        ("cardy", "cardy", False)),
+    4: (("assoc_A", "assoc_A", False), ("coassoc_A", "coassoc_A", False),
+        ("frob_A", "frobR_A", True), ("frob_A2", "frobL_A", True)),
+    1: (("ziphom_mul", "ziphom_mul", False),
+        ("ziphom_unit", "ziphom_unit", False), ("duality", "zipdual", False)),
+    0: (("assoc_C", "assoc_C", False), ("unitL_C", "unitL_C", False),
+        ("unitR_C", "unitR_C", False), ("coassoc_C", "coassoc_C", False),
+        ("counitL_C", "counitL_C", False), ("counitR_C", "counitR_C", False),
+        ("comm_C", "comm_C", False), ("cocomm_C", "cocomm_C", False),
+        ("frob_C", "frobR_C", True), ("frob_C2", "frobL_C", True)),
+}
 
-    def I(a, b):
-        return Seg.I(a, b)
 
-    def t(kind, *cols):
-        return gen_term(Gen(kind, tuple(cols)))
+def _recolored(side, env: dict):
+    """The port graph of a rule side with its colour variables renamed."""
+    def seg(s):
+        return Seg.I(env[s.left], env[s.right]) if s.is_interval else s
 
-    def i(*segs):
-        return identity_term(tuple(segs))
+    g = as_graph(side)      # a term's graph is built afresh: ours to edit
+    g.source, g.target = tuple(map(seg, g.source)), tuple(map(seg, g.target))
+    g.nodes = {nid: Gen(gen.kind, tuple(env[c] for c in gen.colors))
+               for nid, gen in g.nodes.items()}
+    return g
 
-    def x(s1, s2):
-        return DiagramTerm((s1, s2), ((Cross(s1, s2),),))
 
-    S = colors
-    for a in S:
-        for b in S:
-            yield ("unitL_A", (a, b),
-                   compose(tensor(t("eta_A", a), i(I(a, b))), t("mu_A", a, a, b)),
-                   i(I(a, b)))
-            yield ("unitR_A", (a, b),
-                   compose(tensor(i(I(a, b)), t("eta_A", b)), t("mu_A", a, b, b)),
-                   i(I(a, b)))
-            yield ("counitL_A", (a, b),
-                   compose(t("Delta_A", a, a, b), tensor(t("eps_A", a), i(I(a, b)))),
-                   i(I(a, b)))
-            yield ("counitR_A", (a, b),
-                   compose(t("Delta_A", a, b, b), tensor(i(I(a, b)), t("eps_A", b))),
-                   i(I(a, b)))
-            yield ("symm_A", (a, b),
-                   compose(t("mu_A", a, b, a), t("eps_A", a)),
-                   compose(x(I(a, b), I(b, a)), compose(t("mu_A", b, a, b), t("eps_A", b))))
-            yield ("knowledge", (a, b),
-                   compose(tensor(t("zip", a), i(I(a, b))), t("mu_A", a, a, b)),
-                   compose(compose(x(O, I(a, b)), tensor(i(I(a, b)), t("zip", b))),
-                           t("mu_A", a, b, b)))
-            yield ("cardy", (a, b),
-                   compose(t("cozip", b), t("zip", a)),
-                   compose(compose(t("Delta_A", b, a, b), x(I(b, a), I(a, b))),
-                           t("mu_A", a, b, a)))
-            for c in S:
-                for d in S:
-                    yield ("assoc_A", (a, b, c, d),
-                           compose(tensor(t("mu_A", a, b, c), i(I(c, d))),
-                                   t("mu_A", a, c, d)),
-                           compose(tensor(i(I(a, b)), t("mu_A", b, c, d)),
-                                   t("mu_A", a, b, d)))
-                    yield ("coassoc_A", (a, b, c, d),
-                           compose(t("Delta_A", a, c, d),
-                                   tensor(t("Delta_A", a, b, c), i(I(c, d)))),
-                           compose(t("Delta_A", a, b, d),
-                                   tensor(i(I(a, b)), t("Delta_A", b, c, d))))
-                    yield ("frob_A", (a, b, c, d),
-                           compose(t("mu_A", a, b, c), t("Delta_A", a, d, c)),
-                           compose(tensor(i(I(a, b)), t("Delta_A", b, d, c)),
-                                   tensor(t("mu_A", a, b, d), i(I(d, c)))))
-                    yield ("frob_A2", (a, b, c, d),
-                           compose(t("mu_A", a, b, c), t("Delta_A", a, d, c)),
-                           compose(tensor(t("Delta_A", a, d, b), i(I(b, c))),
-                                   tensor(i(I(a, d)), t("mu_A", d, b, c))))
-    for a in S:
-        yield ("ziphom_mul", (a,),
-               compose(t("mu_C"), t("zip", a)),
-               compose(tensor(t("zip", a), t("zip", a)), t("mu_A", a, a, a)))
-        yield ("ziphom_unit", (a,),
-               compose(t("eta_C"), t("zip", a)),
-               t("eta_A", a))
-        yield ("duality", (a,),
-               compose(tensor(t("cozip", a), i(O)), compose(t("mu_C"), t("eps_C"))),
-               compose(tensor(i(I(a, a)), t("zip", a)),
-                       compose(t("mu_A", a, a, a), t("eps_A", a))))
-    yield ("assoc_C", (),
-           compose(tensor(t("mu_C"), i(O)), t("mu_C")),
-           compose(tensor(i(O), t("mu_C")), t("mu_C")))
-    yield ("unitL_C", (), compose(tensor(t("eta_C"), i(O)), t("mu_C")), i(O))
-    yield ("unitR_C", (), compose(tensor(i(O), t("eta_C")), t("mu_C")), i(O))
-    yield ("coassoc_C", (),
-           compose(t("Delta_C"), tensor(t("Delta_C"), i(O))),
-           compose(t("Delta_C"), tensor(i(O), t("Delta_C"))))
-    yield ("counitL_C", (), compose(t("Delta_C"), tensor(t("eps_C"), i(O))), i(O))
-    yield ("counitR_C", (), compose(t("Delta_C"), tensor(i(O), t("eps_C"))), i(O))
-    yield ("comm_C", (), compose(x(O, O), t("mu_C")), t("mu_C"))
-    yield ("cocomm_C", (), compose(t("Delta_C"), x(O, O)), t("Delta_C"))
-    yield ("frob_C", (),
-           compose(t("mu_C"), t("Delta_C")),
-           compose(tensor(i(O), t("Delta_C")), tensor(t("mu_C"), i(O))))
-    yield ("frob_C2", (),
-           compose(t("mu_C"), t("Delta_C")),
-           compose(tensor(t("Delta_C"), i(O)), tensor(i(O), t("mu_C"))))
+def _axiom_instances(colors):
+    """Yield (name, colours, lhs graph, rhs graph) for every axiom instance."""
+    def instances(cols):
+        env = dict(zip("abcd", cols))
+        for name, rule_id, reverse in _AXIOMS[len(cols)]:
+            rule = rules()[rule_id]
+            yield (name, cols, _recolored(rule.side(reverse), env),
+                   _recolored(rule.side(not reverse), env))
+
+    for a in colors:
+        for b in colors:
+            yield from instances((a, b))
+            for c in colors:
+                for d in colors:
+                    yield from instances((a, b, c, d))
+    for a in colors:
+        yield from instances((a,))
+    yield from instances(())
 
 
 def _obj_basis_label(alg: KFA, segs, flat: int) -> str:
-    dims = [alg.seg_dim(s) for s in segs]
-    if not dims:
+    if not segs:
         return "1"
-    idx = _decode(flat, dims)
-    names = []
-    for s, k in zip(segs, idx):
-        names.append(alg.basis[_space_key(s)][k])
-    return " (x) ".join(names)
+    idx = _decode(flat, [alg.seg_dim(s) for s in segs])
+    return " (x) ".join(alg.basis[_space_key(s)][k] for s, k in zip(segs, idx))
 
 
 def check_axioms(alg: KFA) -> AxiomReport:
     """Verify the defining equations of a knowledgeable Frobenius algebra.
 
-    Every axiom instance is evaluated on both sides as a linear map; the
+    Each instance is a catalog relation (see above) with its colour
+    variables bound; both sides are evaluated as linear maps, and the
     first differing basis column of each failing instance is reported.
     """
     structural = alg.validate_structure()
@@ -499,20 +453,16 @@ def check_axioms(alg: KFA) -> AxiomReport:
         return AxiomReport(False, len(structural), fails)
     failures = []
     checked = 0
-    for name, cols, lhs, rhs in _axiom_terms(alg.colors):
+    for name, cols, lhs, rhs in _axiom_instances(alg.colors):
         checked += 1
         ml = evaluate(lhs, alg)
         mr = evaluate(rhs, alg)
         if ml == mr:
             continue
-        src = lhs.source
-        witness = 0
-        for cidx in range(max(ml.cols, 1)):
-            if ml.col(cidx) != mr.col(cidx):
-                witness = cidx
-                break
+        witness = next((c for c in range(ml.cols)
+                        if ml.col(c) != mr.col(c)), 0)
         failures.append(AxiomFailure(
-            name, cols, witness, _obj_basis_label(alg, src, witness),
+            name, cols, witness, _obj_basis_label(alg, lhs.source, witness),
             ml.col(witness), mr.col(witness)))
     return AxiomReport(not failures, checked, tuple(failures))
 
@@ -961,7 +911,7 @@ def load_kfa(path) -> KFA:
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
             raise OcbordError(f"{path}: not valid JSON: {e}") from None
     if not isinstance(doc, dict) or doc.get("format") != "kfa":
         raise OcbordError(f"{path}: missing 'format': 'kfa' marker")

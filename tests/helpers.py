@@ -6,8 +6,9 @@ import re
 
 from ocbord.diagram import (DEFAULT_COLOR, Cross, DiagramTerm, Gen, Id, Seg,
                             TypingError, UnionFind, _node_parts, _renumber,
-                            _walk_order, check_composable, from_port_graph,
-                            tensor, to_port_graph)
+                            _walk_order, check_composable, compose,
+                            from_port_graph, gen_term, identity_term, tensor,
+                            to_port_graph)
 from ocbord.dsl import (_NAME, ParseError, SourceSpan, TypeMismatch,
                         _parse_atom, _parse_seg, _statements, _used_colors)
 from ocbord.invariants import _ARCS, invariants, profile_key
@@ -635,3 +636,97 @@ def tensor_parse(text: str, filename: str = "<string>") -> DiagramTerm:
                 f"colour(s) {sorted(bad)} not declared in the colors header",
                 SourceSpan(filename, 1, 1))
     return term
+
+
+def axiom_terms_reference(colors):
+    """Reference for ``tqft._axiom_instances``: (name, colours, lhs term,
+    rhs term) for every axiom instance, each term built by hand."""
+    O = Seg.O()
+
+    def I(a, b):
+        return Seg.I(a, b)
+
+    def t(kind, *cols):
+        return gen_term(Gen(kind, tuple(cols)))
+
+    def i(*segs):
+        return identity_term(tuple(segs))
+
+    def x(s1, s2):
+        return DiagramTerm((s1, s2), ((Cross(s1, s2),),))
+
+    S = colors
+    for a in S:
+        for b in S:
+            yield ("unitL_A", (a, b),
+                   compose(tensor(t("eta_A", a), i(I(a, b))), t("mu_A", a, a, b)),
+                   i(I(a, b)))
+            yield ("unitR_A", (a, b),
+                   compose(tensor(i(I(a, b)), t("eta_A", b)), t("mu_A", a, b, b)),
+                   i(I(a, b)))
+            yield ("counitL_A", (a, b),
+                   compose(t("Delta_A", a, a, b), tensor(t("eps_A", a), i(I(a, b)))),
+                   i(I(a, b)))
+            yield ("counitR_A", (a, b),
+                   compose(t("Delta_A", a, b, b), tensor(i(I(a, b)), t("eps_A", b))),
+                   i(I(a, b)))
+            yield ("symm_A", (a, b),
+                   compose(t("mu_A", a, b, a), t("eps_A", a)),
+                   compose(x(I(a, b), I(b, a)), compose(t("mu_A", b, a, b), t("eps_A", b))))
+            yield ("knowledge", (a, b),
+                   compose(tensor(t("zip", a), i(I(a, b))), t("mu_A", a, a, b)),
+                   compose(compose(x(O, I(a, b)), tensor(i(I(a, b)), t("zip", b))),
+                           t("mu_A", a, b, b)))
+            yield ("cardy", (a, b),
+                   compose(t("cozip", b), t("zip", a)),
+                   compose(compose(t("Delta_A", b, a, b), x(I(b, a), I(a, b))),
+                           t("mu_A", a, b, a)))
+            for c in S:
+                for d in S:
+                    yield ("assoc_A", (a, b, c, d),
+                           compose(tensor(t("mu_A", a, b, c), i(I(c, d))),
+                                   t("mu_A", a, c, d)),
+                           compose(tensor(i(I(a, b)), t("mu_A", b, c, d)),
+                                   t("mu_A", a, b, d)))
+                    yield ("coassoc_A", (a, b, c, d),
+                           compose(t("Delta_A", a, c, d),
+                                   tensor(t("Delta_A", a, b, c), i(I(c, d)))),
+                           compose(t("Delta_A", a, b, d),
+                                   tensor(i(I(a, b)), t("Delta_A", b, c, d))))
+                    yield ("frob_A", (a, b, c, d),
+                           compose(t("mu_A", a, b, c), t("Delta_A", a, d, c)),
+                           compose(tensor(i(I(a, b)), t("Delta_A", b, d, c)),
+                                   tensor(t("mu_A", a, b, d), i(I(d, c)))))
+                    yield ("frob_A2", (a, b, c, d),
+                           compose(t("mu_A", a, b, c), t("Delta_A", a, d, c)),
+                           compose(tensor(t("Delta_A", a, d, b), i(I(b, c))),
+                                   tensor(i(I(a, d)), t("mu_A", d, b, c))))
+    for a in S:
+        yield ("ziphom_mul", (a,),
+               compose(t("mu_C"), t("zip", a)),
+               compose(tensor(t("zip", a), t("zip", a)), t("mu_A", a, a, a)))
+        yield ("ziphom_unit", (a,),
+               compose(t("eta_C"), t("zip", a)),
+               t("eta_A", a))
+        yield ("duality", (a,),
+               compose(tensor(t("cozip", a), i(O)), compose(t("mu_C"), t("eps_C"))),
+               compose(tensor(i(I(a, a)), t("zip", a)),
+                       compose(t("mu_A", a, a, a), t("eps_A", a))))
+    yield ("assoc_C", (),
+           compose(tensor(t("mu_C"), i(O)), t("mu_C")),
+           compose(tensor(i(O), t("mu_C")), t("mu_C")))
+    yield ("unitL_C", (), compose(tensor(t("eta_C"), i(O)), t("mu_C")), i(O))
+    yield ("unitR_C", (), compose(tensor(i(O), t("eta_C")), t("mu_C")), i(O))
+    yield ("coassoc_C", (),
+           compose(t("Delta_C"), tensor(t("Delta_C"), i(O))),
+           compose(t("Delta_C"), tensor(i(O), t("Delta_C"))))
+    yield ("counitL_C", (), compose(t("Delta_C"), tensor(t("eps_C"), i(O))), i(O))
+    yield ("counitR_C", (), compose(t("Delta_C"), tensor(i(O), t("eps_C"))), i(O))
+    yield ("comm_C", (), compose(x(O, O), t("mu_C")), t("mu_C"))
+    yield ("cocomm_C", (), compose(t("Delta_C"), x(O, O)), t("Delta_C"))
+    yield ("frob_C", (),
+           compose(t("mu_C"), t("Delta_C")),
+           compose(tensor(i(O), t("Delta_C")), tensor(t("mu_C"), i(O))))
+    yield ("frob_C2", (),
+           compose(t("mu_C"), t("Delta_C")),
+           compose(tensor(t("Delta_C"), i(O)), tensor(i(O), t("mu_C"))))

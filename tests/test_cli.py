@@ -274,6 +274,20 @@ def test_axioms_on_a_huge_kfa_exits_1(tmp_path, capsys):
     assert "over the cap" in err
 
 
+def test_non_utf8_files_exit_2(tmp_path, capsys):
+    ocd, kfa = tmp_path / "junk.ocd", tmp_path / "junk.kfa"
+    for p in (ocd, kfa):
+        p.write_bytes(b"\xff\xfe\x00bad")
+    for argv in (["check", str(ocd)],
+                 ["eval", str(ocd), "--algebra", "matrix2"],
+                 ["eval", FIG, "--algebra", str(kfa)],
+                 ["axioms", str(kfa)]):
+        assert run(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+        assert "can't decode byte 0xff" in err, argv
+
+
 def test_batch_keeps_going_after_errors(tmp_path, capsys):
     good = _ocd(tmp_path, "good.ocd", "source O\nid:O\n")
     bad = _ocd(tmp_path, "bad.ocd", "source O\nnope\n")

@@ -12,7 +12,8 @@ from ocbord.diagram import (DiagramTerm, Gen, Seg, compose, gen_term, graph_eq,
                             to_port_graph)
 from ocbord.dsl import ParseError, TypeMismatch, parse, parse_file, render
 
-from helpers import random_term, tensor_parse, wide_text, window_strip
+from helpers import (_scan_split, random_term, tensor_parse, wide_text,
+                     window_strip)
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -292,6 +293,17 @@ def test_a_malformed_atom_is_reported_where_each_file_has_it():
             parse(text, where.split(":")[0])
         assert str(e.value) == f"{where}: mu_A takes 3 colour(s), got 2"
     assert bad not in dsl._ATOMS
+
+
+def test_split_top_equals_the_character_scan():
+    # stray and unbalanced brackets included: each closer lowers the depth
+    rng = random.Random(2718)
+    for _ in range(20000):
+        text = "".join(rng.choice("ab,|[]() I*")
+                       for _ in range(rng.randint(0, 16)))
+        for sep in ",|":
+            assert dsl._split_top(text, sep) == _scan_split(text, sep), \
+                (text, sep)
 
 
 def test_a_batch_reads_each_distinct_atom_once(monkeypatch, capsys):

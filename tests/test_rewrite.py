@@ -167,6 +167,18 @@ def test_handle_is_not_a_frobenius_redex():
     assert find_matches(g, "frobR_C", False) == []
 
 
+def test_a_splice_that_closes_a_loop_is_not_a_match():
+    # frobR_C's lhs on nodes 0, 2 binds the output of mu_C 1 to source 0
+    # and input 0 of that mu_C to target 1; mu_C;Delta_C would join the
+    # two, a loop through node 1
+    g = to_port_graph(parse("source O, O\nDelta_C | id:O\nid:O | mu_C\n"
+                            "cross(O, O)\nmu_C\n"))
+    assert find_matches(g, "frobR_C") == []
+    assert find_matches(g, "frobR_C", at=(0, 2)) == []
+    assert rewrite._kernel("frobR_C", False).links == (
+        frozenset({0, 1}), frozenset({0, 1}))
+
+
 def test_apply_match_leaves_host_untouched():
     g = to_port_graph(parse_file(CORPUS / "figure1.ocd"))
     snapshot = sorted(g.nodes.items())

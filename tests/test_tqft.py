@@ -9,9 +9,11 @@ import pytest
 
 import ocbord.tqft as tqft
 from ocbord.diagram import (Cross, DiagramTerm, OcbordError, Seg,
-                            identity_term, tensor, to_port_graph)
+                            canonical_key, identity_term, tensor,
+                            to_port_graph)
 from ocbord.dsl import parse, parse_file
 from ocbord.normalform import normal_form
+from ocbord.rewrite import rules
 from ocbord.tqft import (
     BUILTIN_ALGEBRAS,
     EVAL_DIM_CAP,
@@ -28,8 +30,9 @@ from ocbord.tqft import (
     save_kfa,
 )
 
-from helpers import (component_count, mutate_algebra, random_term, recolor,
-                     scan_contraction_plan, window_strip)
+from helpers import (axiom_terms_reference, component_count, mutate_algebra,
+                     random_term, recolor, scan_contraction_plan,
+                     window_strip)
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -248,6 +251,23 @@ def test_axiom_report_renders():
     mut, _, _ = mutate_algebra(rng, builtin_matrix_example(2))
     bad = check_axioms(mut)
     assert "fail" in str(bad) and str(bad.failures[0])
+
+
+def test_axiom_instances_are_the_catalog_relations():
+    # the recoloured catalog rules, in checking order, against the terms
+    # the checker used to build by hand
+    for colors in (("*",), ("a", "b"), ("x", "y", "z")):
+        got = list(tqft._axiom_instances(colors))
+        want = list(axiom_terms_reference(colors))
+        assert len(got) == len(want)
+        for (name, cols, lhs, rhs), (wname, wcols, wlhs, wrhs) in zip(got, want):
+            assert (name, cols, lhs.source) == (wname, wcols, wlhs.source)
+            assert canonical_key(lhs) == canonical_key(to_port_graph(wlhs))
+            assert canonical_key(rhs) == canonical_key(to_port_graph(wrhs))
+    used = [rule_id for table in tqft._AXIOMS.values()
+            for _, rule_id, _ in table]
+    defining = [r.id for r in rules().values() if r.group != "derived"]
+    assert sorted(used) == sorted(defining + ["cocomm_C"])
 
 
 # ---------------------------------------------------------------------------
