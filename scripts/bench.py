@@ -70,6 +70,11 @@ def _parse(text):
     return lambda: parse(text)
 
 
+def _to_port_graph(term):
+    from ocbord.diagram import to_port_graph
+    return lambda: to_port_graph(term)
+
+
 def _eval_matrix2(term):
     from ocbord.tqft import builtin_algebra, evaluate
     alg = builtin_algebra("matrix2")
@@ -102,6 +107,16 @@ def _check_trace(term):
     return lambda: check_trace(trace)
 
 
+# the series of the layers that read a diagram in: long walks, deep
+# strips and rows n atoms wide
+_READ_SERIES = {
+    "ladder": ("perfbench/gen.ladder_walk(n, str(n))", _ladder,
+               (200, 400, 800, 1600, 3200)),
+    "strip": ("render(tests/helpers.window_strip(n))", _strip,
+              (300, 600, 1200, 2400)),
+    "wide": ("tests/helpers.wide_text(n)", _wide, (500, 1000, 2000, 4000)),
+}
+
 # the series of the layers that name a port graph up to node ids
 _CANON_SERIES = {
     "closed": ("tests/helpers.closed_surface(n)", _closed,
@@ -123,12 +138,9 @@ _REWRITE_SERIES = {
 # text for parse, and returns the call to time; {series: (the input,
 # builder, sizes)})
 LAYERS = {
-    "parse": ("ocbord.dsl.parse(text)", _parse, {
-        "ladder": ("perfbench/gen.ladder_walk(n, str(n))", _ladder,
-                   (200, 400, 800, 1600, 3200)),
-        "strip": ("render(tests/helpers.window_strip(n))", _strip,
-                  (300, 600, 1200, 2400)),
-    }),
+    "parse": ("ocbord.dsl.parse(text)", _parse, _READ_SERIES),
+    "to_port_graph": ("ocbord.diagram.to_port_graph(term)", _to_port_graph,
+                      _READ_SERIES),
     "eval": ("ocbord.tqft.evaluate(term, builtin_algebra('matrix2'))",
              _eval_matrix2, {
                  "ladder": ("perfbench/gen.ladder_walk(n, str(n))", _ladder,

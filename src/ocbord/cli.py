@@ -24,7 +24,8 @@ import os
 import sys
 
 from .diagram import Gen, OcbordError, fmt_obj
-from .dsl import ParseError, TypeMismatch, parse, render
+# unused ``parse`` stays bound for tracers that wrap it in each namespace
+from .dsl import ParseError, TypeMismatch, parse, parse_file, render  # noqa
 from .invariants import invariants, equivalent
 from .rewrite import normalize_with_trace, write_trace
 from .tqft import (
@@ -50,13 +51,9 @@ class _UsageError(Exception):
 
 def _load_term(path):
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        return parse_file(path)
     except OSError as e:
         raise _UsageError(f"{path}: {e.strerror or e}") from None
-    except UnicodeDecodeError as e:
-        raise _UsageError(f"{path}: not UTF-8 text: {e}") from None
-    return parse(text, filename=path)
 
 
 def _load_algebra(name):

@@ -163,8 +163,8 @@ class DiagramTerm:
     """A diagram presented as slices of factors.
 
     ``source`` is the top boundary object; the bottom one, ``target``, is
-    computed by :meth:`validate`, which also type-checks every slice
-    boundary, on first use.
+    cached: ``parse`` and :func:`from_port_graph` fill it, else the first
+    use runs :meth:`validate`, which type-checks every slice boundary.
     """
 
     source: tuple
@@ -332,28 +332,37 @@ class PortGraph:
 
 
 def to_port_graph(term: DiagramTerm) -> PortGraph:
-    """Interpret a term as a port graph, absorbing identities and crossings."""
+    """Interpret a term as a port graph, absorbing identities and crossings.
+    Generators become nodes 0, 1, ... in reading order."""
     g = PortGraph(term.source, term.target)
+    nodes, out_to_in, in_to_out = g.nodes, g.out_to_in, g.in_to_out
     frontier = [("src", i) for i in range(len(term.source))]
+    nid = 0
     for sl in term.slices:
         pos = 0
         nxt = []
         for f in sl:
-            m = len(f.source)
-            ins = frontier[pos:pos + m]
-            pos += m
-            if isinstance(f, Id):
-                nxt.extend(ins)
-            elif isinstance(f, Cross):
-                nxt.extend((ins[1], ins[0]))
+            t = type(f)
+            if t is Id:
+                nxt.append(frontier[pos])
+                pos += 1
+            elif t is Cross:
+                nxt += (frontier[pos + 1], frontier[pos])
+                pos += 2
             else:
-                nid = g.add_node(f)
-                for k, p in enumerate(ins):
-                    g.wire(p, ("in", nid, k))
-                nxt.extend(("out", nid, k) for k in range(len(f.target)))
+                nodes[nid] = f
+                for k in range(len(f.source)):
+                    p = frontier[pos + k]
+                    out_to_in[p] = c = ("in", nid, k)
+                    in_to_out[c] = p
+                pos += len(f.source)
+                nxt += [("out", nid, k) for k in range(len(f.target))]
+                nid += 1
         frontier = nxt
+    g._next = nid
     for j, p in enumerate(frontier):
-        g.wire(p, ("tgt", j))
+        out_to_in[p] = c = ("tgt", j)
+        in_to_out[c] = p
     return g
 
 
@@ -618,4 +627,6 @@ def from_port_graph(g: PortGraph) -> DiagramTerm:
         while cur > j:
             emit_swap(cur - 1)
             cur -= 1
-    return DiagramTerm(g.source, tuple(slices))
+    term = DiagramTerm(g.source, tuple(slices))
+    vars(term)["target"] = g.target     # the wiring typed it: fill its cache
+    return term

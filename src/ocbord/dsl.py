@@ -19,7 +19,10 @@ Within a row the atoms bind left to right against the current boundary;
 an atom with empty source (``eta_A``, ``eta_C``) sits at the cursor
 position between its neighbours' wires.  Each distinct atom text is read
 and type-checked once per process, into a table that every ``parse`` call
-shares; rows are assembled from its entries.
+shares; rows are assembled from its entries, and a row of one-slice atoms
+is joined straight into one slice.  Each entry keeps the colours its atom
+uses, and the ``colors`` header is checked against those.  A source span
+is built only for an error or for an atom seen for the first time.
 
 >>> t = parse("source I,I ; mu_A ; Delta_A")
 >>> print(render(t), end="")
@@ -205,15 +208,16 @@ def _parse_atom(text: str, span: SourceSpan) -> DiagramTerm:
     return _macro(name, brack, span)
 
 
-# atom text -> (source, target, slices, identity slice on the target).
-# Only atoms that parsed are stored, so an error always carries the span
-# of the file being read.  The table is emptied when it reaches the cap.
+# atom text -> (source, target, slices, identity slice on the target,
+# colours used).  Only atoms that parsed are stored, so an error always
+# carries the span of the file being read.  The table is emptied when it
+# reaches the cap.
 ATOM_TABLE_CAP = 4096
 _ATOMS: dict = {}
 
 
-def _statements(text: str, filename: str):
-    """Yield (statement_text, span) with comments stripped."""
+def _statements(text: str):
+    """Yield (statement_text, line, col) with comments stripped."""
     for ln, line in enumerate(text.splitlines(), start=1):
         if "#" in line:
             line = line[:line.index("#")]
@@ -221,8 +225,7 @@ def _statements(text: str, filename: str):
         for piece in line.split(";"):
             stripped = piece.strip()
             if stripped:
-                yield stripped, SourceSpan(filename, ln,
-                                           col + len(piece) - len(piece.lstrip()))
+                yield stripped, ln, col + len(piece) - len(piece.lstrip())
             col += len(piece) + 1
 
 
@@ -232,53 +235,70 @@ def parse(text: str, filename: str = "<string>") -> DiagramTerm:
     source = None
     cur = None          # the boundary below the rows read so far
     slices = []
-    for stmt, span in _statements(text, filename):
-        head = stmt.split(None, 1)[0]
-        rest = stmt[len(head):].strip()
-        if head == "colors":
-            if source is not None or palette is not None:
-                raise ParseError("colors header must come first, once", span)
-            palette = _split_top(rest)
-            for n in palette:
-                if not re.fullmatch(_NAME, n):
-                    raise ParseError(f"bad colour name {n!r}", span)
-            continue
-        if head == "source":
-            if source is not None:
+    used = set()        # colours of the rows, kept once a header asks
+    for stmt, ln, col in _statements(text):
+        head = stmt[:6]
+        if head in ("colors", "source") and stmt.split(None, 1)[0] == head:
+            rest, span = stmt[6:].strip(), SourceSpan(filename, ln, col)
+            if head == "colors":
+                if source is not None or palette is not None:
+                    raise ParseError("colors header must come first, once",
+                                     span)
+                palette = _split_top(rest)
+                for n in palette:
+                    if not re.fullmatch(_NAME, n):
+                        raise ParseError(f"bad colour name {n!r}", span)
+            elif source is not None:
                 raise ParseError("duplicate source line", span)
-            source = cur = tuple(_parse_seg(s, span)
-                                 for s in _split_top(rest))
+            else:
+                source = cur = tuple(_parse_seg(s, span)
+                                     for s in _split_top(rest))
             continue
         if source is None:
-            raise ParseError("expected a source line before rows", span)
-        row = []
-        for a in _split_top(stmt, "|"):
-            entry = _ATOMS.get(a)
-            if entry is None:
-                t = _parse_atom(a, span)
+            raise ParseError("expected a source line before rows",
+                             SourceSpan(filename, ln, col))
+        if "[" in stmt or "(" in stmt or "]" in stmt or ")" in stmt:
+            atoms = _split_top(stmt, "|")
+        else:
+            atoms = [a.strip() for a in stmt.split("|")]
+        row, src, nxt, one, deep = [], [], [], [], False
+        for a in atoms:
+            e = _ATOMS.get(a)
+            if e is None:
+                t = _parse_atom(a, SourceSpan(filename, ln, col))
                 tgt = t.validate()
                 if len(_ATOMS) >= ATOM_TABLE_CAP:
                     _ATOMS.clear()
-                entry = _ATOMS[a] = (t.source, tgt, t.slices, _id_slice(tgt))
-            row.append(entry)
+                e = _ATOMS[a] = (t.source, tgt, t.slices, _id_slice(tgt),
+                                 frozenset(_used_colors(t)))
+            row.append(e)
+            src += e[0]
+            nxt += e[1]
+            one += e[2][0]
+            deep = deep or len(e[2]) > 1
+        if not deep:
+            slices.append(tuple(one))
+        else:
+            # as tensor() would: pad the shorter atoms with identities
+            n = max(len(e[2]) for e in row)
+            cols = [e[2] + (e[3],) * (n - len(e[2])) for e in row]
+            slices.extend(tuple(f for col in cols for f in col[i])
+                          for i in range(n))
         try:
-            check_composable(cur, tuple(s for e in row for s in e[0]))
+            check_composable(cur, tuple(src))
         except TypingError as e:
-            raise TypeMismatch(str(e), span) from None
-        # as tensor() would: pad the shorter atoms with identities
-        n = max(len(e[2]) for e in row)
-        cols = [e[2] + (e[3],) * (n - len(e[2])) for e in row]
-        slices.extend(tuple(f for col in cols for f in col[i])
-                      for i in range(n))
-        cur = tuple(s for e in row for s in e[1])
+            raise TypeMismatch(str(e), SourceSpan(filename, ln, col)) from None
+        if palette is not None:
+            used.update(*[e[4] for e in row])
+        cur = tuple(nxt)
     if source is None:
         raise ParseError("no source line", SourceSpan(filename, 1, 1))
     term = DiagramTerm(source, tuple(slices))
     vars(term)["target"] = cur      # the rows typed it: fill its cache
     if palette is not None:
-        allowed = set(palette) | {DEFAULT_COLOR}
-        used = _used_colors(term)
-        bad = used - allowed
+        used.update(c for s in source if s.is_interval
+                    for c in (s.left, s.right))
+        bad = used - set(palette) - {DEFAULT_COLOR}
         if bad:
             raise ParseError(
                 f"colour(s) {sorted(bad)} not declared in the colors header",
@@ -287,8 +307,13 @@ def parse(text: str, filename: str = "<string>") -> DiagramTerm:
 
 
 def parse_file(path) -> DiagramTerm:
-    with open(path, encoding="utf-8") as fh:
-        return parse(fh.read(), filename=str(path))
+    """Parse an ``.ocd`` file; text that is not UTF-8 is a ParseError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 text: {e}") from None
+    return parse(text, filename=str(path))
 
 
 def _used_colors(term: DiagramTerm) -> set:
@@ -314,8 +339,10 @@ def _used_colors(term: DiagramTerm) -> set:
 
 
 def render(term: DiagramTerm) -> str:
-    """Render a term as ``.ocd`` text.  ``parse(render(t))`` equals ``t``."""
-    term.validate()
+    """Render a term as ``.ocd`` text.  ``parse(render(t))`` equals ``t``.
+
+    The term is type-checked once, through its cached ``target``."""
+    term.target
     lines = []
     named = sorted(_used_colors(term) - {DEFAULT_COLOR})
     if named:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import OcbordError, UnionFind, as_graph, canonical_order
+from .diagram import OcbordError, _least_walk, as_graph
 
 # Euler characteristic of each generator's underlying sheet: discs for
 # the open generators and the closed cup/cap, pants for the closed
@@ -189,48 +189,64 @@ def _free_boundary(g):
 
 
 def _assemble(g, sigma, gamma, windows) -> Invariants:
-    """The invariant record from the free boundary of ``g``."""
-    # Connected components over nodes and boundary ports; every one of
-    # them has a wire.
-    cuf = UnionFind()
+    """The invariant record from the free boundary of ``g``.
 
-    def item(ep):
-        if ep[0] in ("src", "tgt"):
-            return ("b", ep[0], ep[1])
-        return ("n", ep[1])
+    One depth-first search over the node ids finds the components and
+    sums their Euler characteristics: the generators' sheets, less one
+    for each interval wire between two of them.  A bare wire from source
+    to target is a strip (euler 1) or a cylinder (euler 0) of its own.
+    Components come by least source, then least target position; the
+    boundary-free ones last, by their least walk's serialisation once
+    there are two (equal ones mean isomorphic components: no tie rule).
+    """
+    nodes, out_to_in, in_to_out = g.nodes, g.out_to_in, g.in_to_out
+    at = {}             # node id or boundary port -> its component
+    comps = []
 
-    for prod, cons in g.wires():
-        cuf.union(item(prod), item(cons))
+    def component(chi):
+        comps.append({"nodes": [], "src": [], "tgt": [], "chi": chi,
+                      "circle_ports": 0, "windows": [], "cycles": []})
+        return comps[-1]
 
-    comps = {}                      # root -> accumulator
-    for x_ in cuf.parent:
-        comps.setdefault(cuf.find(x_), {
-            "nodes": set(), "src": [], "tgt": [], "chi": 0,
-            "circle_ports": 0, "windows": [], "cycles": []})
-    for nid, gen in g.nodes.items():
-        c = comps[cuf.find(("n", nid))]
-        c["nodes"].add(nid)
-        c["chi"] += CHI[gen.kind]
-    for i, seg in enumerate(g.source):
-        c = comps[cuf.find(("b", "src", i))]
-        c["src"].append(i)
-        if not seg.is_interval:
-            c["circle_ports"] += 1
-    for j, seg in enumerate(g.target):
-        c = comps[cuf.find(("b", "tgt", j))]
-        c["tgt"].append(j)
-        if not seg.is_interval:
-            c["circle_ports"] += 1
-    for prod, cons in g.wires():
-        seg = g.producer_seg(prod)
-        if not seg.is_interval:
+    for root in nodes:
+        if root in at:
             continue
-        if prod[0] == "src" and cons[0] == "tgt":
-            comps[cuf.find(item(prod))]["chi"] += 1
-        elif prod[0] == "out" and cons[0] == "in":
-            comps[cuf.find(item(prod))]["chi"] -= 1
+        c, stack, chi = component(0), [root], 0
+        while stack:
+            nid = stack.pop()
+            if nid in at:
+                continue
+            at[nid] = c
+            c["nodes"].append(nid)
+            gen = nodes[nid]
+            chi += CHI[gen.kind]
+            for k in range(len(gen.source)):
+                ep = in_to_out[("in", nid, k)]
+                if ep[0] == "out":
+                    stack.append(ep[1])
+            for k, seg in enumerate(gen.target):
+                ep = out_to_in[("out", nid, k)]
+                if ep[0] == "in":
+                    chi -= seg.is_interval
+                    stack.append(ep[1])
+        c["chi"] = chi
+    for i, seg in enumerate(g.source):
+        ep = out_to_in[("src", i)]
+        if ep[0] == "in":
+            c = at[ep[1]]
+        else:
+            c = at[ep] = component(int(seg.is_interval))
+        at[("src", i)] = c
+        c["src"].append(i)
+        c["circle_ports"] += not seg.is_interval
+    for j, seg in enumerate(g.target):
+        ep = in_to_out[("tgt", j)]
+        c = at[ep[1] if ep[0] == "out" else ("tgt", j)]
+        at[("tgt", j)] = c
+        c["tgt"].append(j)
+        c["circle_ports"] += not seg.is_interval
     for nid, colour in windows:
-        comps[cuf.find(("n", nid))]["windows"].append(colour)
+        at[nid]["windows"].append(colour)
 
     # sigma cycles, handed to their owning component; each starts at
     # its least port j0.
@@ -243,30 +259,23 @@ def _assemble(g, sigma, gamma, windows) -> Invariants:
             seen.add(j)
             cyc.append(j)
             j = sigma[j]
-        comps[cuf.find(item(ports[j0 - 1]))]["cycles"].append(tuple(cyc))
+        at[ports[j0 - 1]]["cycles"].append(tuple(cyc))
 
-    # Deterministic component order: by smallest owned boundary position,
-    # sources before targets; boundary-free components last, ordered by
-    # the canonical node order of the graph.
-    co_index = {nid: i for i, nid in enumerate(canonical_order(g))}
-
-    def comp_key(c):
-        if c["src"]:
-            return (0, 0, min(c["src"]))
-        if c["tgt"]:
-            return (0, 1, min(c["tgt"]))
-        return (1, 0, min(co_index[n] for n in c["nodes"]))
-
+    closed = [c for c in comps if not c["src"] and not c["tgt"]]
+    if len(closed) > 1:
+        closed.sort(key=lambda c: _least_walk(g, c["nodes"])[0])
     out = []
-    for c in sorted(comps.values(), key=comp_key):
+    for c in sorted((c for c in comps if c["src"] or c["tgt"]),
+                    key=lambda c: (0, c["src"][0]) if c["src"]
+                    else (1, c["tgt"][0])) + closed:
         b = c["circle_ports"] + len(c["windows"]) + len(c["cycles"])
         two_g = 2 - c["chi"] - b
         if two_g < 0 or two_g % 2:
             raise OcbordError(
                 f"inconsistent topology: euler {c['chi']}, {b} boundary circles")
         out.append(ComponentInvariants(
-            src_positions=tuple(sorted(c["src"])),
-            tgt_positions=tuple(sorted(c["tgt"])),
+            src_positions=tuple(c["src"]),
+            tgt_positions=tuple(c["tgt"]),
             euler=c["chi"],
             genus=two_g // 2,
             boundary_circles=b,

@@ -482,8 +482,13 @@ def write_trace(trace: MoveTrace, path) -> None:
 
 
 def read_trace(path) -> MoveTrace:
-    with open(path, encoding="utf-8") as fh:
-        return parse_trace(fh.read())
+    """Read a trace file; text that is not UTF-8 is a TraceError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as e:
+        raise TraceError(f"{path}: not UTF-8 text: {e}") from None
+    return parse_trace(text)
 
 
 def check_trace(trace: MoveTrace) -> bool:

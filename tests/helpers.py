@@ -3,15 +3,20 @@ profile-changing perturbations."""
 
 import random
 import re
+import sys
+from pathlib import Path
 
-from ocbord.diagram import (DEFAULT_COLOR, Cross, DiagramTerm, Gen, Id, Seg,
-                            TypingError, UnionFind, _node_parts, _renumber,
-                            _walk_order, check_composable, compose,
+from ocbord.diagram import (DEFAULT_COLOR, Cross, DiagramTerm, Gen, Id,
+                            OcbordError, PortGraph, Seg, TypingError,
+                            UnionFind, _node_parts, _renumber, _walk_order,
+                            canonical_order, check_composable, compose,
                             from_port_graph, gen_term, identity_term, tensor,
                             to_port_graph)
 from ocbord.dsl import (_NAME, ParseError, SourceSpan, TypeMismatch,
-                        _parse_atom, _parse_seg, _statements, _used_colors)
-from ocbord.invariants import _ARCS, invariants, profile_key
+                        _parse_atom, _parse_seg, _statements, _used_colors,
+                        parse, parse_file)
+from ocbord.invariants import (_ARCS, CHI, ComponentInvariants, Invariants,
+                               _ports, invariants, profile_key)
 from ocbord.rewrite import (Match, _pattern, _splice_is_acyclic, _unify_seg,
                             apply_match, find_matches, rules)
 
@@ -304,6 +309,40 @@ def closed_surface(n: int) -> str:
     return "source\neta_C\n" + "window_c\n" * n + "eps_C\n"
 
 
+def crown_text(k: int) -> str:
+    """``.ocd`` text of the crown: ``k`` ``eta_C`` feed ``k`` ``Delta_C``;
+    output 0 of ``Delta_C`` i enters ``mu_C`` i at input 0 and output 1
+    enters ``mu_C`` (i + 1 mod k) at input 1; each ``mu_C`` feeds an
+    ``eps_C``.  One closed torus of 4k nodes with a k-fold rotation
+    symmetry, laid out on a boundary at most four circles wide."""
+    step = ("id:O | id:O | eta_C\nid:O | id:O | Delta_C\n"
+            "id:O | cross(O,O) | id:O\nid:O | mu_C | id:O\n"
+            "id:O | eps_C | id:O\n")
+    return "source\neta_C\nDelta_C\n" + step * (k - 1) + "mu_C\neps_C\n"
+
+
+def read_path_samples() -> list:
+    """Terms for the read-path oracles: 500 unconnected random terms in
+    the colours ``*`` or ``a, b``, the corpus, two ladder walks, closed
+    surfaces, and crowns, one alone and beside other closed components."""
+    root = Path(__file__).resolve().parent.parent
+    if str(root / "perfbench") not in sys.path:
+        sys.path.insert(0, str(root / "perfbench"))
+    import gen      # the ladder workload's walk generator
+    rng = random.Random(1729)
+    terms = [random_term(rng, colors=("*",) if i % 2 else ("a", "b"),
+                         connected=False) for i in range(500)]
+    terms += [parse_file(f) for f in sorted((root / "corpus").glob("*.ocd"))]
+    terms += [parse(gen.ladder_walk(n, str(n)).text()) for n in (200, 800)]
+    terms += [parse(closed_surface(n)) for n in (1, 40)]
+    crowns = [parse(crown_text(k)) for k in (1, 2, 7, 64)]
+    terms += crowns
+    terms.append(tensor(crowns[2], crowns[2]))
+    terms.append(tensor(parse(closed_surface(3)), crowns[1],
+                        parse(closed_surface(1)), crowns[3], crowns[0]))
+    return terms
+
+
 def mu_c_comb_text(n: int) -> str:
     """``.ocd`` text merging ``n`` source circles by a right comb of
     ``mu_C``: row k is ``id:O`` x (n-2-k), then ``mu_C``."""
@@ -437,6 +476,124 @@ def product_find_matches(host, rule_id: str, reverse: bool = False) -> list:
     assign(0, ())
     out.sort(key=lambda m: (m.nodes, m.src_prod, m.tgt_cons))
     return out
+
+
+def wire_by_wire_graph(term: DiagramTerm) -> PortGraph:
+    """Reference for ``diagram.to_port_graph``: add each generator with
+    ``add_node`` and each wire with ``wire``, testing factors with
+    ``isinstance``."""
+    g = PortGraph(term.source, term.target)
+    frontier = [("src", i) for i in range(len(term.source))]
+    for sl in term.slices:
+        pos = 0
+        nxt = []
+        for f in sl:
+            m = len(f.source)
+            ins = frontier[pos:pos + m]
+            pos += m
+            if isinstance(f, Id):
+                nxt.extend(ins)
+            elif isinstance(f, Cross):
+                nxt.extend((ins[1], ins[0]))
+            else:
+                nid = g.add_node(f)
+                for k, p in enumerate(ins):
+                    g.wire(p, ("in", nid, k))
+                nxt.extend(("out", nid, k) for k in range(len(f.target)))
+        frontier = nxt
+    for j, p in enumerate(frontier):
+        g.wire(p, ("tgt", j))
+    return g
+
+
+def union_find_assemble(g, sigma, gamma, windows) -> Invariants:
+    """Reference for ``invariants._assemble``: components from a
+    union-find over tagged nodes and boundary ports, Euler terms summed
+    in separate passes, and boundary-free components ordered by where
+    their nodes fall in the whole graph's ``canonical_order``."""
+    cuf = UnionFind()
+
+    def item(ep):
+        if ep[0] in ("src", "tgt"):
+            return ("b", ep[0], ep[1])
+        return ("n", ep[1])
+
+    for prod, cons in g.wires():
+        cuf.union(item(prod), item(cons))
+
+    comps = {}                      # root -> accumulator
+    for x_ in cuf.parent:
+        comps.setdefault(cuf.find(x_), {
+            "nodes": set(), "src": [], "tgt": [], "chi": 0,
+            "circle_ports": 0, "windows": [], "cycles": []})
+    for nid, gen in g.nodes.items():
+        c = comps[cuf.find(("n", nid))]
+        c["nodes"].add(nid)
+        c["chi"] += CHI[gen.kind]
+    for i, seg in enumerate(g.source):
+        c = comps[cuf.find(("b", "src", i))]
+        c["src"].append(i)
+        if not seg.is_interval:
+            c["circle_ports"] += 1
+    for j, seg in enumerate(g.target):
+        c = comps[cuf.find(("b", "tgt", j))]
+        c["tgt"].append(j)
+        if not seg.is_interval:
+            c["circle_ports"] += 1
+    for prod, cons in g.wires():
+        seg = g.producer_seg(prod)
+        if not seg.is_interval:
+            continue
+        if prod[0] == "src" and cons[0] == "tgt":
+            comps[cuf.find(item(prod))]["chi"] += 1
+        elif prod[0] == "out" and cons[0] == "in":
+            comps[cuf.find(item(prod))]["chi"] -= 1
+    for nid, colour in windows:
+        comps[cuf.find(("n", nid))]["windows"].append(colour)
+
+    ports, seen = _ports(g), set()
+    for j0 in sorted(sigma):
+        if j0 in seen:
+            continue
+        cyc, j = [], j0
+        while j not in seen:
+            seen.add(j)
+            cyc.append(j)
+            j = sigma[j]
+        comps[cuf.find(item(ports[j0 - 1]))]["cycles"].append(tuple(cyc))
+
+    co_index = {nid: i for i, nid in enumerate(canonical_order(g))}
+
+    def comp_key(c):
+        if c["src"]:
+            return (0, 0, min(c["src"]))
+        if c["tgt"]:
+            return (0, 1, min(c["tgt"]))
+        return (1, 0, min(co_index[n] for n in c["nodes"]))
+
+    out = []
+    for c in sorted(comps.values(), key=comp_key):
+        b = c["circle_ports"] + len(c["windows"]) + len(c["cycles"])
+        two_g = 2 - c["chi"] - b
+        if two_g < 0 or two_g % 2:
+            raise OcbordError(
+                f"inconsistent topology: euler {c['chi']}, {b} boundary circles")
+        out.append(ComponentInvariants(
+            src_positions=tuple(sorted(c["src"])),
+            tgt_positions=tuple(sorted(c["tgt"])),
+            euler=c["chi"],
+            genus=two_g // 2,
+            boundary_circles=b,
+            windows=tuple(sorted(c["windows"])),
+            cycles=tuple(sorted(c["cycles"])),
+        ))
+    return Invariants(
+        source=g.source,
+        target=g.target,
+        components=tuple(out),
+        sigma=tuple(sorted(sigma.items())),
+        gamma=tuple(sorted(gamma.items())),
+    )
 
 
 def union_find_free_boundary(g):
@@ -600,7 +757,8 @@ def tensor_parse(text: str, filename: str = "<string>") -> DiagramTerm:
     source = None
     cur = None
     slices = []
-    for stmt, span in _statements(text, filename):
+    for stmt, ln, col in _statements(text):
+        span = SourceSpan(filename, ln, col)
         head = stmt.split(None, 1)[0]
         rest = stmt[len(head):].strip()
         if head == "colors":

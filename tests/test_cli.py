@@ -288,6 +288,17 @@ def test_non_utf8_files_exit_2(tmp_path, capsys):
         assert "can't decode byte 0xff" in err, argv
 
 
+def test_library_readers_raise_their_own_errors_on_non_utf8(tmp_path):
+    junk = tmp_path / "junk"
+    junk.write_bytes(b"\xff\xfe\x00bad")
+    for read, error in ((parse_file, ocbord.ParseError),
+                        (read_trace, ocbord.TraceError)):
+        with pytest.raises(error) as e:
+            read(junk)
+        assert str(e.value).startswith(f"{junk}: not UTF-8 text: ")
+        assert "can't decode byte 0xff" in str(e.value)
+
+
 def test_batch_keeps_going_after_errors(tmp_path, capsys):
     good = _ocd(tmp_path, "good.ocd", "source O\nid:O\n")
     bad = _ocd(tmp_path, "bad.ocd", "source O\nnope\n")

@@ -37,8 +37,8 @@ from ocbord.normalform import normal_form
 from ocbord.rewrite import check_trace, normalize_with_trace
 from ocbord.tqft import builtin_matrix_example, evaluate
 
-from helpers import (closed_surface, random_term, seedwise_canonical_order,
-                     wide_text)
+from helpers import (closed_surface, random_term, read_path_samples,
+                     seedwise_canonical_order, wide_text, wire_by_wire_graph)
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -299,3 +299,13 @@ def test_canonical_order_reads_each_node_a_few_times():
     g.nodes = _CountingNodes(g.nodes)
     canonical_order(g)
     assert g.nodes.reads <= 4 * len(g.nodes)
+
+
+def test_port_graph_equals_the_wire_by_wire_reference():
+    for k, t in enumerate(read_path_samples()):
+        g, ref = to_port_graph(t), wire_by_wire_graph(t)
+        assert (g.source, g.target) == (ref.source, ref.target), k
+        assert list(g.nodes.items()) == list(ref.nodes.items()), k
+        assert list(g.out_to_in.items()) == list(ref.out_to_in.items()), k
+        assert list(g.in_to_out.items()) == list(ref.in_to_out.items()), k
+        assert g._next == ref._next, k

@@ -7,9 +7,9 @@ from pathlib import Path
 import pytest
 
 from ocbord import dsl
-from ocbord.diagram import (DiagramTerm, Gen, Seg, compose, gen_term, graph_eq,
-                            identity_term, syntactic_eq, tensor,
-                            to_port_graph)
+from ocbord.diagram import (DiagramTerm, Gen, Seg, TypingError, compose,
+                            gen_term, graph_eq, identity_term, syntactic_eq,
+                            tensor, to_port_graph)
 from ocbord.dsl import ParseError, TypeMismatch, parse, parse_file, render
 
 from helpers import (_scan_split, random_term, tensor_parse, wide_text,
@@ -172,6 +172,59 @@ def test_parse_validates_each_atom_once(monkeypatch):
     assert sum(walked) <= 3 * 4500
 
 
+def test_render_type_checks_a_term_once(monkeypatch):
+    from ocbord.rewrite import normalize_with_trace
+    terms = []
+    for f in sorted(CORPUS.glob("*.ocd")):
+        nf, trace = normalize_with_trace(parse_file(f))
+        terms += [nf, trace.initial, trace.final]
+    walked = []
+    validate = DiagramTerm.validate
+
+    def counting(self):
+        walked.append(self)
+        return validate(self)
+
+    monkeypatch.setattr(DiagramTerm, "validate", counting)
+    for t in terms:
+        render(t)
+    assert walked == []
+    bad = DiagramTerm((Seg.O(),), ((Gen("mu_C"),),))
+    with pytest.raises(TypingError):
+        render(bad)
+    assert walked == [bad]
+
+
+def test_colour_header_is_checked_against_the_atom_colours():
+    # rendered coloured terms, with the header intact, thinned by one
+    # colour, or naming one more; and colours met only on the source
+    rng = random.Random(4242)
+    texts = []
+    for _ in range(300):
+        text = render(random_term(rng, max_gens=15, colors=("a", "b", "c"),
+                                  connected=False))
+        head, _, rest = text.partition("\n")
+        if not head.startswith("colors "):
+            continue
+        names = head[len("colors "):].split(", ")
+        texts.append(text)
+        texts.append("colors " + ", ".join(names[1:]) + "\n" + rest)
+        texts.append("colors " + ", ".join(names + ["z"]) + "\n" + rest)
+    assert len(texts) > 600
+    texts += ["colors a\nsource I[a,b]\n", "colors a\nsource I[a,b]\n"
+              "id:I[a,b]\n",
+              "colors b\nsource I[a,b], O\nid:I[a,b] | window_w[b]\n",
+              "colors a, b\nsource I[a,b]\nid:I[a,b]\n",
+              "colors a\nsource O\nwindow_w[a] ; window_w[c]\n"
+              "window_w[b] ; window_w[d]\n"]
+    failed = 0
+    for text in texts:
+        new, old = _outcome(text)
+        assert new == old, text
+        failed += not isinstance(new, str)
+    assert failed > 200
+
+
 # rows on the boundary I, O that parse and keep it
 _GOOD_ROWS = ["id:I | id:O", "window_o | id:O", "id:I | window_c",
               "Delta_A | id:O ; mu_A | id:O", "cross(I, O) ; cross(O,I)",
@@ -312,7 +365,7 @@ def test_a_batch_reads_each_distinct_atom_once(monkeypatch, capsys):
     assert len(paths) == 13
     distinct = set()
     for p in paths:
-        for stmt, _ in dsl._statements(p.read_text(encoding="utf-8"), ""):
+        for stmt, _, _ in dsl._statements(p.read_text(encoding="utf-8")):
             if stmt.split()[0] not in ("colors", "source"):
                 distinct.update(dsl._split_top(stmt, "|"))
     read = []

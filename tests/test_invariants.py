@@ -1,17 +1,20 @@
 """Topological invariants: objects, sigma, gamma, genus, windows, chi."""
 
+import importlib
 import random
 import sys
 from pathlib import Path
 
-from ocbord.diagram import (Seg, as_graph, identity_term, to_port_graph,
-                            from_port_graph)
-from ocbord.invariants import _assemble, equivalent, invariants, profile_key
+from ocbord.diagram import (Seg, as_graph, identity_term, tensor,
+                            to_port_graph, from_port_graph)
+from ocbord.invariants import (_assemble, _free_boundary, equivalent,
+                               invariants, profile_key)
 from ocbord.dsl import parse, parse_file
 from ocbord.normalform import normal_form
 
 from cw_oracle import cw_profile
-from helpers import (closed_surface, perturb, random_mutant, random_term,
+from helpers import (closed_surface, crown_text, perturb, random_mutant,
+                     random_term, read_path_samples, union_find_assemble,
                      union_find_free_boundary, wide_text, window_strip)
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -176,3 +179,31 @@ def test_boundary_walk_matches_union_find_at_scale():
     _walk_matches_union_find(window_strip(600))
     _walk_matches_union_find(parse(closed_surface(200)))
     _walk_matches_union_find(parse(wide_text(300)))
+
+
+def test_assemble_equals_the_union_find_reference():
+    for k, t in enumerate(read_path_samples()):
+        g = to_port_graph(t)
+        assert invariants(t) == union_find_assemble(g, *_free_boundary(g)), k
+
+
+def test_least_walk_runs_once_per_closed_component_when_two_or_more(
+        monkeypatch):
+    # the package's ``invariants`` attribute is the function; fetch the module
+    invariants_module = importlib.import_module("ocbord.invariants")
+    calls = []
+    least_walk = invariants_module._least_walk
+
+    def counting(g, comp):
+        calls.append(len(comp))
+        return least_walk(g, comp)
+
+    monkeypatch.setattr(invariants_module, "_least_walk", counting)
+    crown, torus = parse(crown_text(50)), parse(closed_surface(1))
+    strip = parse("source I ; window_o")
+    for t, want in ((strip, []), (crown, []), (tensor(strip, crown), []),
+                    (tensor(crown, crown), [200, 200]),
+                    (tensor(torus, strip, crown, torus), [4, 200, 4])):
+        calls.clear()
+        invariants(t)
+        assert calls == want
