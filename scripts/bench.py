@@ -75,6 +75,12 @@ def _to_port_graph(term):
     return lambda: to_port_graph(term)
 
 
+def _from_port_graph(term):
+    from ocbord.diagram import from_port_graph, to_port_graph
+    g = to_port_graph(term)
+    return lambda: from_port_graph(g)
+
+
 def _eval_matrix2(term):
     from ocbord.tqft import builtin_algebra, evaluate
     alg = builtin_algebra("matrix2")
@@ -125,6 +131,12 @@ _CANON_SERIES = {
                (200, 400, 800, 1600, 3200)),
 }
 
+# the series of the layout: long walks, deep strips and closed surfaces,
+# whose input-less nodes are placed in canonical order
+_LAYOUT_SERIES = {"ladder": _READ_SERIES["ladder"],
+                  "strip": _READ_SERIES["strip"],
+                  "closed": _CANON_SERIES["closed"]}
+
 # the series of the rewrite layers: moves on long walks and deep strips
 _REWRITE_SERIES = {
     "ladder": ("perfbench/gen.ladder_walk(n, str(n))", _ladder,
@@ -154,6 +166,9 @@ LAYERS = {
                    _CANON_SERIES),
     "normal_form": ("ocbord.normalform.normal_form(term)", _normal_form,
                     _CANON_SERIES),
+    "from_port_graph": ("ocbord.diagram.from_port_graph(g), g made "
+                        "untimed by to_port_graph(term)", _from_port_graph,
+                        _LAYOUT_SERIES),
     "normalize_with_trace": ("ocbord.rewrite.normalize_with_trace(term)",
                              _normalize_with_trace, _REWRITE_SERIES),
     "check_trace": ("ocbord.rewrite.check_trace(trace), the trace made "

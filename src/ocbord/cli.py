@@ -100,7 +100,8 @@ def _batch(ns, work, human):
 
     ``work(path)`` builds one file's report; a failure becomes an ok=False
     report so the batch keeps going, and the exit code is the worst seen.
-    Reports follow the input order.
+    Reports follow the input order.  ``human(rep)`` renders a report
+    that succeeded; one that failed reads ``FILE: error``.
     """
     reports = []
     code = EXIT_OK
@@ -113,7 +114,7 @@ def _batch(ns, work, human):
             print(f"error: {e}", file=sys.stderr)
         reports.append(rep)
         if not ns.json:
-            for line in human(rep):
+            for line in human(rep) if rep["ok"] else [f"{path}: error"]:
                 print(line)
     if ns.json:
         _emit_json(reports)
@@ -136,13 +137,8 @@ def _cmd_check(ns):
         }
 
     def human(rep):
-        if rep["ok"]:
-            src = ", ".join(rep["source"]) or "(empty)"
-            tgt = ", ".join(rep["target"]) or "(empty)"
-            yield (f"{rep['file']}: ok: {src} -> {tgt} "
-                   f"({rep['generators']} generators)")
-        else:
-            yield f"{rep['file']}: error"
+        yield (f"{rep['file']}: ok: {fmt_obj(rep['source'])} -> "
+               f"{fmt_obj(rep['target'])} ({rep['generators']} generators)")
 
     return _batch(ns, work, human)
 
@@ -156,12 +152,9 @@ def _cmd_invariants(ns):
         return rep
 
     def human(rep):
-        if not rep["ok"]:
-            yield f"{rep['file']}: error"
-            return
         yield f"file = {rep['file']}"
-        yield f"source = {', '.join(rep['source']) or '(empty)'}"
-        yield f"target = {', '.join(rep['target']) or '(empty)'}"
+        yield f"source = {fmt_obj(rep['source'])}"
+        yield f"target = {fmt_obj(rep['target'])}"
         yield f"components = {len(rep['components'])}"
         yield f"sigma = {rep['sigma_cycles']}"
         gam = rep["gamma"]
@@ -237,15 +230,10 @@ def _cmd_eval(ns):
         }
 
     def human(rep):
-        if not rep["ok"]:
-            yield f"{rep['file']}: error"
-            return
         yield f"file = {rep['file']}"
         yield f"algebra = {rep['algebra']}"
-        yield (f"domain = {', '.join(rep['domain']) or '(empty)'} "
-               f"(dim {rep['cols']})")
-        yield (f"codomain = {', '.join(rep['codomain']) or '(empty)'} "
-               f"(dim {rep['rows']})")
+        yield f"domain = {fmt_obj(rep['domain'])} (dim {rep['cols']})"
+        yield f"codomain = {fmt_obj(rep['codomain'])} (dim {rep['rows']})"
         yield f"matrix {rep['rows']} x {rep['cols']}:"
         for row in rep["dense"]:
             yield " ".join(row)
@@ -322,10 +310,8 @@ def _cmd_examples(ns):
             if "error" in c:
                 print(f"  {c['file']:<22} unreadable: {c['error']}")
             else:
-                src = ", ".join(c["source"]) or "(empty)"
-                tgt = ", ".join(c["target"]) or "(empty)"
-                print(f"  {c['file']:<22} {src} -> {tgt} "
-                      f"({c['generators']} generators)")
+                print(f"  {c['file']:<22} {fmt_obj(c['source'])} -> "
+                      f"{fmt_obj(c['target'])} ({c['generators']} generators)")
     return EXIT_OK
 
 

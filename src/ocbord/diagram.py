@@ -524,18 +524,6 @@ def graph_eq(g1: PortGraph, g2: PortGraph) -> bool:
     return canonical_key(g1) == canonical_key(g2)
 
 
-def canonical_relabel(g: PortGraph) -> PortGraph:
-    """Copy of ``g`` with nodes renumbered 0.. in canonical order."""
-    order = canonical_order(g)
-    ck = _renumber(order)
-    h = PortGraph(g.source, g.target)
-    for i, nid in enumerate(order):
-        h.add_node(g.nodes[nid], i)
-    for prod, cons in g.out_to_in.items():
-        h.wire(ck(prod), ck(cons))
-    return h
-
-
 # The most factors (generators, identities, crossings) a layout may hold.
 # The largest layout in the test suite, the corpus, the bench series and
 # the benchmark has about 51,000; the normal form of 200 genus-one
@@ -549,13 +537,13 @@ def from_port_graph(g: PortGraph) -> DiagramTerm:
     The layout is canonical: graphs equal under :func:`canonical_key`
     produce identical terms.  Nodes are placed one per slice, leftmost
     ready node first; crossings are synthesised to gather each node's
-    inputs; input-less nodes join at the right edge when nothing else is
-    ready.  Each placement scans the frontier once, so the cost is
-    O(nodes x width).  The crossings alone can number O(width^2), each in
-    a row O(width) wide, so a layout of more than :data:`LAYOUT_ATOM_CAP`
-    factors is refused with :class:`OcbordError` before it is built.
+    inputs; input-less nodes join at the right edge, in canonical order,
+    when nothing else is ready.  Each placement scans the frontier once,
+    so the cost is O(nodes x width).  The crossings alone can number
+    O(width^2), each in a row O(width) wide, so a layout of more than
+    :data:`LAYOUT_ATOM_CAP` factors is refused with :class:`OcbordError`
+    before it is built.
     """
-    g = canonical_relabel(g)
     frontier = [("src", i) for i in range(len(g.source))]
     segs = [g.producer_seg(p) for p in frontier]
     slices = []
@@ -612,7 +600,9 @@ def from_port_graph(g: PortGraph) -> DiagramTerm:
                 return cons[1]
         return None
 
-    srcless = deque(sorted(n for n, gen in g.nodes.items() if not gen.source))
+    rank = {nid: i for i, nid in enumerate(canonical_order(g))}
+    srcless = deque(sorted((n for n, gen in g.nodes.items() if not gen.source),
+                           key=rank.__getitem__))
     for _ in range(len(g.nodes)):
         nid = ready()
         if nid is None:

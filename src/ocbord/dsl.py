@@ -138,10 +138,10 @@ def _macro(name: str, arg: str, span: SourceSpan) -> DiagramTerm:
         if len(names) == 0:
             a = s = b = DEFAULT_COLOR
         elif len(names) == 2:
-            a, b = names
+            a, b = _colors(arg, 2, name, span)
             s = a
         elif len(names) == 3:
-            a, s, b = names
+            a, s, b = _colors(arg, 3, name, span)
         else:
             raise ParseError("window_o takes 0, 2 or 3 colours", span)
         return compose(g("Delta_A", a, s, b), g("mu_A", a, s, b))

@@ -97,11 +97,12 @@ class _Kernel(NamedTuple):
     side's port graph numbers them 0, 1, ..).  ``inner`` holds the wires
     ``(i, k, j, l)`` from output k of node i to input l of node j;
     ``src`` the wires ``(s, j, l, seg)`` from source port s; ``tgt`` the
-    wires ``(i, k, t, seg)`` into target port t; ``bare`` the pairs
-    ``(s, t)`` wired straight through, in the side's wire order.  ``steps``
-    lead from node 0 to all the others: the wire at output (``side ==
-    "out"``) or input ``k`` of node ``x`` ends at node ``y``, for each
-    ``(side, x, k, y)``.  ``gens`` are the replacement's ``(kind, colour
+    wires ``(i, k, t, seg)`` into target port t.  A side either has
+    nodes and no wire straight from a source to a target port, or is one
+    such bare wire and nothing else (an empty side).  ``steps`` lead
+    from node 0 to all the others: the wire at output (``side == "out"``)
+    or input ``k`` of node ``x`` ends at node ``y``, for each ``(side, x,
+    k, y)``.  ``gens`` are the replacement's ``(kind, colour
     variables)`` in its node order and ``plan`` its wires, with
     ``("out"/"in", index, port)`` naming a replacement node by its index;
     ``links`` holds, for each source port of the replacement, the set of
@@ -115,7 +116,6 @@ class _Kernel(NamedTuple):
     inner: tuple
     src: tuple
     tgt: tuple
-    bare: tuple
     gens: tuple
     plan: tuple
     links: tuple
@@ -124,7 +124,7 @@ class _Kernel(NamedTuple):
 @lru_cache(maxsize=None)
 def _kernel(rule_id: str, reverse: bool) -> _Kernel:
     P, R = _pattern(rule_id, reverse), _pattern(rule_id, not reverse)
-    inner, src, tgt, bare = [], [], [], []
+    inner, src, tgt, bare = [], [], [], 0
     for prod, cons in P.wires():
         if prod[0] == "out" and cons[0] == "in":
             inner.append((prod[1], prod[2], cons[1], cons[2]))
@@ -133,7 +133,7 @@ def _kernel(rule_id: str, reverse: bool) -> _Kernel:
         elif prod[0] == "out" and cons[0] == "tgt":
             tgt.append((prod[1], prod[2], cons[1], P.target[cons[1]]))
         else:
-            bare.append((prod[1], cons[1]))
+            bare += 1
     ends = {**P.out_to_in, **P.in_to_out}
     order, steps = [0] if P.nodes else [], []
     for x in order:                 # grows while it is walked
@@ -144,6 +144,9 @@ def _kernel(rule_id: str, reverse: bool) -> _Kernel:
                 steps.append((end[0], x, end[2], far[1]))
     if len(order) != len(P.nodes):
         raise OcbordError(f"rule {rule_id} has a disconnected side")
+    if bare != (0 if P.nodes else 1):
+        raise OcbordError(f"rule {rule_id} has a side that is neither one "
+                          "bare wire nor free of bare wires")
     links = []
     for i in range(len(R.source)):
         hit, seen = set(), set()
@@ -162,7 +165,7 @@ def _kernel(rule_id: str, reverse: bool) -> _Kernel:
         tuple(P.nodes[n].kind for n in range(len(P.nodes))),
         tuple(P.nodes[n].colors for n in range(len(P.nodes))),
         P.source, P.target, tuple(steps),
-        tuple(inner), tuple(src), tuple(tgt), tuple(bare),
+        tuple(inner), tuple(src), tuple(tgt),
         tuple((gen.kind, gen.colors) for gen in gens),
         tuple(R.wires()), tuple(links))
 
@@ -195,11 +198,8 @@ def _unify_seg(env, pseg, hseg) -> bool:
 
 
 def _bind(host: PortGraph, K: _Kernel, nodes: tuple):
-    """Check a node assignment; return (env, src_prod, tgt_cons, bare).
-
-    ``bare`` lists pattern source->target wires still needing a host wire.
-    Returns None when the assignment is not a match.
-    """
+    """Check a node assignment; return (env, src_prod, tgt_cons), or None
+    when the assignment is not a match."""
     if len(nodes) != len(K.kinds) or len(set(nodes)) != len(nodes):
         return None
     hnodes, o2i, i2o = host.nodes, host.out_to_in, host.in_to_out
@@ -230,7 +230,7 @@ def _bind(host: PortGraph, K: _Kernel, nodes: tuple):
         if not _unify_seg(env, pseg, host.consumer_seg(hc)):
             return None
         tgt_cons[t] = hc
-    return env, src_prod, tgt_cons, list(K.bare)
+    return env, tuple(src_prod), tuple(tgt_cons)
 
 
 def _reaches(host: PortGraph, start: int, goals: set) -> bool:
@@ -264,58 +264,49 @@ def _splice_is_acyclic(host, rule_id, reverse, src_prod, tgt_cons) -> bool:
     return True
 
 
+def _of_kind(g: PortGraph, *kinds) -> list:
+    """The ids of the nodes whose kind is one of ``kinds``, ascending."""
+    return sorted([n for n, gen in g.nodes.items() if gen.kind in kinds])
+
+
 def find_matches(host: PortGraph, rule_id: str, reverse: bool = False,
                  at: tuple = None) -> list:
     """All sites where the rule side matches, in a fixed order.
 
-    ``at`` pins the host node assignment (pattern node order) instead of
-    searching.
+    Sites are ordered by their host nodes; an empty side matches once on
+    each host wire its segment unifies with, in wire order.  ``at`` pins
+    the host node assignment (pattern node order) instead of searching.
     """
     K = _kernel(rule_id, reverse)
     out = []
 
-    def settle(nodes, env, src_prod, tgt_cons, bare):
-        if not bare:
-            if None in src_prod or None in tgt_cons:
-                return      # unreachable for well-formed patterns
-            if not _splice_is_acyclic(host, rule_id, reverse,
-                                      src_prod, tgt_cons):
-                return
-            out.append(Match(rule_id, reverse, nodes, tuple(src_prod),
-                             tuple(tgt_cons), tuple(sorted(env.items()))))
-            return
-        (i, j), rest = bare[0], bare[1:]
-        used = set(src_prod) | set(tgt_cons)
-        for hp in sorted(host.out_to_in):
-            hc = host.out_to_in[hp]
-            if hp[0] == "out" and hp[1] in nodes:
-                continue
-            if hc[0] == "in" and hc[1] in nodes:
-                continue
-            if hp in used or hc in used:
-                continue
-            e2 = dict(env)
-            if not _unify_seg(e2, K.source[i], host.producer_seg(hp)):
-                continue
-            sp, tc = list(src_prod), list(tgt_cons)
-            sp[i], tc[j] = hp, hc
-            settle(nodes, e2, sp, tc, rest)
+    def keep(nodes, env, src_prod, tgt_cons):
+        if _splice_is_acyclic(host, rule_id, reverse, src_prod, tgt_cons):
+            out.append(Match(rule_id, reverse, nodes, src_prod, tgt_cons,
+                             tuple(sorted(env.items()))))
 
     def attempt(nodes):
         got = _bind(host, K, nodes)
         if got is not None:
-            settle(nodes, *got)
+            keep(nodes, *got)
 
-    if at is not None:
+    if not K.kinds:
+        if at:
+            return []       # an empty side has no nodes to pin
+        for hp in sorted(host.out_to_in):
+            env = {}
+            if _unify_seg(env, K.source[0], host.producer_seg(hp)):
+                keep((), env, (hp,), (host.out_to_in[hp],))
+    elif at is not None:
         attempt(tuple(at))
-    elif not K.kinds:
-        attempt(())
     else:
-        # each anchor fixes at most one tuple; _bind re-checks everything
-        # the walk skips (port numbers, colours, the other wires)
+        # each anchor fixes at most one tuple, led by the anchor, so the
+        # anchors' id order is the sites' order; _bind re-checks
+        # everything the walk skips (port numbers, colours, the other
+        # wires)
         hnodes, kinds = host.nodes, K.kinds
         wires = {"out": host.out_to_in, "in": host.in_to_out}
-        for anchor in [n for n, gen in hnodes.items() if gen.kind == kinds[0]]:
+        for anchor in _of_kind(host, kinds[0]):
             mp = [anchor] * len(kinds)
             for side, x, k, y in K.steps:
                 far = wires[side][(side, mp[x], k)]
@@ -325,7 +316,6 @@ def find_matches(host: PortGraph, rule_id: str, reverse: bool = False,
                 mp[y] = far[1]
             else:
                 attempt(tuple(mp))
-    out.sort(key=lambda m: (m.nodes, m.src_prod, m.tgt_cons))
     return out
 
 
@@ -722,6 +712,16 @@ class _CombView:
         raise StrategyStuck(f"{self.spec.kind} comb sorting did not converge")
 
 
+def _exhaust(rec: _Recorder, step, cap: int, what: str):
+    """Run ``step(rec)`` until a step makes no move.  A step beyond the
+    first ``cap`` that still makes a move raises :class:`StrategyStuck`."""
+    for _ in range(cap):
+        if not step(rec):
+            return
+    if step(rec):
+        raise StrategyStuck(f"{what} did not terminate")
+
+
 def _phase_boundary(rec: _Recorder):
     # open counits become cozip + closed counit; open units become
     # zipped closed units
@@ -731,37 +731,31 @@ def _phase_boundary(rec: _Recorder):
         pass
 
 
-def _phase_open(rec: _Recorder):
+def _phase_open(rec: _Recorder) -> bool:
     # alternate zip staging with comultiplication elimination: staging
     # keeps every zip off the open products, which in turn keeps the
     # frobenius moves below applicable (any blocking path would have to
     # re-enter the open sector through a zip)
-    guard = 0
-    while True:
-        _phase_zip(rec)
-        deltas = [n for n in sorted(rec.g.nodes)
-                  if rec.g.nodes[n].kind == "Delta_A"]
-        if not deltas:
-            return
-        guard += 1
-        if guard > 10000:
-            raise StrategyStuck("open comultiplication elimination "
-                                "did not terminate")
-        hs = _heights(rec.g)
-        d = min(deltas, key=lambda n: (hs[n], n))
-        blocks = [_CombView.holding(rec, _MU_A, ("out", d, k)) for k in (0, 1)]
-        for blk in blocks:
-            if blk.root[0] != "in":
-                raise StrategyStuck("comult elimination: open strand "
-                                    "reaches the boundary")
-            kind = rec.g.nodes[blk.root[1]].kind
-            if kind != "cozip":
-                raise StrategyStuck("comult elimination: open strand "
-                                    f"blocked by {kind}")
-        if blocks[0].root == blocks[1].root:
-            _comult_one_cozip(rec, d, blocks[0])
-        else:
-            _comult_two_cozips(rec, d, *blocks)
+    _exhaust(rec, _phase_zip, 20000, "zip staging")
+    deltas = _of_kind(rec.g, "Delta_A")
+    if not deltas:
+        return False
+    hs = _heights(rec.g)
+    d = min(deltas, key=lambda n: (hs[n], n))
+    blocks = [_CombView.holding(rec, _MU_A, ("out", d, k)) for k in (0, 1)]
+    for blk in blocks:
+        if blk.root[0] != "in":
+            raise StrategyStuck("comult elimination: open strand "
+                                "reaches the boundary")
+        kind = rec.g.nodes[blk.root[1]].kind
+        if kind != "cozip":
+            raise StrategyStuck("comult elimination: open strand "
+                                f"blocked by {kind}")
+    if blocks[0].root == blocks[1].root:
+        _comult_one_cozip(rec, d, blocks[0])
+    else:
+        _comult_two_cozips(rec, d, *blocks)
+    return True
 
 
 def _absorb_legs(rec: _Recorder, d: int, blk: _CombView, done) -> int:
@@ -804,51 +798,40 @@ def _comult_two_cozips(rec: _Recorder, d: int, blk0: _CombView,
     rec.do("comul_to_cozips", False, (d, blk0.root[1], blk1.root[1]))
 
 
-def _phase_zip(rec: _Recorder):
+def _phase_zip(rec: _Recorder) -> bool:
     # walk zips down the open products until each one feeds a cozip;
     # a zip resting on a comultiplication stays put for now (the
     # comultiplication is eliminated later, then staging resumes)
-    guard = 0
-    progress = True
-    while progress:
-        guard += 1
-        if guard > 20000:
-            raise StrategyStuck("zip staging did not terminate")
-        progress = False
-        for z in sorted(rec.g.nodes):
-            gen = rec.g.nodes.get(z)
-            if gen is None or gen.kind != "zip":
-                continue
-            zc = rec.g.out_to_in[("out", z, 0)]
-            if zc[0] != "in" or rec.g.nodes[zc[1]].kind != "mu_A":
-                continue
-            m, k = zc[1], zc[2]
-            other = rec.g.in_to_out[("in", m, 1 - k)]
-            if other[0] == "out" and rec.g.nodes[other[1]].kind == "zip":
-                pair = (z, other[1], m) if k == 0 else (other[1], z, m)
-                rec.do("ziphom_mul", True, pair)
-            elif k == 0:
-                rec.do("zipcenter", False, (z, m))
-            else:
-                cons = rec.g.out_to_in[("out", m, 0)]
-                if cons[0] != "in":
-                    raise StrategyStuck("open strand reaches the boundary")
-                kind = rec.g.nodes[cons[1]].kind
-                if kind == "cozip":
-                    rec.do("cozip_absorb_zip", False, (z, m, cons[1]))
-                elif kind == "mu_A":
-                    rec.do("assoc_A", cons[2] == 1, (m, cons[1]))
-                else:
-                    continue        # resting on a comultiplication
-            progress = True
-            break
+    g = rec.g
+    for z in _of_kind(g, "zip"):
+        zc = g.out_to_in[("out", z, 0)]
+        if zc[0] != "in" or g.nodes[zc[1]].kind != "mu_A":
+            continue
+        m, k = zc[1], zc[2]
+        other = g.in_to_out[("in", m, 1 - k)]
+        if other[0] == "out" and g.nodes[other[1]].kind == "zip":
+            pair = (z, other[1], m) if k == 0 else (other[1], z, m)
+            rec.do("ziphom_mul", True, pair)
+            return True
+        if k == 0:
+            rec.do("zipcenter", False, (z, m))
+            return True
+        cons = g.out_to_in[("out", m, 0)]
+        if cons[0] != "in":
+            raise StrategyStuck("open strand reaches the boundary")
+        kind = g.nodes[cons[1]].kind
+        if kind == "cozip":
+            rec.do("cozip_absorb_zip", False, (z, m, cons[1]))
+            return True
+        if kind == "mu_A":
+            rec.do("assoc_A", cons[2] == 1, (m, cons[1]))
+            return True
+    return False
 
 
 def _closed_frob_step(rec: _Recorder) -> bool:
     g = rec.g
-    for s in sorted(g.nodes):
-        if g.nodes[s].kind != "Delta_C":
-            continue
+    for s in _of_kind(g, "Delta_C"):
         c0 = g.out_to_in[("out", s, 0)]
         c1 = g.out_to_in[("out", s, 1)]
         if _is_handle(g, s):
@@ -881,14 +864,13 @@ def _closed_frob_step(rec: _Recorder) -> bool:
 def _macros(g: PortGraph) -> list:
     """Window and handle pairs: (kind, nodes, input cons, output prod)."""
     out = []
-    for n in sorted(g.nodes):
-        gen = g.nodes[n]
-        if gen.kind == "zip":
+    for n in _of_kind(g, "zip", "Delta_C"):
+        if g.nodes[n].kind == "zip":
             cons = g.out_to_in[("out", n, 0)]
             if cons[0] == "in" and g.nodes[cons[1]].kind == "cozip":
                 out.append(("W", (n, cons[1]), ("in", n, 0),
                             ("out", cons[1], 0)))
-        elif gen.kind == "Delta_C" and _is_handle(g, n):
+        elif _is_handle(g, n):
             c0 = g.out_to_in[("out", n, 0)]
             if c0[2] == 0:      # straight, so leg 1 enters input 1
                 out.append(("G", (n, c0[1]), ("in", n, 0),
@@ -897,8 +879,11 @@ def _macros(g: PortGraph) -> list:
 
 
 def _macro_step(rec: _Recorder) -> bool:
+    # each loop either makes a move and returns or leaves the graph as it
+    # was, so one list of macros serves all three
     g = rec.g
-    for kind, nodes, mi, mo in _macros(g):
+    macros = _macros(g)
+    for kind, nodes, mi, mo in macros:
         cons = g.out_to_in[mo]
         if cons[0] == "in" and g.nodes[cons[1]].kind == "mu_C":
             side = "l" if cons[2] == 0 else "r"
@@ -912,7 +897,7 @@ def _macro_step(rec: _Recorder) -> bool:
                 else "window_slide_comul_"
             rec.do(base + side, True, (prod[1],) + nodes)
             return True
-    for kind, nodes, mi, mo in _macros(g):
+    for kind, nodes, mi, mo in macros:
         if kind != "G":
             continue
         cons = g.out_to_in[mo]
@@ -922,7 +907,7 @@ def _macro_step(rec: _Recorder) -> bool:
             if zc[0] == "in" and g.nodes[zc[1]].kind == "cozip":
                 rec.do("window_handle_swap", False, nodes + (z, zc[1]))
                 return True
-    for kind, nodes, mi, mo in _macros(g):
+    for kind, nodes, mi, mo in macros:
         if kind != "W":
             continue
         cons = g.out_to_in[mo]
@@ -936,31 +921,15 @@ def _macro_step(rec: _Recorder) -> bool:
     return False
 
 
-def _phase_closed(rec: _Recorder):
-    guard = 0
-    while True:
-        guard += 1
-        if guard > 50000:
-            raise StrategyStuck("closed tidying did not terminate")
-        if rec.try_first("unitL_C"):
-            continue
-        if rec.try_first("unitR_C"):
-            continue
-        if rec.try_first("counitL_C"):
-            continue
-        if rec.try_first("counitR_C"):
-            continue
-        if _closed_frob_step(rec):
-            continue
-        if _macro_step(rec):
-            continue
-        return
+def _phase_closed(rec: _Recorder) -> bool:
+    return (rec.try_first("unitL_C") or rec.try_first("unitR_C")
+            or rec.try_first("counitL_C") or rec.try_first("counitR_C")
+            or _closed_frob_step(rec) or _macro_step(rec))
 
 
 def _phase_canonical(rec: _Recorder):
     # open blocks: left comb with the smallest source port leading
-    for cz in [n for n in sorted(rec.g.nodes)
-               if rec.g.nodes[n].kind == "cozip"]:
+    for cz in _of_kind(rec.g, "cozip"):
         if cz not in rec.g.nodes:
             continue
         prod = rec.g.in_to_out[("in", cz, 0)]
@@ -978,9 +947,7 @@ def _phase_canonical(rec: _Recorder):
         return min(lf[1] for lf in blk.walk()[1])
 
     roots = []
-    for n in sorted(rec.g.nodes):
-        if rec.g.nodes[n].kind != "mu_C":
-            continue
+    for n in _of_kind(rec.g, "mu_C"):
         p0 = rec.g.in_to_out[("in", n, 0)]
         p1 = rec.g.in_to_out[("in", n, 1)]
         if p0[0] == "out" and p1[0] == "out" and p0[1] == p1[1]:
@@ -997,8 +964,8 @@ def _phase_canonical(rec: _Recorder):
     # closed splits: spine along the first leg, outputs sorted so the
     # lowest target hangs off the deepest comultiplication
     tops = []
-    for n in sorted(rec.g.nodes):
-        if rec.g.nodes[n].kind != "Delta_C" or _is_handle(rec.g, n):
+    for n in _of_kind(rec.g, "Delta_C"):
+        if _is_handle(rec.g, n):
             continue
         prod = rec.g.in_to_out[("in", n, 0)]
         if prod[0] == "out" and rec.g.nodes[prod[1]].kind == "Delta_C" \
@@ -1035,8 +1002,8 @@ def normalize_with_trace(x):
         return t, MoveTrace(wt, (), wt)
     rec = _Recorder(to_port_graph(wt))
     _phase_boundary(rec)
-    _phase_open(rec)
-    _phase_closed(rec)
+    _exhaust(rec, _phase_open, 10000, "open comultiplication elimination")
+    _exhaust(rec, _phase_closed, 50000, "closed tidying")
     _phase_canonical(rec)
     if not graph_eq(rec.g, target):
         raise StrategyStuck("normalization reached an unexpected shape; "

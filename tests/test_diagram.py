@@ -20,7 +20,6 @@ from ocbord.diagram import (
     TypingError,
     canonical_key,
     canonical_order,
-    canonical_relabel,
     compose,
     from_port_graph,
     gen_term,
@@ -182,7 +181,7 @@ def test_from_port_graph_is_canonical():
     t = random_term(rng, max_gens=18)
     g = to_port_graph(t)
     assert syntactic_eq(from_port_graph(g),
-                        from_port_graph(canonical_relabel(g)))
+                        from_port_graph(_relabelled(g, rng)))
 
 
 def test_graph_eq_detects_difference():

@@ -93,6 +93,20 @@ def test_window_macros():
     assert graph_eq(to_port_graph(c), to_port_graph(built))
 
 
+def test_window_o_colour_names_are_checked():
+    # a name parse accepted would reach render, whose text parse rejects
+    for bad in ("b b", "1x"):
+        with pytest.raises(ParseError) as e:
+            parse(f"source O, I[a,c]\nid:O | window_o[a,{bad},c]\n",
+                  filename="w.ocd")
+        assert str(e.value) == f"w.ocd:2:1: bad colour name {bad!r}"
+    for text in ("source I\nwindow_o\n",
+                 "colors a, b\nsource I[a,b]\nwindow_o[a,b]\n",
+                 "colors a, s, b\nsource I[a,b]\nwindow_o[a,s,b]\n"):
+        t = parse(text)
+        assert syntactic_eq(parse(render(t)), t), text
+
+
 def test_saddle_macros_type():
     t = parse("colors a, b\nsource I[a,b]\nsaddle_cozip_l[a,b]\n")
     assert t.target == (Seg.O(), Seg.I("a", "b"))

@@ -6,8 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from ocbord.diagram import (DiagramTerm, Gen, Id, PortGraph, Seg, graph_eq,
-                            syntactic_eq, to_port_graph)
+from ocbord.diagram import (DiagramTerm, Gen, Id, OcbordError, PortGraph, Seg,
+                            graph_eq, syntactic_eq, to_port_graph)
 from ocbord.dsl import parse, parse_file
 from ocbord.invariants import invariants, profile_key
 from ocbord.normalform import normal_form
@@ -177,6 +177,37 @@ def test_a_splice_that_closes_a_loop_is_not_a_match():
     assert find_matches(g, "frobR_C", at=(0, 2)) == []
     assert rewrite._kernel("frobR_C", False).links == (
         frozenset({0, 1}), frozenset({0, 1}))
+
+
+def test_a_bare_wire_beside_a_node_is_rejected(monkeypatch):
+    # only an empty side holds a bare wire, so a search never has to place
+    # one beside matched nodes
+    side = parse("source O, O\nid:O | eps_C\n")
+    rid = "test_bare_wire_beside_a_node"
+    monkeypatch.setitem(rules(), rid, rewrite.Rule(rid, "test", "-", side,
+                                                   side))
+    with pytest.raises(OcbordError, match="bare wire"):
+        rewrite._kernel(rid, False)
+
+
+def test_exhaust_caps_the_moving_steps():
+    def moving(k):
+        calls = []
+
+        def step(rec):
+            calls.append(rec)
+            return len(calls) <= k
+        return step, calls
+
+    k = 5
+    step, calls = moving(k)
+    rewrite._exhaust(None, step, k, "counting")
+    assert len(calls) == k + 1
+    step, calls = moving(k)
+    with pytest.raises(rewrite.StrategyStuck,
+                       match="counting did not terminate"):
+        rewrite._exhaust(None, step, k - 1, "counting")
+    assert len(calls) == k
 
 
 def test_apply_match_leaves_host_untouched():
