@@ -30,6 +30,7 @@ from .invariants import invariants, equivalent
 from .rewrite import normalize_with_trace, write_trace
 from .tqft import (
     BUILTIN_ALGEBRAS,
+    _space_name,
     builtin_algebra,
     check_axioms,
     evaluate,
@@ -269,12 +270,10 @@ def _cmd_examples(ns):
     algebras = []
     for name in BUILTIN_ALGEBRAS:
         alg = builtin_algebra(name)
-        dims = {("C" if k == "C" else f"A[{k[1]},{k[2]}]"): v
-                for k, v in alg.dims.items()}
         algebras.append({
             "name": name,
             "colors": list(alg.colors),
-            "dims": dims,
+            "dims": {_space_name(k): v for k, v in alg.dims.items()},
         })
     corpus = []
     missing = not os.path.isdir(ns.corpus)

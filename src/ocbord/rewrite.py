@@ -96,8 +96,8 @@ class _Kernel(NamedTuple):
     Pattern nodes are named by their index in pattern order (a rule
     side's port graph numbers them 0, 1, ..).  ``inner`` holds the wires
     ``(i, k, j, l)`` from output k of node i to input l of node j;
-    ``src`` the wires ``(s, j, l, seg)`` from source port s; ``tgt`` the
-    wires ``(i, k, t, seg)`` into target port t.  A side either has
+    ``src`` the wires ``(s, j, l)`` from source port s; ``tgt`` the
+    wires ``(i, k, t)`` into target port t.  A side either has
     nodes and no wire straight from a source to a target port, or is one
     such bare wire and nothing else (an empty side).  ``steps`` lead
     from node 0 to all the others: the wire at output (``side == "out"``)
@@ -129,9 +129,9 @@ def _kernel(rule_id: str, reverse: bool) -> _Kernel:
         if prod[0] == "out" and cons[0] == "in":
             inner.append((prod[1], prod[2], cons[1], cons[2]))
         elif prod[0] == "src" and cons[0] == "in":
-            src.append((prod[1], cons[1], cons[2], P.source[prod[1]]))
+            src.append((prod[1], cons[1], cons[2]))
         elif prod[0] == "out" and cons[0] == "tgt":
-            tgt.append((prod[1], prod[2], cons[1], P.target[cons[1]]))
+            tgt.append((prod[1], prod[2], cons[1]))
         else:
             bare += 1
     ends = {**P.out_to_in, **P.in_to_out}
@@ -216,20 +216,16 @@ def _bind(host: PortGraph, K: _Kernel, nodes: tuple):
             return None
     src_prod: list = [None] * len(K.source)
     tgt_cons: list = [None] * len(K.target)
-    for s, j, l, pseg in K.src:
+    # Typing makes the frontier segments unify once the node colours do;
+    # a target wire that re-enters the match is also a source wire, which
+    # the first loop rejects.
+    for s, j, l in K.src:
         hp = i2o[("in", nodes[j], l)]
         if hp[0] == "out" and hp[1] in nodes:
             return None
-        if not _unify_seg(env, pseg, host.producer_seg(hp)):
-            return None
         src_prod[s] = hp
-    for i, k, t, pseg in K.tgt:
-        hc = o2i[("out", nodes[i], k)]
-        if hc[0] == "in" and hc[1] in nodes:
-            return None
-        if not _unify_seg(env, pseg, host.consumer_seg(hc)):
-            return None
-        tgt_cons[t] = hc
+    for i, k, t in K.tgt:
+        tgt_cons[t] = o2i[("out", nodes[i], k)]
     return env, tuple(src_prod), tuple(tgt_cons)
 
 

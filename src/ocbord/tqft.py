@@ -471,60 +471,10 @@ def check_axioms(alg: KFA) -> AxiomReport:
 # Builtin examples
 
 
-def _invert(gram):
-    """Exact inverse of a square Fraction matrix, or None if singular."""
-    n = len(gram)
-    a = [[Fraction(v) for v in row] + [Fraction(int(i == j))
-                                       for j in range(n)]
-         for i, row in enumerate(gram)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        inv = Fraction(1) / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return [row[n:] for row in a]
-
-
-def _pairing_inverse(mu: LinearMap, eps: LinearMap, dim: int) -> list:
-    """Inverse g^{-1} of the counit pairing g(u, v) = eps(uv); raises
-    unless the pairing is nondegenerate."""
-    gram = [[Fraction(0)] * dim for _ in range(dim)]
-    for (r, c), v in mu.data.items():
-        coeff = eps.entry(0, r)
-        if coeff:
-            u, w = divmod(c, dim)
-            gram[u][w] += v * coeff
-    ginv = _invert(gram)
-    if ginv is None:
-        raise OcbordError(
-            "counit pairing is degenerate; not a Frobenius algebra")
-    return ginv
-
-
-def _derive_comult(mu: LinearMap, ginv: list, dim: int) -> LinearMap:
-    """Comultiplication forced by mu via the inverse counit pairing:
-    Delta(e_w) = sum_{u,v} (g^{-1})[u][v] (e_w e_u) (x) e_v."""
-    delta = {}
-    for (r, c), v in mu.data.items():
-        w, u = divmod(c, dim)
-        for vv in range(dim):
-            coeff = ginv[u][vv] * v
-            if coeff:
-                key = (r * dim + vv, w)
-                delta[key] = delta.get(key, Fraction(0)) + coeff
-    return LinearMap(dim * dim, dim, delta)
-
-
 def builtin_matrix_example(n: int) -> KFA:
     """The n-by-n rational matrix algebra with trace counit, C = Q.
 
-    The comultiplication is derived from the trace pairing, the zipper
+    The comultiplication is Delta(e_kl) = sum_j e_kj (x) e_jl, the zipper
     sends 1 to the identity matrix and the cozipper is the trace.
     """
     if n < 1:
@@ -533,28 +483,26 @@ def builtin_matrix_example(n: int) -> KFA:
     d = n * n
     labels = tuple(f"e{i + 1}{j + 1}" for i in range(n) for j in range(n))
     mu = {}
+    delta = {}
     for i in range(n):
         for j in range(n):
             for l in range(n):
                 mu[(i * n + l, (i * n + j) * d + (j * n + l))] = Fraction(1)
-    mu = LinearMap(d, d * d, mu)
+                delta[((i * n + j) * d + (j * n + l), i * n + l)] = Fraction(1)
     eta = LinearMap(d, 1, {(i * n + i, 0): Fraction(1) for i in range(n)})
     eps = LinearMap(1, d, {(0, i * n + i): Fraction(1) for i in range(n)})
-    delta = _derive_comult(mu, _pairing_inverse(mu, eps, d), d)
     one = LinearMap.identity(1)
     maps = {
-        ("mu_A", (a, a, a)): mu,
+        ("mu_A", (a, a, a)): LinearMap(d, d * d, mu),
         ("eta_A", (a,)): eta,
-        ("Delta_A", (a, a, a)): delta,
+        ("Delta_A", (a, a, a)): LinearMap(d * d, d, delta),
         ("eps_A", (a,)): eps,
         ("mu_C", ()): one,
         ("eta_C", ()): one,
         ("Delta_C", ()): one,
         ("eps_C", ()): one,
-        ("zip", (a,)): LinearMap(d, 1, {(i * n + i, 0): Fraction(1)
-                                        for i in range(n)}),
-        ("cozip", (a,)): LinearMap(1, d, {(0, i * n + i): Fraction(1)
-                                          for i in range(n)}),
+        ("zip", (a,)): eta,
+        ("cozip", (a,)): eps,
     }
     return KFA(colors=(a,), dims={"C": 1, ("A", a, a): d},
                basis={"C": ("1",), ("A", a, a): labels},
@@ -602,17 +550,15 @@ class Groupoid:
                 raise OcbordError(
                     f"invalid groupoid data: object {x} lacks an identity")
             self.identity[x] = ids[0]
+        self.inverse = {}
         for f, (s, t) in ms.items():
-            invs = [g for g, (gs, gt) in ms.items()
-                    if gs == t and gt == s
-                    and self.comp[(f, g)] == self.identity[t]
-                    and self.comp[(g, f)] == self.identity[s]]
-            if not invs:
+            inv = next((g for g, (gs, gt) in ms.items()
+                        if gs == t and gt == s
+                        and self.comp[(f, g)] == self.identity[t]
+                        and self.comp[(g, f)] == self.identity[s]), None)
+            if inv is None:
                 raise OcbordError(f"invalid groupoid data: {f} has no inverse")
-        self.inverse = {f: next(g for g in ms
-                                if ms[g] == (ms[f][1], ms[f][0])
-                                and self.comp[(f, g)] == self.identity[ms[f][1]])
-                        for f in ms}
+            self.inverse[f] = inv
         for f in ms:
             for g in ms:
                 for h in ms:
@@ -632,33 +578,40 @@ def groupoid_algebra(gpd: Groupoid) -> KFA:
 
     Colours are the objects; A_ab is spanned by Hom(b, a) with
     composition as product and "coefficient of the identity" as counit;
-    the comultiplication sums over factorisations.  C is the direct sum
-    over connected components of the centre of the vertex group algebra
-    (class sums), with counit picking 1/|G| times the identity
-    coefficient; the cozipper is solved exactly from the duality law.
+    the comultiplication is Delta(f) = sum_h (f h^-1) (x) h.  C is the
+    direct sum over connected components of the centre of the vertex
+    group algebra of G = Hom(base, base), spanned by class sums e_cls.
+    Its counit is 1/|G| times the identity coefficient, so e_cls pairs
+    only with the inverse class, to |cls|/|G|, and
+    Delta_C(x) = sum_cls (|G|/|cls|) (x e_cls) (x) e_{cls^-1}.  Over an
+    object a with transport t_a: base -> a, the zipper sends e_cls to
+    sum_{h in cls} t_a h t_a^-1 and the cozipper sends f to
+    (|G|/|cls|) e_cls, cls the class of t_a^-1 f t_a.
     """
     objs = gpd.objects
     uf = UnionFind()
     for s, t in gpd.morphisms.values():
         uf.union(s, t)
     comp_of = {x: uf.find(x) for x in objs}
-    comps = sorted(set(comp_of.values()))
 
-    # Per component: base object, vertex group, conjugacy classes.
+    # Per component: base object, vertex group, conjugacy classes and a
+    # transport morphism base -> x per member.  The classes, in component
+    # order, are the basis of C; ``c_of`` gives each group element's.
     comp_data = {}
-    for k in comps:
-        members = sorted(x for x in objs if comp_of[x] == k)
-        base = members[0]
+    c_basis = []
+    c_of = {}
+    for k in sorted(set(comp_of.values())):
+        base = min(x for x in objs if comp_of[x] == k)
         group = gpd.hom(base, base)
-        classes = []
         left = set(group)
         while left:
             h = min(left)
-            cls = sorted({gpd.comp[(gpd.comp[(g, h)], gpd.inverse[g])]
-                          for g in group})
-            classes.append(tuple(cls))
+            cls = tuple(sorted({gpd.comp[(gpd.comp[(g, h)], gpd.inverse[g])]
+                                for g in group}))
+            for g in cls:
+                c_of[g] = len(c_basis)
+            c_basis.append((k, cls))
             left -= set(cls)
-        # a transport morphism base -> x per member
         tree = {base: gpd.identity[base]}
         frontier = [base]
         while frontier:
@@ -667,22 +620,8 @@ def groupoid_algebra(gpd: Groupoid) -> KFA:
                 if s == y and t not in tree and comp_of[t] == k:
                     tree[t] = gpd.comp[(f, tree[y])]
                     frontier.append(t)
-        comp_data[k] = (members, base, group, classes, tree)
-
-    c_basis = []
-    for k in comps:
-        _members, base, _group, classes, _tree = comp_data[k]
-        for cls in classes:
-            c_basis.append((k, cls))
+        comp_data[k] = (base, group, tree)
     c_dim = len(c_basis)
-    c_labels = tuple(f"Z[{k}:{cls[0]}]" for k, cls in c_basis)
-    c_index = {kc: i for i, kc in enumerate(c_basis)}
-
-    def class_of(k, h):
-        for cls in comp_data[k][3]:
-            if h in cls:
-                return cls
-        raise AssertionError(h)
 
     dims = {"C": c_dim}
     basis = {}
@@ -691,7 +630,7 @@ def groupoid_algebra(gpd: Groupoid) -> KFA:
             hom = gpd.hom(b, a)
             dims[("A", a, b)] = len(hom)
             basis[("A", a, b)] = tuple(hom)
-    basis["C"] = c_labels
+    basis["C"] = tuple(f"Z[{k}:{cls[0]}]" for k, cls in c_basis)
 
     idx = {}
     for a in objs:
@@ -725,7 +664,9 @@ def groupoid_algebra(gpd: Groupoid) -> KFA:
             1, daa, {(0, idx[(a, a)][e]): Fraction(1)})
 
     mu_c = {}
+    delta_c = {}
     for i, (k1, cls1) in enumerate(c_basis):
+        order = len(comp_data[k1][1])
         for j, (k2, cls2) in enumerate(c_basis):
             if k1 != k2:
                 continue
@@ -734,59 +675,40 @@ def groupoid_algebra(gpd: Groupoid) -> KFA:
                 for h2 in cls2:
                     h = gpd.comp[(h1, h2)]
                     acc[h] = acc.get(h, 0) + 1
-            for cls in comp_data[k1][3]:
+            dual = c_of[gpd.inverse[cls2[0]]]
+            for r, (_k, cls) in enumerate(c_basis):
                 coeff = acc.get(cls[0], 0)
                 assert all(acc.get(h, 0) == coeff for h in cls), \
                     "class sum product must be central"
                 if coeff:
-                    mu_c[(c_index[(k1, cls)], i * c_dim + j)] = Fraction(coeff)
+                    mu_c[(r, i * c_dim + j)] = Fraction(coeff)
+                    delta_c[(r * c_dim + dual, i)] = Fraction(
+                        coeff * order, len(cls2))
     maps[("mu_C", ())] = LinearMap(c_dim, c_dim * c_dim, mu_c)
+    maps[("Delta_C", ())] = LinearMap(c_dim * c_dim, c_dim, delta_c)
     eta_c = {}
     eps_c = {}
-    for k in comps:
-        _m, base, group, _cl, _t = comp_data[k]
-        id_cls = class_of(k, gpd.identity[base])
-        eta_c[(c_index[(k, id_cls)], 0)] = Fraction(1)
-        eps_c[(0, c_index[(k, id_cls)])] = Fraction(1, len(group))
+    for base, group, _tree in comp_data.values():
+        one = c_of[gpd.identity[base]]
+        eta_c[(one, 0)] = Fraction(1)
+        eps_c[(0, one)] = Fraction(1, len(group))
     maps[("eta_C", ())] = LinearMap(c_dim, 1, eta_c)
     maps[("eps_C", ())] = LinearMap(1, c_dim, eps_c)
-    ginv = _pairing_inverse(maps[("mu_C", ())], maps[("eps_C", ())], c_dim)
-    maps[("Delta_C", ())] = _derive_comult(maps[("mu_C", ())], ginv, c_dim)
 
     for a in objs:
-        k = comp_of[a]
-        _members, base, group, classes, tree = comp_data[k]
+        base, group, tree = comp_data[comp_of[a]]
         t_a = tree[a]
+        t_inv = gpd.inverse[t_a]
         daa = dims[("A", a, a)]
         z = {}
-        for ci, (kk, cls) in enumerate(c_basis):
-            if kk != k:
-                continue
-            for h in cls:
-                image = gpd.comp[(gpd.comp[(t_a, h)], gpd.inverse[t_a])]
-                z[(idx[(a, a)][image], ci)] = Fraction(1)
-        maps[("zip", (a,))] = LinearMap(daa, c_dim, z)
-
-        # cozip solved from duality: <cozip(f), c>_C = <f, zip(c)>_A
-        ma = maps[("mu_A", (a, a, a))]
-        ea = maps[("eps_A", (a,))]
-        za = maps[("zip", (a,))]
         cz = {}
-        for fi in range(daa):
-            rhs = []
-            for ci in range(c_dim):
-                val = Fraction(0)
-                for (rz, cz_), vz in za.data.items():
-                    if cz_ != ci:
-                        continue
-                    for (rm, cm), vm in ma.data.items():
-                        if cm == fi * daa + rz:
-                            val += vz * vm * ea.entry(0, rm)
-                rhs.append(val)
-            for ci in range(c_dim):
-                coeff = sum(ginv[ci][j] * rhs[j] for j in range(c_dim))
-                if coeff:
-                    cz[(ci, fi)] = coeff
+        for f, fi in idx[(a, a)].items():
+            # f = t_a h t_a^-1 for the vertex-group element h below
+            h = gpd.comp[(t_inv, gpd.comp[(f, t_a)])]
+            ci = c_of[h]
+            z[(fi, ci)] = Fraction(1)
+            cz[(ci, fi)] = Fraction(len(group), len(c_basis[ci][1]))
+        maps[("zip", (a,))] = LinearMap(daa, c_dim, z)
         maps[("cozip", (a,))] = LinearMap(c_dim, daa, cz)
 
     return KFA(colors=tuple(objs), dims=dims, basis=basis, maps=maps,
@@ -876,14 +798,12 @@ def builtin_algebra(name: str) -> KFA:
 # File format (.kfa)
 
 
-def _frac_str(v: Fraction) -> str:
-    return str(v)
+def _space_name(key) -> str:
+    """The file and report name of a space key: ``C`` or ``A[a,b]``."""
+    return key if key == "C" else f"A[{key[1]},{key[2]}]"
 
 
 def save_kfa(alg: KFA, path) -> None:
-    def space_name(key):
-        return key if key == "C" else f"A[{key[1]},{key[2]}]"
-
     def map_name(key):
         kind, cols = key
         return kind if not cols else f"{kind}[{','.join(cols)}]"
@@ -892,12 +812,12 @@ def save_kfa(alg: KFA, path) -> None:
         "format": "kfa",
         "name": alg.name,
         "colors": list(alg.colors),
-        "dims": {space_name(k): v for k, v in alg.dims.items()},
-        "basis": {space_name(k): list(v) for k, v in alg.basis.items()},
+        "dims": {_space_name(k): v for k, v in alg.dims.items()},
+        "basis": {_space_name(k): list(v) for k, v in alg.basis.items()},
         "maps": {
             map_name(k): {
                 "rows": m.rows, "cols": m.cols,
-                "entries": [[r, c, _frac_str(v)]
+                "entries": [[r, c, str(v)]
                             for (r, c), v in sorted(m.data.items())],
             } for k, m in sorted(alg.maps.items())
         },

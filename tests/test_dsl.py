@@ -8,9 +8,10 @@ import pytest
 
 from ocbord import dsl
 from ocbord.diagram import (DiagramTerm, Gen, Seg, TypingError, compose,
-                            gen_term, graph_eq, identity_term, syntactic_eq,
-                            tensor, to_port_graph)
+                            fmt_obj, gen_term, graph_eq, identity_term,
+                            syntactic_eq, tensor, to_port_graph)
 from ocbord.dsl import ParseError, TypeMismatch, parse, parse_file, render
+from ocbord.invariants import invariants
 
 from helpers import (_scan_split, random_term, tensor_parse, wide_text,
                      window_strip)
@@ -108,10 +109,20 @@ def test_window_o_colour_names_are_checked():
 
 
 def test_saddle_macros_type():
-    t = parse("colors a, b\nsource I[a,b]\nsaddle_cozip_l[a,b]\n")
-    assert t.target == (Seg.O(), Seg.I("a", "b"))
-    t = parse("colors a, b\nsource O, I[a,b]\nsaddle_zip_l[a,b]\n")
-    assert t.target == (Seg.I("a", "b"),)
+    # each saddle is one disc: a single genus-0 component
+    saddles = {
+        "saddle_cross_l[a,b,c,d]": ("I[a,c], I[b,d]", "I[a,d], I[b,c]"),
+        "saddle_cross_r[a,b,c,d]": ("I[d,b], I[a,c]", "I[a,b], I[d,c]"),
+        "saddle_zip_l[a,b]": ("O, I[a,b]", "I[a,b]"),
+        "saddle_zip_r[a,b]": ("I[a,b], O", "I[a,b]"),
+        "saddle_cozip_l[a,b]": ("I[a,b]", "O, I[a,b]"),
+        "saddle_cozip_r[a,b]": ("I[a,b]", "I[a,b], O"),
+    }
+    for atom, (src, tgt) in saddles.items():
+        t = parse(f"colors a, b, c, d\nsource {src}\n{atom}\n")
+        assert fmt_obj(t.target) == tgt, atom
+        assert [c.genus for c in invariants(t).components] == [0], atom
+        assert parse(render(t)) == t, atom
 
 
 def test_parse_errors_carry_spans():
@@ -338,6 +349,24 @@ def test_parse_reads_each_distinct_atom_once(monkeypatch):
     assert sorted(read) == sorted(distinct)
     assert len(walked) <= len(distinct)
     assert len(t.slices) not in walked
+
+
+def test_the_atom_table_is_emptied_at_its_cap(monkeypatch):
+    texts = ["source\n" + "".join(f"eta_A[c{i}{j}]\neps_A[c{i}{j}]\n"
+                                   for j in range(4)) for i in range(3)]
+    sizes = []
+
+    class Table(dict):
+        def __setitem__(self, key, value):
+            super().__setitem__(key, value)
+            sizes.append(len(self))
+
+    monkeypatch.setattr(dsl, "ATOM_TABLE_CAP", 5)
+    monkeypatch.setattr(dsl, "_ATOMS", Table())
+    small = [parse(text) for text in texts]
+    monkeypatch.undo()
+    assert len(sizes) == 24 and max(sizes) == 5
+    assert small == [parse(text) for text in texts]
 
 
 def test_a_shared_atom_is_checked_against_each_colors_header():

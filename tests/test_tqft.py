@@ -313,6 +313,14 @@ def test_kfa_round_trip(tmp_path):
         assert back.maps == alg.maps
 
 
+def test_shipped_algebra_files_are_the_builtins(tmp_path):
+    for name, file in (("matrix2", "matrix2"), ("matrix3", "matrix3"),
+                       ("groupoid-pair_z2", "pair_z2")):
+        p = tmp_path / f"{file}.kfa"
+        save_kfa(builtin_algebra(name), p)
+        assert p.read_bytes() == (ROOT / "algebras" / f"{file}.kfa").read_bytes()
+
+
 def test_kfa_load_errors(tmp_path):
     p = tmp_path / "bad.kfa"
     p.write_text("not json at all {", encoding="utf-8")
