@@ -59,6 +59,13 @@ def _closed(n):
     return helpers.closed_surface(n)
 
 
+def _crowns(n):
+    import helpers
+    from ocbord.dsl import parse, render
+    crown = parse(helpers.crown_text(n))
+    return render(helpers.tensor(crown, crown))
+
+
 def _strip(n):
     import helpers
     from ocbord.dsl import render
@@ -97,6 +104,11 @@ def _invariants(term):
     return lambda: invariants(term)
 
 
+def _equivalent(term):
+    from ocbord.invariants import equivalent
+    return lambda: equivalent(term, term)
+
+
 def _normal_form(term):
     from ocbord.normalform import normal_form
     return lambda: normal_form(term)
@@ -129,6 +141,15 @@ _CANON_SERIES = {
                (100, 200, 400, 800, 1600)),
     "ladder": ("perfbench/gen.ladder_walk(n, str(n))", _ladder,
                (200, 400, 800, 1600, 3200)),
+}
+
+# the series of the layers that read closed components as a multiset:
+# the canon series and two crowns, each with a k-fold rotation symmetry
+_MULTISET_SERIES = {
+    **_CANON_SERIES,
+    "crowns": ("render(tests/helpers.tensor(crown, crown)), crown = "
+               "parse(tests/helpers.crown_text(n))", _crowns,
+               (50, 100, 200, 400, 800, 1600)),
 }
 
 # the series of the layout: long walks, deep strips and closed surfaces,
@@ -164,8 +185,10 @@ LAYERS = {
                       _canonical_key, _CANON_SERIES),
     "invariants": ("ocbord.invariants.invariants(term)", _invariants,
                    _CANON_SERIES),
+    "equivalent": ("ocbord.invariants.equivalent(term, term)", _equivalent,
+                   _MULTISET_SERIES),
     "normal_form": ("ocbord.normalform.normal_form(term)", _normal_form,
-                    _CANON_SERIES),
+                    _MULTISET_SERIES),
     "from_port_graph": ("ocbord.diagram.from_port_graph(g), g made "
                         "untimed by to_port_graph(term)", _from_port_graph,
                         _LAYOUT_SERIES),

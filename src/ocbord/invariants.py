@@ -134,8 +134,21 @@ def invariants(x) -> Invariants:
 
 
 def graph_invariants(g) -> Invariants:
-    """Invariants of a port graph that :func:`as_graph` has let in."""
+    """Invariants of a port graph that :func:`as_graph` has let in.
+
+    The boundary-free components come last, by their least walk's
+    serialisation once there are two (equal ones mean isomorphic
+    components: no tie rule).  Only this report shows that order:
+    :func:`equivalent` and the normal form read those components as a
+    multiset and skip it (see :func:`_unordered`).
+    """
     return _assemble(g, *_free_boundary(g))
+
+
+def _unordered(g) -> Invariants:
+    """:func:`graph_invariants` with the boundary-free components in
+    discovery order, for callers that read them as a multiset."""
+    return _assemble(g, *_free_boundary(g), ordered=False)
 
 
 def _ports(g) -> list:
@@ -188,7 +201,7 @@ def _free_boundary(g):
     return sigma, gamma, windows
 
 
-def _assemble(g, sigma, gamma, windows) -> Invariants:
+def _assemble(g, sigma, gamma, windows, ordered=True) -> Invariants:
     """The invariant record from the free boundary of ``g``.
 
     One depth-first search over the node ids finds the components and
@@ -196,8 +209,8 @@ def _assemble(g, sigma, gamma, windows) -> Invariants:
     for each interval wire between two of them.  A bare wire from source
     to target is a strip (euler 1) or a cylinder (euler 0) of its own.
     Components come by least source, then least target position; the
-    boundary-free ones last, by their least walk's serialisation once
-    there are two (equal ones mean isomorphic components: no tie rule).
+    boundary-free ones last, by least walk when ``ordered`` (see
+    :func:`graph_invariants`), else in the order the search found them.
     """
     nodes, out_to_in, in_to_out = g.nodes, g.out_to_in, g.in_to_out
     at = {}             # node id or boundary port -> its component
@@ -262,7 +275,7 @@ def _assemble(g, sigma, gamma, windows) -> Invariants:
         at[ports[j0 - 1]]["cycles"].append(tuple(cyc))
 
     closed = [c for c in comps if not c["src"] and not c["tgt"]]
-    if len(closed) > 1:
+    if ordered and len(closed) > 1:
         closed.sort(key=lambda c: _least_walk(g, c["nodes"])[0])
     out = []
     for c in sorted((c for c in comps if c["src"] or c["tgt"]),
@@ -315,4 +328,5 @@ def profile_key(inv: Invariants):
 
 def equivalent(a, b) -> bool:
     """Decide whether two diagrams are diffeomorphic rel boundary."""
-    return profile_key(invariants(a)) == profile_key(invariants(b))
+    return profile_key(_unordered(as_graph(a))) \
+        == profile_key(_unordered(as_graph(b)))

@@ -40,7 +40,7 @@ from .diagram import (
     as_graph,
     from_port_graph,
 )
-from .invariants import ComponentInvariants, Invariants, graph_invariants
+from .invariants import ComponentInvariants, Invariants, _unordered
 
 
 @dataclass(frozen=True)
@@ -262,10 +262,12 @@ def wrapped_normal_form(x):
 
     Returns ``(nf, wrapped, target)``: the normal-form term, the wrapped
     port graph (see :func:`wrap_graph`) and the normal-form graph of the
-    wrapped diagram.
+    wrapped diagram.  The boundary-free components' blocks come in the
+    order the invariants found them: the layout of ``from_port_graph``
+    and the comparison by ``graph_eq`` do not depend on it.
     """
     h, w = wrap_graph(as_graph(x))
-    target = nf_wrapped_graph(graph_invariants(h))
+    target = nf_wrapped_graph(_unordered(h))
     return from_port_graph(unwrap_graph(target, w)), h, target
 
 

@@ -40,6 +40,7 @@ from .diagram import (
 from .rewrite import rules
 
 EVAL_DIM_CAP = 4096
+_ZERO = Fraction(0)     # the default of every sparse lookup
 
 
 class LinearMap:
@@ -65,7 +66,7 @@ class LinearMap:
         return LinearMap(n, n, {(i, i): Fraction(1) for i in range(n)})
 
     def entry(self, r: int, c: int) -> Fraction:
-        return self.data.get((r, c), Fraction(0))
+        return self.data.get((r, c), _ZERO)
 
     def to_rows(self):
         return [[self.entry(r, c) for c in range(self.cols)]
@@ -83,7 +84,7 @@ class LinearMap:
             by_row.setdefault(r, []).append((c, v))
         for (r, c), v in self.data.items():
             for c2, v2 in by_row.get(c, ()):
-                out[(r, c2)] = out.get((r, c2), Fraction(0)) + v * v2
+                out[(r, c2)] = out.get((r, c2), _ZERO) + v * v2
         return LinearMap(self.rows, other.cols, out)
 
     def tensor(self, other: "LinearMap") -> "LinearMap":
@@ -268,7 +269,7 @@ def _contract(t1, t2):
         base = tuple(idx[p] for p in keep1)
         for rest, v2 in buckets.get(key, ()):
             full = base + rest
-            acc = out.get(full, Fraction(0)) + v * v2
+            acc = out.get(full, _ZERO) + v * v2
             if acc:
                 out[full] = acc
             elif full in out:
@@ -343,7 +344,7 @@ def evaluate(x, alg: KFA) -> LinearMap:
         c = 0
         for w in src_wires:
             c = c * wire_dim[w] + idx[pos[w]]
-        out[(r, c)] = out.get((r, c), Fraction(0)) + v
+        out[(r, c)] = out.get((r, c), _ZERO) + v
     return LinearMap(rows, cols, out)
 
 
@@ -559,14 +560,17 @@ class Groupoid:
             if inv is None:
                 raise OcbordError(f"invalid groupoid data: {f} has no inverse")
             self.inverse[f] = inv
-        for f in ms:
-            for g in ms:
-                for h in ms:
-                    if (g, h) in self.comp and (f, g) in self.comp:
-                        if self.comp[(f, self.comp[(g, h)])] != \
-                                self.comp[(self.comp[(f, g)], h)]:
-                            raise OcbordError(
-                                "invalid groupoid data: not associative")
+        # f after g is defined exactly for the g in into[src(f)]
+        into = {x: [] for x in self.objects}
+        for g, (_, gt) in ms.items():
+            into[gt].append(g)
+        for f, (fs, _) in ms.items():
+            for g in into[fs]:
+                fg = self.comp[(f, g)]
+                for h in into[ms[g][0]]:
+                    if self.comp[(f, self.comp[(g, h)])] != self.comp[(fg, h)]:
+                        raise OcbordError(
+                            "invalid groupoid data: not associative")
 
     def hom(self, src, tgt):
         return sorted(f for f, (s, t) in self.morphisms.items()

@@ -3,12 +3,13 @@
 import importlib
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 from ocbord.diagram import (Seg, as_graph, identity_term, tensor,
                             to_port_graph, from_port_graph)
-from ocbord.invariants import (_assemble, _free_boundary, equivalent,
-                               invariants, profile_key)
+from ocbord.invariants import (_assemble, _free_boundary, _unordered,
+                               equivalent, invariants, profile_key)
 from ocbord.dsl import parse, parse_file
 from ocbord.normalform import normal_form
 
@@ -207,3 +208,29 @@ def test_least_walk_runs_once_per_closed_component_when_two_or_more(
         calls.clear()
         invariants(t)
         assert calls == want
+
+
+def test_equivalent_and_normal_form_never_order_closed_components(
+        monkeypatch):
+    invariants_module = importlib.import_module("ocbord.invariants")
+    calls = []
+    least_walk = invariants_module._least_walk
+
+    def counting(g, comp):
+        calls.append(len(comp))
+        return least_walk(g, comp)
+
+    monkeypatch.setattr(invariants_module, "_least_walk", counting)
+    crown, torus = parse(crown_text(50)), parse(closed_surface(1))
+    strip = parse("source I ; window_o")
+    for t in (tensor(crown, crown), tensor(torus, strip, crown, torus)):
+        assert equivalent(t, t)
+        normal_form(t)
+    assert calls == []
+
+
+def test_unordered_record_has_the_same_profile_and_components():
+    for k, t in enumerate(read_path_samples()):
+        ordered, unordered = invariants(t), _unordered(as_graph(t))
+        assert profile_key(unordered) == profile_key(ordered), k
+        assert Counter(unordered.components) == Counter(ordered.components), k

@@ -3,13 +3,15 @@
 import random
 from pathlib import Path
 
-from ocbord.diagram import from_port_graph, syntactic_eq, to_port_graph
-from ocbord.dsl import parse_file
+from ocbord.diagram import (from_port_graph, syntactic_eq, tensor,
+                            to_port_graph)
+from ocbord.dsl import parse, parse_file, render
 from ocbord.invariants import equivalent, invariants
 from ocbord.normalform import (nf_wrapped_graph, normal_form, unwrap,
                                unwrap_graph, wrap, wrap_graph)
 
-from helpers import perturb, random_mutant, random_term, window_strip
+from helpers import (closed_surface, crown_text, perturb, random_mutant,
+                     random_term, window_strip)
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -101,3 +103,15 @@ def test_deep_strip_stays_within_the_recursion_limit():
     assert equivalent(strip, strip)
     assert not equivalent(strip, window_strip(599))
     assert equivalent(normal_form(strip), strip)
+
+
+def test_normal_form_is_blind_to_the_order_of_closed_components():
+    closed = [parse_file(CORPUS / f"{name}.ocd")
+              for name in ("sphere", "torus", "window_sphere")]
+    closed += [parse(crown_text(7)), parse(closed_surface(3)),
+               parse("colors a, b\nsource\neta_C\nwindow_w[a]\n"
+                     "window_w[b]\neps_C\n")]
+    for i, a in enumerate(closed):
+        for b in closed[i:]:
+            assert render(normal_form(tensor(a, b))) \
+                == render(normal_form(tensor(b, a))), (i, render(b))

@@ -298,6 +298,19 @@ def test_invalid_groupoid_rejected():
                   ("f", "e"): "f", ("f", "f"): "f"})
 
 
+def test_non_associative_table_rejected():
+    # a Latin square of order 5 with identity e in which every element is
+    # its own inverse: it passes every check but associativity, since
+    # (a a) b = e b = b but a (a b) = a c = d
+    names = "eabcd"
+    rows = ("eabcd", "aecdb", "bdeac", "cbdea", "dcabe")
+    ms = {m: ("x", "x") for m in names}
+    comp = {(f, g): rows[i][j] for i, f in enumerate(names)
+            for j, g in enumerate(names)}
+    with pytest.raises(OcbordError, match="not associative"):
+        Groupoid(("x",), ms, comp)
+
+
 # ---------------------------------------------------------------------------
 # File format
 
