@@ -72,6 +72,11 @@ def _strip(n):
     return render(helpers.window_strip(n))
 
 
+def _handles(n):
+    import helpers
+    return helpers.handle_comb_text(n)
+
+
 def _parse(text):
     from ocbord.dsl import parse
     return lambda: parse(text)
@@ -166,6 +171,14 @@ _REWRITE_SERIES = {
               (300, 600, 1200)),
 }
 
+# the normalizer alone also runs the handle comb, whose closed tidying
+# makes about n^2 moves
+_NORMALIZE_SERIES = {
+    **_REWRITE_SERIES,
+    "handles": ("tests/helpers.handle_comb_text(n)", _handles,
+                (40, 80, 160)),
+}
+
 # layer -> (the call timed; in the child, a function that imports the
 # checkout, does any untimed set-up on a parsed term, or on the file's
 # text for parse, and returns the call to time; {series: (the input,
@@ -193,7 +206,7 @@ LAYERS = {
                         "untimed by to_port_graph(term)", _from_port_graph,
                         _LAYOUT_SERIES),
     "normalize_with_trace": ("ocbord.rewrite.normalize_with_trace(term)",
-                             _normalize_with_trace, _REWRITE_SERIES),
+                             _normalize_with_trace, _NORMALIZE_SERIES),
     "check_trace": ("ocbord.rewrite.check_trace(trace), the trace made "
                     "untimed by the checkout's normalize_with_trace(term)",
                     _check_trace, _REWRITE_SERIES),

@@ -241,7 +241,10 @@ class PortGraph:
     ``("out", nid, k)``, consumers are ``("tgt", j)`` or ``("in", nid, k)``.
     ``out_to_in`` maps each producer to its consumer; ``in_to_out`` is the
     inverse.  Node ids are arbitrary but stable: copies and rewrites keep
-    them, so they can anchor a replayable move log.
+    them, so they can anchor a replayable move log.  :meth:`kind_index`
+    is built on first use and kept current by :meth:`add_node` and
+    :meth:`remove_node`; code that fills ``nodes`` directly does so before
+    that first use.
     """
 
     def __init__(self, source=(), target=()):
@@ -251,6 +254,7 @@ class PortGraph:
         self.out_to_in: dict = {}
         self.in_to_out: dict = {}
         self._next = 0
+        self._kinds = None
 
     def copy(self) -> "PortGraph":
         g = PortGraph(self.source, self.target)
@@ -267,10 +271,14 @@ class PortGraph:
             raise ValueError(f"node id {nid} already used")
         self._next = max(self._next, nid + 1)
         self.nodes[nid] = gen
+        if self._kinds is not None:
+            self._kinds.setdefault(gen.kind, set()).add(nid)
         return nid
 
     def remove_node(self, nid: int) -> None:
         gen = self.nodes.pop(nid)
+        if self._kinds is not None:
+            self._kinds[gen.kind].discard(nid)
         for k in range(len(gen.source)):
             prod = self.in_to_out.pop(("in", nid, k), None)
             if prod is not None:
@@ -279,6 +287,14 @@ class PortGraph:
             cons = self.out_to_in.pop(("out", nid, k), None)
             if cons is not None:
                 self.in_to_out.pop(cons, None)
+
+    def kind_index(self) -> dict:
+        """Generator kind -> the set of ids of the nodes of that kind."""
+        if self._kinds is None:
+            self._kinds = {}
+            for nid, gen in self.nodes.items():
+                self._kinds.setdefault(gen.kind, set()).add(nid)
+        return self._kinds
 
     def wire(self, prod, cons) -> None:
         self.out_to_in[prod] = cons
@@ -458,14 +474,26 @@ def _least_walk(g: PortGraph, comp: list) -> tuple:
     Each step costs the live walks' degrees: O(n) for an n-node
     component whose seeds part after a few steps, and up to k x n when k
     seeds are automorphic and their walks never part.
+
+    Walks start only from the seeds whose ``repr((kind, colors))`` is
+    least.  A seed's first part repr extends that key less its closing
+    parenthesis.  The reprs of a string and of a tuple of strings are
+    self-delimiting, so two keys that differ differ first at a position
+    inside both, and the two first parts differ there alike: no seed
+    with a greater key can have the least first part.  Each node of the
+    component is read from ``g`` once.
     """
-    walks = [([s], {s: 0}, []) for s in sorted(comp)]
+    gens = {nid: g.nodes[nid] for nid in comp}
+    seeds: dict = {}
+    for s in sorted(comp):
+        seeds.setdefault((gens[s].kind, gens[s].colors), []).append(s)
+    walks = [([s], {s: 0}, []) for s in seeds[min(seeds, key=repr)]]
     for t in range(len(comp)):
         least, live = None, []
         for walk in walks:
             order, idx, parts = walk
             nid = order[t]
-            gen = g.nodes[nid]
+            gen = gens[nid]
             outs = [g.out_to_in[("out", nid, k)]
                     for k in range(len(gen.target))]
             for ep in [g.in_to_out[("in", nid, k)]
@@ -546,6 +574,7 @@ def from_port_graph(g: PortGraph) -> DiagramTerm:
     """
     frontier = [("src", i) for i in range(len(g.source))]
     segs = [g.producer_seg(p) for p in frontier]
+    ids = [Id(s) for s in segs]         # the identity on each frontier wire
     slices = []
     factors = 0
 
@@ -559,12 +588,11 @@ def from_port_graph(g: PortGraph) -> DiagramTerm:
 
     def emit_swap(i):
         count(len(segs) - 1)
-        row = tuple(Id(segs[p]) for p in range(i)) \
-            + (Cross(segs[i], segs[i + 1]),) \
-            + tuple(Id(segs[p]) for p in range(i + 2, len(segs)))
-        slices.append(row)
+        slices.append(tuple(ids[:i]) + (Cross(segs[i], segs[i + 1]),)
+                      + tuple(ids[i + 2:]))
         frontier[i], frontier[i + 1] = frontier[i + 1], frontier[i]
         segs[i], segs[i + 1] = segs[i + 1], segs[i]
+        ids[i], ids[i + 1] = ids[i + 1], ids[i]
 
     def place(nid):
         gen = g.nodes[nid]
@@ -577,15 +605,16 @@ def from_port_graph(g: PortGraph) -> DiagramTerm:
                 while cur > q + k:
                     emit_swap(cur - 1)
                     cur -= 1
-            row = tuple(Id(segs[p]) for p in range(q)) + (gen,) \
-                + tuple(Id(segs[p]) for p in range(q + len(ins), len(segs)))
+            row = tuple(ids[:q]) + (gen,) + tuple(ids[q + len(ins):])
             frontier[q:q + len(ins)] = [("out", nid, k)
                                         for k in range(len(gen.target))]
-            segs[q:q + len(ins)] = list(gen.target)
+            segs[q:q + len(ins)] = gen.target
+            ids[q:q + len(ins)] = [Id(s) for s in gen.target]
         else:
-            row = tuple(Id(s) for s in segs) + (gen,)
+            row = tuple(ids) + (gen,)
             frontier.extend(("out", nid, k) for k in range(len(gen.target)))
             segs.extend(gen.target)
+            ids.extend(Id(s) for s in gen.target)
         slices.append(row)
 
     def ready():

@@ -41,7 +41,6 @@ from .diagram import (
     Cross,
     DiagramTerm,
     Gen,
-    Id,
     OcbordError,
     Seg,
     TypingError,
@@ -318,24 +317,15 @@ def parse_file(path) -> DiagramTerm:
 
 
 def _used_colors(term: DiagramTerm) -> set:
-    used = set()
-
-    def seg_cols(seg):
-        if seg.is_interval:
-            used.add(seg.left)
-            used.add(seg.right)
-
-    for s in term.source:
-        seg_cols(s)
+    """The colours of a well-typed term.  Each of its segments is a
+    source segment or an output of a generator, whose colours are among
+    the generator's, so identities and crossings add none."""
+    used = {c for s in term.source if s.is_interval
+            for c in (s.left, s.right)}
     for sl in term.slices:
         for f in sl:
             if isinstance(f, Gen):
                 used.update(f.colors)
-            elif isinstance(f, Id):
-                seg_cols(f.seg)
-            else:
-                seg_cols(f.a)
-                seg_cols(f.b)
     return used
 
 

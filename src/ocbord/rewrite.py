@@ -106,7 +106,9 @@ class _Kernel(NamedTuple):
     variables)`` in its node order and ``plan`` its wires, with
     ``("out"/"in", index, port)`` naming a replacement node by its index;
     ``links`` holds, for each source port of the replacement, the set of
-    target ports it reaches through it.
+    target ports it reaches through it, and ``checks`` the pairs ``(i,
+    j)`` in ``links`` that the matched side does not link: at most one
+    (see :func:`_splice_is_acyclic`).
     """
     kinds: tuple
     colors: tuple
@@ -119,6 +121,7 @@ class _Kernel(NamedTuple):
     gens: tuple
     plan: tuple
     links: tuple
+    checks: tuple
 
 
 @lru_cache(maxsize=None)
@@ -147,19 +150,12 @@ def _kernel(rule_id: str, reverse: bool) -> _Kernel:
     if bare != (0 if P.nodes else 1):
         raise OcbordError(f"rule {rule_id} has a side that is neither one "
                           "bare wire nor free of bare wires")
-    links = []
-    for i in range(len(R.source)):
-        hit, seen = set(), set()
-        stack = [R.out_to_in[("src", i)]]
-        while stack:
-            c = stack.pop()
-            if c[0] == "tgt":
-                hit.add(c[1])
-            elif c[0] == "in" and c[1] not in seen:
-                seen.add(c[1])
-                for k in range(len(R.nodes[c[1]].target)):
-                    stack.append(R.out_to_in[("out", c[1], k)])
-        links.append(frozenset(hit))
+    links, matched = _links(R), _links(P)
+    checks = [(i, j) for i, hit in enumerate(links) for j in sorted(hit)
+              if j not in matched[i]]
+    if len(checks) > 1:
+        raise OcbordError(f"rule {rule_id} links two or more new port pairs "
+                          f"{'backwards' if reverse else 'forwards'}")
     gens = [R.nodes[n] for n in range(len(R.nodes))]
     return _Kernel(
         tuple(P.nodes[n].kind for n in range(len(P.nodes))),
@@ -167,7 +163,25 @@ def _kernel(rule_id: str, reverse: bool) -> _Kernel:
         P.source, P.target, tuple(steps),
         tuple(inner), tuple(src), tuple(tgt),
         tuple((gen.kind, gen.colors) for gen in gens),
-        tuple(R.wires()), tuple(links))
+        tuple(R.wires()), links, tuple(checks))
+
+
+def _links(G: PortGraph) -> tuple:
+    """For each source port of a rule side, the target ports it reaches."""
+    links = []
+    for i in range(len(G.source)):
+        hit, seen = set(), set()
+        stack = [G.out_to_in[("src", i)]]
+        while stack:
+            c = stack.pop()
+            if c[0] == "tgt":
+                hit.add(c[1])
+            elif c[0] == "in" and c[1] not in seen:
+                seen.add(c[1])
+                for k in range(len(G.nodes[c[1]].target)):
+                    stack.append(G.out_to_in[("out", c[1], k)])
+        links.append(frozenset(hit))
+    return tuple(links)
 
 
 # replacement generators, shared between moves; bounded, since their
@@ -247,71 +261,87 @@ def _reaches(host: PortGraph, start: int, goals: set) -> bool:
 
 
 def _splice_is_acyclic(host, rule_id, reverse, src_prod, tgt_cons) -> bool:
-    # gluing may not close a loop: no host path from a consumed target
-    # back to a produced source that the new material connects again
-    conn = _kernel(rule_id, reverse).links
-    for j, tc in enumerate(tgt_cons):
-        if tc[0] != "in":
-            continue
-        goals = {src_prod[i][1] for i in range(len(src_prod))
-                 if j in conn[i] and src_prod[i][0] == "out"}
-        if goals and _reaches(host, tc[1], goals):
+    """Whether gluing in the other side closes no loop.
+
+    A loop must run through the new material from some source port ``i``
+    to some target port ``j``.  If the matched side links ``i`` to ``j``
+    too, the host already holds a path from the producer at ``i`` to the
+    consumer at ``j``, so a host path back would be a loop in the acyclic
+    host.  So a loop through the new material uses a pair the matched
+    side does not link, one of the kernel's ``checks``; with at most one
+    such pair, searching the host for a path from the consumer at ``j``
+    back to the producer at ``i`` of that pair alone is complete.
+    """
+    for i, j in _kernel(rule_id, reverse).checks:
+        sp, tc = src_prod[i], tgt_cons[j]
+        if sp[0] == "out" and tc[0] == "in" \
+                and _reaches(host, tc[1], {sp[1]}):
             return False
     return True
 
 
 def _of_kind(g: PortGraph, *kinds) -> list:
-    """The ids of the nodes whose kind is one of ``kinds``, ascending."""
-    return sorted([n for n, gen in g.nodes.items() if gen.kind in kinds])
+    """The ids of the nodes whose kind is one of ``kinds``, ascending,
+    read from the graph's kind index."""
+    index = g.kind_index()
+    return sorted([n for kind in kinds for n in index.get(kind, ())])
+
+
+def _sites(host: PortGraph, K: _Kernel, at):
+    """``(nodes, env, src_prod, tgt_cons)`` for each site of
+    :func:`find_matches` before its splice check, one at a time."""
+    if not K.kinds:
+        if at:
+            return          # an empty side has no nodes to pin
+        for hp in sorted(host.out_to_in):
+            env = {}
+            if _unify_seg(env, K.source[0], host.producer_seg(hp)):
+                yield (), env, (hp,), (host.out_to_in[hp],)
+        return
+    if at is not None:
+        got = _bind(host, K, tuple(at))
+        if got is not None:
+            yield (tuple(at), *got)
+        return
+    # each anchor fixes at most one tuple, led by the anchor, so the
+    # anchors' id order is the sites' order; _bind re-checks everything
+    # the walk skips (port numbers, colours, the other wires)
+    hnodes, kinds = host.nodes, K.kinds
+    wires = {"out": host.out_to_in, "in": host.in_to_out}
+    for anchor in _of_kind(host, kinds[0]):
+        mp = [anchor] * len(kinds)
+        for side, x, k, y in K.steps:
+            far = wires[side][(side, mp[x], k)]
+            if far[0] not in ("in", "out") \
+                    or hnodes[far[1]].kind != kinds[y]:
+                break
+            mp[y] = far[1]
+        else:
+            nodes = tuple(mp)
+            got = _bind(host, K, nodes)
+            if got is not None:
+                yield (nodes, *got)
 
 
 def find_matches(host: PortGraph, rule_id: str, reverse: bool = False,
-                 at: tuple = None) -> list:
+                 at: tuple = None, *, first: bool = False) -> list:
     """All sites where the rule side matches, in a fixed order.
 
     Sites are ordered by their host nodes; an empty side matches once on
     each host wire its segment unifies with, in wire order.  ``at`` pins
     the host node assignment (pattern node order) instead of searching.
+    Sites are built one at a time, so ``first=True`` stops at the first
+    site, returning it alone (or no site), at the cost of the search up
+    to it.
     """
-    K = _kernel(rule_id, reverse)
     out = []
-
-    def keep(nodes, env, src_prod, tgt_cons):
+    for nodes, env, src_prod, tgt_cons in _sites(
+            host, _kernel(rule_id, reverse), at):
         if _splice_is_acyclic(host, rule_id, reverse, src_prod, tgt_cons):
             out.append(Match(rule_id, reverse, nodes, src_prod, tgt_cons,
                              tuple(sorted(env.items()))))
-
-    def attempt(nodes):
-        got = _bind(host, K, nodes)
-        if got is not None:
-            keep(nodes, *got)
-
-    if not K.kinds:
-        if at:
-            return []       # an empty side has no nodes to pin
-        for hp in sorted(host.out_to_in):
-            env = {}
-            if _unify_seg(env, K.source[0], host.producer_seg(hp)):
-                keep((), env, (hp,), (host.out_to_in[hp],))
-    elif at is not None:
-        attempt(tuple(at))
-    else:
-        # each anchor fixes at most one tuple, led by the anchor, so the
-        # anchors' id order is the sites' order; _bind re-checks
-        # everything the walk skips (port numbers, colours, the other
-        # wires)
-        hnodes, kinds = host.nodes, K.kinds
-        wires = {"out": host.out_to_in, "in": host.in_to_out}
-        for anchor in _of_kind(host, kinds[0]):
-            mp = [anchor] * len(kinds)
-            for side, x, k, y in K.steps:
-                far = wires[side][(side, mp[x], k)]
-                if far[0] not in ("in", "out") \
-                        or hnodes[far[1]].kind != kinds[y]:
-                    break
-                mp[y] = far[1]
-            else:
-                attempt(tuple(mp))
+            if first:
+                break
     return out
 
 
@@ -510,10 +540,24 @@ class _Recorder:
     def __init__(self, g: PortGraph):
         self.g = g
         self.moves: list = []
+        # path counts of nodes with no Delta_A at or below them, kept
+        # across moves for _least_delta; closed downwards: with a node,
+        # every node below it
+        self.paths: dict = {}
 
     def apply(self, m: Match) -> list:
         new = _apply_full(self.g, m)
         self.moves.append(_move_of(m))
+        # a move changes the cones of the matched nodes and of the nodes
+        # above its sources only; a node without a count has none above it
+        g, paths = self.g, self.paths
+        stack = list(m.nodes) + [p[1] for p in m.src_prod if p[0] == "out"]
+        while stack:
+            n = stack.pop()
+            if paths.pop(n, None) is not None and n in g.nodes:
+                ins = range(len(g.nodes[n].source))
+                stack += [p[1] for p in (g.in_to_out[("in", n, k)]
+                                         for k in ins) if p[0] == "out"]
         return new
 
     def do(self, rule_id: str, reverse: bool, nodes) -> list:
@@ -523,34 +567,55 @@ class _Recorder:
         return self.apply(ms[0])
 
     def try_first(self, rule_id: str, reverse: bool = False) -> bool:
-        ms = find_matches(self.g, rule_id, reverse)
+        ms = find_matches(self.g, rule_id, reverse, first=True)
         if not ms:
             return False
         self.apply(ms[0])
         return True
 
 
-def _heights(g: PortGraph) -> dict:
-    """For each node, one plus the sum of its successors' heights."""
-    succ = {n: [c[1] for c in (g.out_to_in[("out", n, k)]
-                               for k in range(len(gen.target)))
+def _least_delta(rec: _Recorder, deltas: list) -> int:
+    """The node of ``deltas`` with least ``(value, id)``, where a node's
+    value is one plus the sum of its successors' values (a weighted count
+    of the paths leaving it).
+
+    Values fall along every path, so the pick has no other ``Delta_A``
+    below it.  Each candidate's cone is walked depth first until a
+    ``Delta_A`` turns up below it; the nodes on the walk's path then lie
+    above one too, which the later walks of this call read.  A node whose
+    walk ends without one gets its value in ``rec.paths``, which later
+    calls reuse until a move below the node forgets it.  The walk is
+    iterative, since chains can be deeper than the recursion limit.
+    """
+    o2i, nodes, paths = rec.g.out_to_in, rec.g.nodes, rec.paths
+    above, best = set(), None
+
+    def succ(n):
+        return [c[1] for c in (o2i[("out", n, k)]
+                               for k in range(len(nodes[n].target)))
                 if c[0] == "in"]
-            for n, gen in g.nodes.items()}
-    preds: dict = {n: [] for n in succ}
-    for n, ms in succ.items():
-        for m in ms:
-            preds[m].append(n)
-    waiting = {n: len(ms) for n, ms in succ.items()}
-    ready = [n for n, k in waiting.items() if not k]
-    memo: dict = {}
-    while ready:
-        n = ready.pop()
-        memo[n] = 1 + sum(memo[m] for m in succ[n])
-        for p in preds[n]:
-            waiting[p] -= 1
-            if not waiting[p]:
-                ready.append(p)
-    return memo
+
+    for d in deltas:
+        path = [[d, succ(d), 0]]
+        while path:
+            frame = path[-1]
+            n, ss, i = frame
+            if i < len(ss):
+                frame[2] += 1
+                if ss[i] in paths:
+                    continue
+                if ss[i] in above or nodes[ss[i]].kind == "Delta_A":
+                    above.update(f[0] for f in path)
+                    break
+                path.append([ss[i], succ(ss[i]), 0])
+                continue
+            path.pop()
+            value = 1 + sum(paths[m] for m in ss)
+            if path:
+                paths[n] = value
+            elif best is None or (value, n) < best:
+                best = (value, n)
+    return best[1]
 
 
 def _is_handle(g: PortGraph, s: int) -> bool:
@@ -736,8 +801,7 @@ def _phase_open(rec: _Recorder) -> bool:
     deltas = _of_kind(rec.g, "Delta_A")
     if not deltas:
         return False
-    hs = _heights(rec.g)
-    d = min(deltas, key=lambda n: (hs[n], n))
+    d = _least_delta(rec, deltas)
     blocks = [_CombView.holding(rec, _MU_A, ("out", d, k)) for k in (0, 1)]
     for blk in blocks:
         if blk.root[0] != "in":

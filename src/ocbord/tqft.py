@@ -22,9 +22,7 @@ the leftmost factor most significant.
 from __future__ import annotations
 
 import heapq
-import itertools
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -278,12 +276,32 @@ def _contract(t1, t2):
 
 
 def _outer(tensors):
-    """The outer product of tensors sharing no leg, legs in list order."""
+    """The outer product of tensors sharing no leg, legs in list order.
+
+    The leg-less tensors (closed components) are multiplied into one
+    scalar first; a zero scalar (an empty leg-less tensor) gives no
+    entries.  The product then grows one tensor at a time: each entry
+    extends one of the product so far by a link to its index and one
+    multiplication, and each key is joined once at the end, so the cost
+    is linear in the tensors and in the result.
+    """
     legs = [l for t_legs, _ in tensors for l in t_legs]
+    scalar = Fraction(1)
+    for t_legs, d in tensors:
+        if not t_legs:
+            scalar *= d.get((), _ZERO)
+    rows = [(None, scalar)] if scalar else []
+    for t_legs, d in tensors:
+        if t_legs:
+            rows = [((head, idx), v * w) for head, v in rows
+                    for idx, w in d.items()]
     data = {}
-    for parts in itertools.product(*(d.items() for _, d in tensors)):
-        key = tuple(itertools.chain.from_iterable(idx for idx, _ in parts))
-        data[key] = math.prod((v for _, v in parts), start=Fraction(1))
+    for head, v in rows:
+        parts = []
+        while head is not None:
+            head, idx = head
+            parts.append(idx)
+        data[tuple(i for idx in reversed(parts) for i in idx)] = v
     return legs, data
 
 

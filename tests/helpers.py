@@ -1,9 +1,12 @@
 """Shared helpers for the test suite: random diagrams, mutations,
 profile-changing perturbations."""
 
+import itertools
+import math
 import random
 import re
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from ocbord.diagram import (DEFAULT_COLOR, Cross, DiagramTerm, Gen, Id,
@@ -17,8 +20,11 @@ from ocbord.dsl import (_NAME, ParseError, SourceSpan, TypeMismatch,
                         parse, parse_file)
 from ocbord.invariants import (_ARCS, CHI, ComponentInvariants, Invariants,
                                _ports, invariants, profile_key)
-from ocbord.rewrite import (Match, _pattern, _splice_is_acyclic, _unify_seg,
-                            apply_match, find_matches, rules)
+from ocbord.rewrite import (Match, _kernel, _pattern, _reaches,
+                            _splice_is_acyclic, _unify_seg, apply_match,
+                            find_matches, rules)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _interval(rng, colors):
@@ -321,14 +327,19 @@ def crown_text(k: int) -> str:
     return "source\neta_C\nDelta_C\n" + step * (k - 1) + "mu_C\neps_C\n"
 
 
+def ladder_gen():
+    """``perfbench/gen.py``, the ladder workload's walk generator."""
+    if str(ROOT / "perfbench") not in sys.path:
+        sys.path.insert(0, str(ROOT / "perfbench"))
+    import gen
+    return gen
+
+
 def read_path_samples() -> list:
     """Terms for the read-path oracles: 500 unconnected random terms in
     the colours ``*`` or ``a, b``, the corpus, two ladder walks, closed
     surfaces, and crowns, one alone and beside other closed components."""
-    root = Path(__file__).resolve().parent.parent
-    if str(root / "perfbench") not in sys.path:
-        sys.path.insert(0, str(root / "perfbench"))
-    import gen      # the ladder workload's walk generator
+    root, gen = ROOT, ladder_gen()
     rng = random.Random(1729)
     terms = [random_term(rng, colors=("*",) if i % 2 else ("a", "b"),
                          connected=False) for i in range(500)]
@@ -349,6 +360,14 @@ def mu_c_comb_text(n: int) -> str:
     return "source " + ", ".join(["O"] * n) + "\n" + "".join(
         " | ".join(["id:O"] * (n - 2 - k) + ["mu_C"]) + "\n"
         for k in range(n - 1))
+
+
+def handle_comb_text(n: int) -> str:
+    """``.ocd`` text of the handle comb: ``n`` source circles, a row of
+    ``n`` ``window_c``, then the rows of :func:`mu_c_comb_text`."""
+    return ("source " + ", ".join(["O"] * n) + "\n"
+            + " | ".join(["window_c"] * n) + "\n"
+            + mu_c_comb_text(n).split("\n", 1)[1])
 
 
 def reversed_merge_text(n: int) -> str:
@@ -428,6 +447,48 @@ def graph_apply(h, m) -> list:
             else ("in", idmap[cons[1]], cons[2])
         h.wire(hp, hc)
     return [idmap[rn] for rn in sorted(R.nodes)]
+
+
+def heights(g: PortGraph) -> dict:
+    """Reference for the Delta_A pick of ``rewrite._phase_open``: for each
+    node of the whole graph, one plus the sum of its successors' values,
+    in one topological pass."""
+    succ = {n: [c[1] for c in (g.out_to_in[("out", n, k)]
+                               for k in range(len(gen.target)))
+                if c[0] == "in"]
+            for n, gen in g.nodes.items()}
+    preds: dict = {n: [] for n in succ}
+    for n, ms in succ.items():
+        for m in ms:
+            preds[m].append(n)
+    waiting = {n: len(ms) for n, ms in succ.items()}
+    ready = [n for n, k in waiting.items() if not k]
+    memo: dict = {}
+    while ready:
+        n = ready.pop()
+        memo[n] = 1 + sum(memo[m] for m in succ[n])
+        for p in preds[n]:
+            waiting[p] -= 1
+            if not waiting[p]:
+                ready.append(p)
+    return memo
+
+
+def all_pairs_splice_is_acyclic(host, rule_id, reverse, src_prod,
+                                tgt_cons) -> bool:
+    """Reference for ``rewrite._splice_is_acyclic``: search the host for a
+    path back from each consumed target to every produced source that
+    the new material links to it, whether the matched side links them
+    or not."""
+    conn = _kernel(rule_id, reverse).links
+    for j, tc in enumerate(tgt_cons):
+        if tc[0] != "in":
+            continue
+        goals = {src_prod[i][1] for i in range(len(src_prod))
+                 if j in conn[i] and src_prod[i][0] == "out"}
+        if goals and _reaches(host, tc[1], goals):
+            return False
+    return True
 
 
 def product_find_matches(host, rule_id: str, reverse: bool = False) -> list:
@@ -888,3 +949,14 @@ def axiom_terms_reference(colors):
     yield ("frob_C2", (),
            compose(t("mu_C"), t("Delta_C")),
            compose(tensor(t("Delta_C"), i(O)), tensor(i(O), t("mu_C"))))
+
+
+def outer_reference(tensors):
+    """Reference for ``tqft._outer``: one entry per choice of an entry
+    from every tensor, its value the product of the chosen values."""
+    legs = [l for t_legs, _ in tensors for l in t_legs]
+    data = {}
+    for parts in itertools.product(*(d.items() for _, d in tensors)):
+        key = tuple(itertools.chain.from_iterable(idx for idx, _ in parts))
+        data[key] = math.prod((v for _, v in parts), start=Fraction(1))
+    return legs, data

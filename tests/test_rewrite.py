@@ -2,12 +2,14 @@
 
 import dataclasses
 import random
+import sys
 from pathlib import Path
 
 import pytest
 
-from ocbord.diagram import (DiagramTerm, Gen, Id, OcbordError, PortGraph, Seg,
-                            graph_eq, syntactic_eq, to_port_graph)
+from ocbord.diagram import (GEN_ARITY, DiagramTerm, Gen, Id, OcbordError,
+                            PortGraph, Seg, graph_eq, syntactic_eq,
+                            to_port_graph)
 from ocbord.dsl import parse, parse_file
 from ocbord.invariants import invariants, profile_key
 from ocbord.normalform import normal_form
@@ -21,7 +23,6 @@ from ocbord.rewrite import (
     _Recorder,
     _canonical_one_split,
     _comult_two_cozips,
-    _heights,
     apply_match,
     check_trace,
     find_matches,
@@ -35,9 +36,27 @@ from ocbord.rewrite import (
     write_trace,
 )
 
-from helpers import graph_apply, product_find_matches, random_term
+from helpers import (all_pairs_splice_is_acyclic, graph_apply, heights,
+                     ladder_gen, product_find_matches, random_term, recolor,
+                     window_strip)
 
-CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "corpus"
+
+
+def _random_hosts(seed: int, count: int) -> list:
+    rng = random.Random(seed)
+    hosts = [to_port_graph(random_term(rng, max_gens=12, colors=("*", "a"),
+                                       connected=False))
+             for _ in range(count)]
+    return hosts + [to_port_graph(r.side(rev)) for r in rules().values()
+                    for rev in (False, True)]
+
+
+def _acceptance_sample() -> list:
+    # the 500 criterion-3 diagrams of test_acceptance.py
+    rng = random.Random(314159)
+    return [random_term(rng, max_gens=25, max_width=6) for _ in range(500)]
 
 
 def test_catalog_shape():
@@ -96,6 +115,118 @@ def test_anchored_search_equals_the_product_search():
             for g in hosts:
                 assert find_matches(g, rid, rev) \
                     == product_find_matches(g, rid, rev), (rid, rev)
+
+
+def test_first_site_is_the_first_of_all_sites():
+    # random hosts, and for each rule direction that adds a port pair, a
+    # site that closes a loop beside one that does not
+    hosts = _random_hosts(44, 30)
+    hosts += [_beside(_loop_host(rid, rev),
+                      to_port_graph(recolor(rules()[rid].side(rev))))
+              for rid in sorted(rules()) for rev in (False, True)
+              if rewrite._kernel(rid, rev).checks]
+    for rid in sorted(rules()):
+        for rev in (False, True):
+            for g in hosts:
+                assert find_matches(g, rid, rev, first=True) \
+                    == find_matches(g, rid, rev)[:1], (rid, rev)
+
+
+def _loop_host(rid: str, rev: bool) -> PortGraph:
+    """The rule side in colour ``*`` with the one port pair (i, j) that
+    the other side adds joined outside it: target j runs through zips and
+    cozips back into source i, so splicing at the side closes a loop."""
+    P = to_port_graph(recolor(rules()[rid].side(rev)))
+    (i, j), = rewrite._kernel(rid, rev).checks
+    h = PortGraph([s for k, s in enumerate(P.source) if k != i],
+                  [s for k, s in enumerate(P.target) if k != j])
+    for n, gen in P.nodes.items():
+        h.add_node(gen, n)
+
+    def port(ep):
+        if ep[0] in ("src", "tgt"):
+            return (ep[0], ep[1] - (ep[1] > (i if ep[0] == "src" else j)))
+        return ep
+
+    for prod, cons in P.wires():
+        if prod != ("src", i) and cons != ("tgt", j):
+            h.wire(port(prod), port(cons))
+    seq = (["cozip"] if P.target[j].is_interval else []) \
+        + (["zip"] if P.source[i].is_interval else []) or ["zip", "cozip"]
+    end = P.in_to_out[("tgt", j)]
+    for kind in seq:
+        n = h.add_node(Gen(kind, ("*",)))
+        h.wire(end, ("in", n, 0))
+        end = ("out", n, 0)
+    h.wire(end, P.out_to_in[("src", i)])
+    h.validate()
+    return h
+
+
+def _beside(a: PortGraph, b: PortGraph) -> PortGraph:
+    """``a`` and ``b`` side by side: ``b``'s node ids and ports follow."""
+    g = PortGraph(a.source + b.source, a.target + b.target)
+    for x, off in ((a, (0, 0, 0)), (b, (len(a.source), len(a.target),
+                                       a._next))):
+        def shift(ep):
+            if ep[0] in ("src", "tgt"):
+                return (ep[0], ep[1] + off[ep[0] == "tgt"])
+            return (ep[0], ep[1] + off[2], ep[2])
+        for n, gen in x.nodes.items():
+            g.add_node(gen, n + off[2])
+        for prod, cons in x.wires():
+            g.wire(shift(prod), shift(cons))
+    g.validate()
+    return g
+
+
+def test_a_splice_at_a_new_pair_that_closes_a_loop_is_refused():
+    # the 12 rule directions that add a port pair, each at its own side
+    # with that pair joined outside
+    added = [(rid, rev) for rid in sorted(rules()) for rev in (False, True)
+             if rewrite._kernel(rid, rev).checks]
+    assert len(added) == 12
+    for rid, rev in added:
+        h = _loop_host(rid, rev)
+        nodes = tuple(range(len(rewrite._kernel(rid, rev).kinds)))
+        assert rewrite._bind(h, rewrite._kernel(rid, rev), nodes), rid
+        assert find_matches(h, rid, rev, at=nodes) == [], (rid, rev)
+
+
+def test_new_pair_splice_check_equals_the_all_pairs_check():
+    # every site before its splice check, on random hosts, on loop hosts
+    # and on the acceptance sample, in both directions of every rule
+    hosts = _random_hosts(45, 40)
+    hosts += [_loop_host(rid, rev) for rid in sorted(rules())
+              for rev in (False, True) if rewrite._kernel(rid, rev).checks]
+    hosts += [to_port_graph(t) for t in _acceptance_sample()]
+    kernels = [(rid, rev, rewrite._kernel(rid, rev))
+               for rid in sorted(rules()) for rev in (False, True)]
+    sites = refused = 0
+    for g in hosts:
+        for rid, rev, K in kernels:
+            for nodes, _, sp, tc in rewrite._sites(g, K, None):
+                ok = rewrite._splice_is_acyclic(g, rid, rev, sp, tc)
+                assert ok == all_pairs_splice_is_acyclic(g, rid, rev, sp,
+                                                         tc), (rid, rev, nodes)
+                sites += 1
+                refused += not ok
+    assert sites > 10000 and refused > 10
+
+
+def test_a_side_with_two_new_pairs_is_refused(monkeypatch):
+    # each source circle merges into its own target with one half of a
+    # split unit; merging both then splitting links each source to both
+    # targets, two pairs that one check each would not see together
+    two = parse("source O, O\nid:O | eta_C | id:O\nid:O | Delta_C | id:O\n"
+                "mu_C | mu_C\n")
+    one = parse("source O, O\nmu_C\nDelta_C\n")
+    rid = "test_two_new_pairs"
+    monkeypatch.setitem(rules(), rid, rewrite.Rule(rid, "test", "-", two,
+                                                   one))
+    with pytest.raises(OcbordError, match="two or more new port pairs"):
+        rewrite._kernel(rid, False)
+    assert rewrite._kernel(rid, True).checks == ()
 
 
 def test_kernel_splice_equals_the_graph_splice():
@@ -321,7 +452,85 @@ def test_heights_on_a_long_chain():
     # 3000 nodes in one chain, deeper than the interpreter's recursion limit
     zz = ((Gen("zip", ("*",)),), (Gen("cozip", ("*",)),))
     g = to_port_graph(DiagramTerm((Seg.O(),), zz * 1500))
-    assert _heights(g) == {n: 3000 - n for n in range(3000)}
+    assert heights(g) == {n: 3000 - n for n in range(3000)}
+
+
+def test_delta_pick_on_a_deep_strip():
+    # 1500 windows in a row: the cone of the top Delta_A is 3000 deep
+    g = to_port_graph(window_strip(1500))
+    deltas = rewrite._of_kind(g, "Delta_A")
+    hs = heights(g)
+    assert rewrite._least_delta(_Recorder(g), deltas) \
+        == min(deltas, key=lambda n: (hs[n], n)) == 2998
+    # one window over 3000 nodes with no Delta_A: all of them get counts
+    star = ("*", "*", "*")
+    g = to_port_graph(DiagramTerm((Seg.I(),), (
+        (Gen("Delta_A", star),), (Gen("mu_A", star),))
+        + ((Gen("cozip", ("*",)),), (Gen("zip", ("*",)),)) * 1500))
+    rec = _Recorder(g)
+    assert rewrite._least_delta(rec, [0]) == 0
+    assert rec.paths == {n: 3002 - n for n in range(1, 3002)}
+
+
+@pytest.fixture(scope="module")
+def strategy_audit():
+    """Normalize every input of ``scripts/trace_digest.py``; after each
+    move, compare ``_of_kind`` with a scan of the nodes, and at each
+    Delta_A pick of ``_phase_open``, the pick and every kept path count
+    with the whole-graph oracle's.  Returns the counts and the
+    mismatches."""
+    if str(ROOT / "scripts") not in sys.path:
+        sys.path.insert(0, str(ROOT / "scripts"))
+    import helpers
+    import trace_digest
+    audit = {"moves": 0, "picks": 0, "kinds": [], "bad picks": []}
+    apply, least_delta = _Recorder.apply, rewrite._least_delta
+    label = None
+
+    def audited_apply(rec, m):
+        new = apply(rec, m)
+        scan = {kind: [] for kind in GEN_ARITY}
+        for n, gen in rec.g.nodes.items():
+            scan[gen.kind].append(n)
+        if any(rewrite._of_kind(rec.g, kind) != sorted(ns)
+               for kind, ns in scan.items()):
+            audit["kinds"].append((label, audit["moves"]))
+        audit["moves"] += 1
+        return new
+
+    def audited_least_delta(rec, deltas):
+        d = least_delta(rec, deltas)
+        hs = heights(rec.g)
+        if d != min(deltas, key=lambda n: (hs[n], n)) \
+                or any(hs.get(n) != v for n, v in rec.paths.items()):
+            audit["bad picks"].append((label, audit["picks"]))
+        audit["picks"] += 1
+        return d
+
+    gen = ladder_gen()
+    inputs = list(trace_digest._inputs(helpers, gen, parse))
+    # a walk where a move lands below nodes whose counts were kept, so a
+    # move that forgot only its own nodes' counts would leave stale ones
+    inputs.append(("ladder 36 s53", parse(gen.ladder_walk(36, "s53").text())))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Recorder, "apply", audited_apply)
+        mp.setattr(rewrite, "_least_delta", audited_least_delta)
+        for label, term in inputs:
+            try:
+                normalize_with_trace(term)
+            except OcbordError:
+                pass        # the digest records the error; moves so far count
+    return audit
+
+
+def test_kind_index_reads_as_a_scan_after_every_move(strategy_audit):
+    assert strategy_audit["moves"] > 40000
+    assert strategy_audit["kinds"] == []
+
+
+def test_delta_pick_equals_the_whole_graph_oracle(strategy_audit):
+    assert strategy_audit["picks"] > 500
+    assert strategy_audit["bad picks"] == []
 
 
 def test_tree_leaves_on_a_deep_comb():

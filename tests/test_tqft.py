@@ -31,8 +31,8 @@ from ocbord.tqft import (
 )
 
 from helpers import (axiom_terms_reference, component_count, mutate_algebra,
-                     random_term, recolor, scan_contraction_plan,
-                     window_strip)
+                     outer_reference, random_term, recolor,
+                     scan_contraction_plan, window_strip)
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -136,6 +136,52 @@ def test_zip_lands_in_the_centre():
         if alg.colors != ("*",):
             continue
         assert evaluate(lhs, alg) == evaluate(rhs, alg), name
+
+
+def test_outer_equals_the_product_reference():
+    # random sparse tensors on disjoint legs, leg-less ones among them,
+    # with empty data (a zero scalar when leg-less) and leg-less-only lists
+    rng = random.Random(46)
+    cases = [[], [([], {})], [([], {(): Fraction(2)})],
+             [([], {(): Fraction(2)}), ([], {(): Fraction(-1, 3)})],
+             [([0], {(1,): Fraction(1)}), ([], {})]]
+    for _ in range(400):
+        tensors, leg = [], 0
+        for _ in range(rng.randint(1, 5)):
+            k = rng.choice((0, 0, 1, 2, 3))
+            dims = [rng.randint(1, 3) for _ in range(k)]
+            data = {tuple(rng.randrange(d) for d in dims):
+                    Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.randint(1, 4))
+                    for _ in range(rng.randint(0, 4))}
+            tensors.append((list(range(leg, leg + k)), data))
+            leg += k
+        cases.append(tensors)
+    for tensors in cases:
+        legs, data = tqft._outer(tensors)
+        ref_legs, ref = outer_reference(tensors)
+        assert legs == ref_legs
+        assert list(data.items()) == list(ref.items()), tensors
+
+
+def test_evaluate_with_the_product_outer(monkeypatch):
+    # the corpus under every builtin, with _outer and with its reference
+    results = []
+    for use_reference in (False, True):
+        if use_reference:
+            monkeypatch.setattr(tqft, "_outer", outer_reference)
+        got = []
+        for f in sorted(CORPUS.glob("*.ocd")):
+            t = parse_file(f)
+            for name in BUILTIN_ALGEBRAS:
+                alg = builtin_algebra(name)
+                try:
+                    got.append(evaluate(recolor(t) if alg.colors == ("*",)
+                                        else t, alg))
+                except OcbordError as e:
+                    got.append(str(e))
+        results.append(got)
+    assert results[0] == results[1]
+    assert sum(isinstance(r, LinearMap) for r in results[0]) >= 60
 
 
 def test_dimension_cap_is_enforced():
