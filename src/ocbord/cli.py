@@ -177,8 +177,6 @@ def _cmd_normalize(ns):
     t = _load_term(ns.file)
     nf, tr = normalize_with_trace(t)
     text = render(nf)
-    if not text.endswith("\n"):
-        text += "\n"
     if ns.trace:
         write_trace(tr, ns.trace)
     if ns.output:

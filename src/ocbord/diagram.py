@@ -328,6 +328,9 @@ class PortGraph:
                 yield ("in", nid, k)
 
     def validate(self) -> None:
+        """Raise :class:`TypingError` unless every port is wired once, each
+        wire joins equal segments, and the wires form no loop: a cyclic
+        graph is no diagram."""
         prods = set(self.producers())
         conss = set(self.consumers())
         if set(self.out_to_in) != prods:
@@ -345,6 +348,22 @@ class PortGraph:
             if ps != cs:
                 raise TypingError(
                     f"wire {prod} -> {cons} carries {ps} into a {cs} port")
+        # Kahn's count over node-to-node wires: inputs fed by the source
+        # wait on nothing, so only those fed by an output are counted
+        waiting = dict.fromkeys(self.nodes, 0)
+        for prod, cons in self.out_to_in.items():
+            if prod[0] == "out" and cons[0] == "in":
+                waiting[cons[1]] += 1
+        ready = [nid for nid, n in waiting.items() if not n]
+        for nid in ready:
+            for k in range(len(self.nodes[nid].target)):
+                cons = self.out_to_in[("out", nid, k)]
+                if cons[0] == "in":
+                    waiting[cons[1]] -= 1
+                    if not waiting[cons[1]]:
+                        ready.append(cons[1])
+        if len(ready) != len(self.nodes):
+            raise TypingError("port graph is cyclic")
 
 
 def to_port_graph(term: DiagramTerm) -> PortGraph:
@@ -385,7 +404,8 @@ def to_port_graph(term: DiagramTerm) -> PortGraph:
 def as_graph(x) -> PortGraph:
     """The port graph of a diagram, the one place a diagram enters as a
     graph.  A term's graph is well formed by its typing; a caller's port
-    graph is validated here, once, and returned as is."""
+    graph is validated here, once, and returned as is; a cyclic one is
+    refused with a :class:`TypingError`."""
     if isinstance(x, DiagramTerm):
         return to_port_graph(x)
     x.validate()

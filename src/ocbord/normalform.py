@@ -18,7 +18,8 @@ each window is a zipper followed by a cozipper, each handle a closed
 comultiplication followed by a multiplication, and the splits fan the
 line out to the target circles (a cup when there are none).  Undoing
 the wrapping with the dual (co)pairings yields the normal form of the
-original diagram.
+original diagram; :func:`wrap` and :func:`wrap_graph` return the wrapped
+diagram plus the original ``(source, target)``, all that undoing needs.
 
 Conventions fixed here: blocks are ordered by their smallest port, a
 block multiplies its cycle as m, s^(q-1)(m), ..., s(m) starting from the
@@ -28,8 +29,6 @@ circles.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .diagram import (
     DiagramTerm,
@@ -43,139 +42,96 @@ from .diagram import (
 from .invariants import ComponentInvariants, Invariants, _unordered
 
 
-@dataclass(frozen=True)
-class WrapData:
-    """Boundary bookkeeping for :func:`wrap` / :func:`unwrap`.
+def _wrapped_boundary(source, target) -> tuple:
+    """The ``(source, target)`` of the wrapped diagram.
 
-    Positions are indices into the original boundary objects.  The
-    wrapped source is the bent target intervals (orientation reversed)
-    followed by the kept source intervals; the wrapped target is the
-    kept target circles followed by the bent source circles.
+    The wrapped source is the bent target intervals (orientation
+    reversed) followed by the kept source intervals; the wrapped target
+    is the kept target circles followed by the bent source circles.
     """
-
-    source: tuple
-    target: tuple
-    src_intervals: tuple
-    src_circles: tuple
-    tgt_intervals: tuple
-    tgt_circles: tuple
-
-    @property
-    def wrapped_source(self):
-        bent = tuple(Seg.I(self.target[j].right, self.target[j].left)
-                     for j in self.tgt_intervals)
-        return bent + tuple(self.source[i] for i in self.src_intervals)
-
-    @property
-    def wrapped_target(self):
-        kept = tuple(self.target[j] for j in self.tgt_circles)
-        return kept + tuple(Seg.O() for _ in self.src_circles)
+    return (tuple(Seg.I(s.right, s.left) for s in target if s.is_interval)
+            + tuple(s for s in source if s.is_interval),
+            tuple(s for s in target if not s.is_interval)
+            + tuple(Seg.O() for s in source if not s.is_interval))
 
 
-def _wrap_data(source, target) -> WrapData:
-    return WrapData(
-        source=tuple(source), target=tuple(target),
-        src_intervals=tuple(i for i, s in enumerate(source) if s.is_interval),
-        src_circles=tuple(i for i, s in enumerate(source)
-                          if not s.is_interval),
-        tgt_intervals=tuple(j for j, s in enumerate(target) if s.is_interval),
-        tgt_circles=tuple(j for j, s in enumerate(target)
-                          if not s.is_interval),
-    )
+def _positions(segs, interval: bool) -> list:
+    return [i for i, s in enumerate(segs) if s.is_interval == interval]
 
 
 def wrap_graph(g: PortGraph):
     """Bend target intervals into source ports and source circles into
-    target ports; returns the wrapped graph and the WrapData."""
-    w = _wrap_data(g.source, g.target)
-    h = PortGraph(w.wrapped_source, w.wrapped_target)
+    target ports; returns the wrapped graph and the original boundary
+    ``(source, target)``, which is all :func:`unwrap_graph` needs."""
+    source, target = g.source, g.target
+    h = PortGraph(*_wrapped_boundary(source, target))
     for nid, gen in g.nodes.items():
         h.add_node(gen, nid)
-    src_pos = {i: len(w.tgt_intervals) + k
-               for k, i in enumerate(w.src_intervals)}
-    tgt_pos = {j: k for k, j in enumerate(w.tgt_circles)}
-    pair_in = {}
-    for k, j in enumerate(w.tgt_intervals):
-        a, b = g.target[j].left, g.target[j].right
+    bent = _positions(target, True)
+    kept = _positions(target, False)
+    prod = {("src", i): ("src", len(bent) + k)
+            for k, i in enumerate(_positions(source, True))}
+    cons = {("tgt", j): ("tgt", k) for k, j in enumerate(kept)}
+    for k, j in enumerate(bent):
+        a, b = target[j].left, target[j].right
         mu = h.add_node(Gen("mu_A", (b, a, b)))
         ep = h.add_node(Gen("eps_A", (b,)))
         h.wire(("src", k), ("in", mu, 0))
         h.wire(("out", mu, 0), ("in", ep, 0))
-        pair_in[j] = ("in", mu, 1)
-    copair_out = {}
-    for k, i in enumerate(w.src_circles):
+        cons["tgt", j] = ("in", mu, 1)
+    for k, i in enumerate(_positions(source, False)):
         et = h.add_node(Gen("eta_C"))
         de = h.add_node(Gen("Delta_C"))
         h.wire(("out", et, 0), ("in", de, 0))
-        h.wire(("out", de, 1), ("tgt", len(w.tgt_circles) + k))
-        copair_out[i] = ("out", de, 0)
-
-    def prod(ep):
-        if ep[0] == "src":
-            return copair_out.get(ep[1]) or ("src", src_pos[ep[1]])
-        return ep
-
-    def cons(ep):
-        if ep[0] == "tgt":
-            return pair_in.get(ep[1]) or ("tgt", tgt_pos[ep[1]])
-        return ep
-
+        h.wire(("out", de, 1), ("tgt", len(kept) + k))
+        prod["src", i] = ("out", de, 0)
     for p, c in g.wires():
-        h.wire(prod(p), cons(c))
-    return h, w
+        h.wire(prod.get(p, p), cons.get(c, c))
+    return h, (source, target)
 
 
-def unwrap_graph(h: PortGraph, w: WrapData) -> PortGraph:
-    """Undo :func:`wrap_graph` with the dual (co)pairings."""
-    if h.source != w.wrapped_source or h.target != w.wrapped_target:
+def unwrap_graph(h: PortGraph, boundary) -> PortGraph:
+    """Undo :func:`wrap_graph` with the dual (co)pairings, given the
+    original ``(source, target)`` that it returned."""
+    source, target = boundary
+    if (h.source, h.target) != _wrapped_boundary(source, target):
         raise OcbordError("wrap data does not match the diagram boundary")
-    g = PortGraph(w.source, w.target)
+    g = PortGraph(source, target)
     for nid, gen in h.nodes.items():
         g.add_node(gen, nid)
-    bent_src = {}
-    tgt_from = {}
-    for k, j in enumerate(w.tgt_intervals):
-        a, b = w.target[j].left, w.target[j].right
+    bent = _positions(target, True)
+    kept = _positions(target, False)
+    prod = {("src", len(bent) + k): ("src", i)
+            for k, i in enumerate(_positions(source, True))}
+    cons = {("tgt", k): ("tgt", j) for k, j in enumerate(kept)}
+    for k, j in enumerate(bent):
+        a, b = target[j].left, target[j].right
         et = g.add_node(Gen("eta_A", (b,)))
         de = g.add_node(Gen("Delta_A", (b, a, b)))
         g.wire(("out", et, 0), ("in", de, 0))
-        bent_src[k] = ("out", de, 0)
-        tgt_from[j] = ("out", de, 1)
-    bent_tgt = {}
-    for k, i in enumerate(w.src_circles):
+        g.wire(("out", de, 1), ("tgt", j))
+        prod["src", k] = ("out", de, 0)
+    for k, i in enumerate(_positions(source, False)):
         mu = g.add_node(Gen("mu_C"))
         ep = g.add_node(Gen("eps_C"))
         g.wire(("src", i), ("in", mu, 0))
         g.wire(("out", mu, 0), ("in", ep, 0))
-        bent_tgt[len(w.tgt_circles) + k] = ("in", mu, 1)
-
-    def prod(ep):
-        if ep[0] == "src":
-            return bent_src.get(ep[1]) or \
-                ("src", w.src_intervals[ep[1] - len(w.tgt_intervals)])
-        return ep
-
-    def cons(ep):
-        if ep[0] == "tgt":
-            return bent_tgt.get(ep[1]) or ("tgt", w.tgt_circles[ep[1]])
-        return ep
-
+        cons["tgt", len(kept) + k] = ("in", mu, 1)
     for p, c in h.wires():
-        g.wire(prod(p), cons(c))
-    for j, p in tgt_from.items():
-        g.wire(p, ("tgt", j))
+        g.wire(prod.get(p, p), cons.get(c, c))
     return g
 
 
 def wrap(t: DiagramTerm):
-    """Term-level wrap; see :func:`wrap_graph`."""
-    h, w = wrap_graph(as_graph(t))
-    return from_port_graph(h), w
+    """Term-level wrap; see :func:`wrap_graph`.  Returns the wrapped term
+    and the original ``(source, target)``."""
+    h, boundary = wrap_graph(as_graph(t))
+    return from_port_graph(h), boundary
 
 
-def unwrap(t: DiagramTerm, w: WrapData) -> DiagramTerm:
+def unwrap(t: DiagramTerm, boundary) -> DiagramTerm:
     """Term-level unwrap, the inverse of :func:`wrap` up to equivalence."""
-    return from_port_graph(unwrap_graph(as_graph(t), w))
+    return from_port_graph(unwrap_graph(as_graph(t), boundary))
 
 
 def _leaf_order(cyc):
@@ -266,9 +222,9 @@ def wrapped_normal_form(x):
     order the invariants found them: the layout of ``from_port_graph``
     and the comparison by ``graph_eq`` do not depend on it.
     """
-    h, w = wrap_graph(as_graph(x))
+    h, boundary = wrap_graph(as_graph(x))
     target = nf_wrapped_graph(_unordered(h))
-    return from_port_graph(unwrap_graph(target, w)), h, target
+    return from_port_graph(unwrap_graph(target, boundary)), h, target
 
 
 def normal_form(x) -> DiagramTerm:

@@ -41,6 +41,9 @@ def test_check_syntax_error_exits_2(tmp_path, capsys):
     assert run(["check", bad]) == 2
     err = capsys.readouterr().err
     assert "bad.ocd:2:1" in err
+    blank = _ocd(tmp_path, "blank.ocd", "# only a comment\n")
+    assert run(["check", blank]) == 2
+    assert f"error: {blank}:1:1: no source line" in capsys.readouterr().err
 
 
 def test_check_type_error_exits_1(tmp_path, capsys):
@@ -344,3 +347,15 @@ def test_help_exits_0(capsys):
     assert run(["--help"]) == 0
     assert run(["normalize", "--help"]) == 0
     capsys.readouterr()
+
+
+def test_cli_outputs_match_the_pinned_digest():
+    # every CLI output on the corpus, byte for byte: a change that means
+    # to alter outputs updates this total and says so
+    proc = subprocess.run(
+        [sys.executable, str(CORPUS.parent / "scripts" / "cli_digest.py")],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == (
+        "f99a0443c6723e7ec05d2df589874bfa8cd0821926b9c64cf1bdbb8e2d304e3e"
+        "  total over 310 outputs")

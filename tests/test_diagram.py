@@ -32,7 +32,7 @@ from ocbord.diagram import (
 
 from ocbord.dsl import parse, parse_file
 from ocbord.invariants import equivalent, invariants
-from ocbord.normalform import normal_form
+from ocbord.normalform import normal_form, unwrap, wrap
 from ocbord.rewrite import check_trace, normalize_with_trace
 from ocbord.tqft import builtin_matrix_example, evaluate
 
@@ -209,7 +209,15 @@ def _ill_typed_graphs():
     # input 1 of the mu_C is left dangling
     bare = PortGraph((I(),), (O,))
     bare.wire(("src", 0), ("tgt", 0))
-    return dangling, bare
+    # a mu_C feeding a Delta_C that feeds it back: a torus read as a loop
+    cyclic = PortGraph()
+    mu, de = cyclic.add_node(Gen("mu_C")), cyclic.add_node(Gen("Delta_C"))
+    et, ep = cyclic.add_node(Gen("eta_C")), cyclic.add_node(Gen("eps_C"))
+    cyclic.wire(("out", mu, 0), ("in", de, 0))
+    cyclic.wire(("out", de, 0), ("in", mu, 0))
+    cyclic.wire(("out", et, 0), ("in", mu, 1))
+    cyclic.wire(("out", de, 1), ("in", ep, 0))
+    return dangling, bare, cyclic
 
 
 @pytest.mark.parametrize("entry", [
@@ -224,6 +232,13 @@ def test_entry_points_reject_ill_typed_graphs(entry):
     for g in _ill_typed_graphs():
         with pytest.raises(TypingError):
             entry(g)
+
+
+def test_unwrap_refuses_another_terms_boundary():
+    w, _ = wrap(parse_file(CORPUS / "figure1.ocd"))
+    _, other = wrap(parse_file(CORPUS / "strip_hole.ocd"))
+    with pytest.raises(OcbordError, match="wrap data does not match"):
+        unwrap(w, other)
 
 
 def test_a_diagram_is_type_checked_once_where_it_enters(monkeypatch):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import re
 import sys
 from pathlib import Path
 
@@ -703,3 +704,35 @@ def test_malformed_trace_text_is_rejected():
     text = trace_text(tr)
     with pytest.raises(TraceError):
         parse_trace(text.replace("ocbord-trace 1", "ocbord-trace 2", 1))
+
+
+def _drop(tag):
+    return lambda lines: [ln for ln in lines if ln != tag]
+
+
+def _first_move(change):
+    def edit(lines):
+        i = lines.index("initial-end") + 1
+        lines[i] = " ".join(change(lines[i].split()))
+        return lines
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_drop("initial-begin"), "expected 'initial-begin' in move log"),
+    (_first_move(lambda f: f[:4] + ["o3"] + f[5:]),
+     "bad endpoint 'o3' in move log"),
+    (_first_move(lambda f: f[:5]), "bad move line '1 "),
+    (_drop("initial-end"), "missing 'initial-end' in move log"),
+    (_drop("final-end"), "missing 'final-end' in move log"),
+    (_first_move(lambda f: ["2"] + f[1:]), "move steps out of order at '2 "),
+    (lambda lines: lines + ["junk"], "trailing junk after move log"),
+    (_first_move(lambda f: f[:1] + ["no_such_rule"] + f[2:]),
+     "step 1: unknown rule 'no_such_rule'"),
+], ids=["no-initial-begin", "endpoint-o3", "five-fields", "no-initial-end",
+        "no-final-end", "first-step-2", "trailing-junk", "unknown-rule"])
+def test_each_malformed_trace_is_a_trace_error(edit, message):
+    _, tr = normalize_with_trace(parse_file(CORPUS / "figure1.ocd"))
+    text = "\n".join(edit(trace_text(tr).splitlines())) + "\n"
+    with pytest.raises(TraceError, match=re.escape(message)):
+        check_trace(parse_trace(text))

@@ -204,6 +204,12 @@ def _network(t, alg):
     return [legs for legs, _ in tensors], wire_dim
 
 
+def test_contraction_drops_entries_that_cancel():
+    # x0 - x1 against x0 + x1: the partial sums 1 then 0 leave no entry
+    assert tqft._contract((["x"], {(0,): 1, (1,): -1}),
+                          (["x"], {(0,): 1, (1,): 1})) == ([], {})
+
+
 def test_heap_plan_equals_the_scan():
     # the acceptance criterion-3 sample and its normal forms, long walks,
     # a deep strip, and diagrams with wires straight from source to target
