@@ -59,6 +59,25 @@ def _inputs(helpers, gen, parse):
                                     + comb)
 
 
+def digest_lines(outcomes):
+    """Yield one ``"{digest}  {label}"`` line per ``(label, outcome)``,
+    then the ``"{total}  total over {count} traces"`` line.  An outcome is
+    a move trace, digested as its ``trace_text``, or the ``OcbordError``
+    the normalizer raised, digested as ``error: {type}: {message}``."""
+    from ocbord.rewrite import trace_text
+
+    total = hashlib.sha256()
+    count = 0
+    for label, outcome in outcomes:
+        text = (f"error: {type(outcome).__name__}: {outcome}\n"
+                if isinstance(outcome, Exception) else trace_text(outcome))
+        line = f"{hashlib.sha256(text.encode()).hexdigest()}  {label}"
+        total.update(f"{line}\n".encode())
+        count += 1
+        yield line
+    yield f"{total.hexdigest()}  total over {count} traces"
+
+
 def main(argv):
     root = os.path.abspath(argv[0] if argv else
                            os.path.join(os.path.dirname(__file__), ".."))
@@ -68,27 +87,28 @@ def main(argv):
     import helpers
     from ocbord.diagram import OcbordError
     from ocbord.dsl import parse
-    from ocbord.rewrite import check_trace, normalize_with_trace, trace_text
+    from ocbord.rewrite import check_trace, normalize_with_trace
 
-    total = hashlib.sha256()
-    count = failed = 0
-    for label, term in _inputs(helpers, gen, parse):
-        try:
-            trace = normalize_with_trace(term)[1]
-        except OcbordError as e:
-            text = f"error: {type(e).__name__}: {e}\n"
-        else:
-            text = trace_text(trace)
+    failed = 0
+
+    def outcomes():
+        nonlocal failed
+        for label, term in _inputs(helpers, gen, parse):
             try:
-                check_trace(trace)
+                outcome = normalize_with_trace(term)[1]
             except OcbordError as e:
-                print(f"{label}: trace does not replay: {e}", file=sys.stderr)
-                failed += 1
-        digest = hashlib.sha256(text.encode()).hexdigest()
-        print(f"{digest}  {label}")
-        total.update(f"{digest}  {label}\n".encode())
-        count += 1
-    print(f"{total.hexdigest()}  total over {count} traces")
+                outcome = e
+            else:
+                try:
+                    check_trace(outcome)
+                except OcbordError as e:
+                    print(f"{label}: trace does not replay: {e}",
+                          file=sys.stderr)
+                    failed += 1
+            yield label, outcome
+
+    for line in digest_lines(outcomes()):
+        print(line)
     return 1 if failed else 0
 
 

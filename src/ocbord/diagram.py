@@ -593,8 +593,8 @@ def from_port_graph(g: PortGraph) -> DiagramTerm:
     before it is built.
     """
     frontier = [("src", i) for i in range(len(g.source))]
-    segs = [g.producer_seg(p) for p in frontier]
-    ids = [Id(s) for s in segs]         # the identity on each frontier wire
+    # the identity on each frontier wire
+    ids = [Id(g.producer_seg(p)) for p in frontier]
     slices = []
     factors = 0
 
@@ -607,17 +607,16 @@ def from_port_graph(g: PortGraph) -> DiagramTerm:
                 f"the diagram is too wide to write out as a term")
 
     def emit_swap(i):
-        count(len(segs) - 1)
-        slices.append(tuple(ids[:i]) + (Cross(segs[i], segs[i + 1]),)
+        count(len(ids) - 1)
+        slices.append(tuple(ids[:i]) + (Cross(ids[i].seg, ids[i + 1].seg),)
                       + tuple(ids[i + 2:]))
         frontier[i], frontier[i + 1] = frontier[i + 1], frontier[i]
-        segs[i], segs[i + 1] = segs[i + 1], segs[i]
         ids[i], ids[i + 1] = ids[i + 1], ids[i]
 
     def place(nid):
         gen = g.nodes[nid]
         ins = [g.in_to_out[("in", nid, k)] for k in range(len(gen.source))]
-        count(len(segs) - len(ins) + 1)
+        count(len(ids) - len(ins) + 1)
         if ins:
             q = min(frontier.index(p) for p in ins)
             for k, p in enumerate(ins):
@@ -628,12 +627,10 @@ def from_port_graph(g: PortGraph) -> DiagramTerm:
             row = tuple(ids[:q]) + (gen,) + tuple(ids[q + len(ins):])
             frontier[q:q + len(ins)] = [("out", nid, k)
                                         for k in range(len(gen.target))]
-            segs[q:q + len(ins)] = gen.target
             ids[q:q + len(ins)] = [Id(s) for s in gen.target]
         else:
             row = tuple(ids) + (gen,)
             frontier.extend(("out", nid, k) for k in range(len(gen.target)))
-            segs.extend(gen.target)
             ids.extend(Id(s) for s in gen.target)
         slices.append(row)
 

@@ -129,12 +129,7 @@ class Invariants:
 
 
 def invariants(x) -> Invariants:
-    """Compute all invariants of a term or port graph."""
-    return graph_invariants(as_graph(x))
-
-
-def graph_invariants(g) -> Invariants:
-    """Invariants of a port graph that :func:`as_graph` has let in.
+    """Compute all invariants of a term or port graph.
 
     The boundary-free components come last, by their least walk's
     serialisation once there are two (equal ones mean isomorphic
@@ -142,12 +137,14 @@ def graph_invariants(g) -> Invariants:
     :func:`equivalent` and the normal form read those components as a
     multiset and skip it (see :func:`_unordered`).
     """
+    g = as_graph(x)
     return _assemble(g, *_free_boundary(g))
 
 
 def _unordered(g) -> Invariants:
-    """:func:`graph_invariants` with the boundary-free components in
-    discovery order, for callers that read them as a multiset."""
+    """:func:`invariants` of a port graph that :func:`as_graph` has let
+    in, with the boundary-free components in discovery order, for
+    callers that read them as a multiset."""
     return _assemble(g, *_free_boundary(g), ordered=False)
 
 
@@ -210,7 +207,7 @@ def _assemble(g, sigma, gamma, windows, ordered=True) -> Invariants:
     to target is a strip (euler 1) or a cylinder (euler 0) of its own.
     Components come by least source, then least target position; the
     boundary-free ones last, by least walk when ``ordered`` (see
-    :func:`graph_invariants`), else in the order the search found them.
+    :func:`invariants`), else in the order the search found them.
     """
     nodes, out_to_in, in_to_out = g.nodes, g.out_to_in, g.in_to_out
     at = {}             # node id or boundary port -> its component

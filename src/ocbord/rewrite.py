@@ -752,8 +752,6 @@ class _CombView:
         k = len(self.walk()[1])
         for _ in range(k * (k - 1) // 2 + 1):
             spine, leaves = self.walk()
-            if not spine:
-                return
             keys = [key(lf) for lf in leaves]
             pairs = range(len(keys) - 1)
             if self.port == "out":
@@ -990,8 +988,6 @@ def _phase_closed(rec: _Recorder) -> bool:
 def _phase_canonical(rec: _Recorder):
     # open blocks: left comb with the smallest source port leading
     for cz in _of_kind(rec.g, "cozip"):
-        if cz not in rec.g.nodes:
-            continue
         prod = rec.g.in_to_out[("in", cz, 0)]
         if prod[0] == "out" and rec.g.nodes[prod[1]].kind == "zip":
             continue            # window, not a block

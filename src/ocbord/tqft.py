@@ -51,8 +51,7 @@ class LinearMap:
         self.cols = cols
         self.data = {}
         if entries:
-            for (r, c), v in (entries.items() if isinstance(entries, dict)
-                              else entries):
+            for (r, c), v in entries.items():
                 v = Fraction(v)
                 if v:
                     if not (0 <= r < rows and 0 <= c < cols):
@@ -96,9 +95,6 @@ class LinearMap:
     def __eq__(self, other):
         return (isinstance(other, LinearMap) and self.rows == other.rows
                 and self.cols == other.cols and self.data == other.data)
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, tuple(sorted(self.data.items()))))
 
     def __repr__(self):
         return f"LinearMap({self.rows}x{self.cols}, {len(self.data)} entries)"
@@ -275,34 +271,24 @@ def _contract(t1, t2):
     return ([legs1[p] for p in keep1] + [legs2[p] for p in keep2], out)
 
 
-def _outer(tensors):
-    """The outer product of tensors sharing no leg, legs in list order.
-
-    The leg-less tensors (closed components) are multiplied into one
-    scalar first; a zero scalar (an empty leg-less tensor) gives no
-    entries.  The product then grows one tensor at a time: each entry
-    extends one of the product so far by a link to its index and one
-    multiplication, and each key is joined once at the end, so the cost
-    is linear in the tensors and in the result.
-    """
-    legs = [l for t_legs, _ in tensors for l in t_legs]
-    scalar = Fraction(1)
-    for t_legs, d in tensors:
-        if not t_legs:
-            scalar *= d.get((), _ZERO)
-    rows = [(None, scalar)] if scalar else []
-    for t_legs, d in tensors:
-        if t_legs:
-            rows = [((head, idx), v * w) for head, v in rows
-                    for idx, w in d.items()]
-    data = {}
-    for head, v in rows:
-        parts = []
-        while head is not None:
-            head, idx = head
-            parts.append(idx)
-        data[tuple(i for idx in reversed(parts) for i in idx)] = v
-    return legs, data
+def _join(tensors, place):
+    """The entries ``{(row, col): value}`` of the outer product of tensors
+    sharing no leg: index ``i`` on leg ``l`` adds ``i * place[l][0]`` to
+    the row and ``i * place[l][1]`` to the column.  The product grows one
+    tensor at a time, the leg-less ones (closed components) first, so
+    each scales one entry (a zero one leaves none); the cost is linear in
+    the tensors and in the result."""
+    out = [(0, 0, Fraction(1))]
+    for legs, d in sorted(tensors, key=lambda t: bool(t[0])):
+        steps = []
+        for idx, w in d.items():
+            r = c = 0
+            for l, i in zip(legs, idx):
+                r, c = r + i * place[l][0], c + i * place[l][1]
+            steps.append((r, c, w))
+        out = [(r + dr, c + dc, v * w) for r, c, v in out
+               for dr, dc, w in steps]
+    return {(r, c): v for r, c, v in out}
 
 
 def _tensor_network(g, alg: KFA):
@@ -348,22 +334,19 @@ def evaluate(x, alg: KFA) -> LinearMap:
     for i, j in _contraction_plan([legs for legs, _ in tensors], wire_dim):
         tensors.append(_contract(tensors[i], tensors[j]))
         tensors[i] = tensors[j] = None
-    # what is left has no shared legs: one tensor per component
-    legs, data = _outer([t for t in tensors if t is not None])
-
-    pos = {l: i for i, l in enumerate(legs)}
-    src_wires = [("src", i) for i in range(len(g.source))]
-    tgt_wires = [g.in_to_out[("tgt", j)] for j in range(len(g.target))]
-    out = {}
-    for idx, v in data.items():
-        r = 0
-        for w in tgt_wires:
-            r = r * wire_dim[w] + idx[pos[w]]
-        c = 0
-        for w in src_wires:
-            c = c * wire_dim[w] + idx[pos[w]]
-        out[(r, c)] = out.get((r, c), _ZERO) + v
-    return LinearMap(rows, cols, out)
+    # What is left shares no leg: one tensor per component, each leg a
+    # boundary wire with a place value among the target ports (row) and
+    # the source ports (column); a bare source-to-target wire has both.
+    place = {}
+    for side, wires in ((0, [g.in_to_out[("tgt", j)]
+                             for j in range(len(g.target))]),
+                        (1, [("src", i) for i in range(len(g.source))])):
+        p = 1
+        for w in reversed(wires):
+            place.setdefault(w, [0, 0])[side] = p
+            p *= wire_dim[w]
+    return LinearMap(rows, cols,
+                     _join([t for t in tensors if t is not None], place))
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +363,8 @@ class AxiomFailure:
     rhs_column: tuple
 
     def __str__(self):
+        if self.basis_index < 0:    # a structure failure: the label says what
+            return f"{self.axiom}: {self.basis_label}"
         cols = f"[{','.join(self.colors)}]" if self.colors else ""
         return (f"{self.axiom}{cols} fails on basis vector "
                 f"{self.basis_label}: lhs {list(self.lhs_column)} != "

@@ -951,12 +951,16 @@ def axiom_terms_reference(colors):
            compose(tensor(t("Delta_C"), i(O)), tensor(i(O), t("mu_C"))))
 
 
-def outer_reference(tensors):
-    """Reference for ``tqft._outer``: one entry per choice of an entry
-    from every tensor, its value the product of the chosen values."""
-    legs = [l for t_legs, _ in tensors for l in t_legs]
+def join_reference(tensors, place):
+    """Reference for ``tqft._join``: one entry per choice of an entry
+    from every tensor, its key the sums of the chosen indices times their
+    legs' row and column place values, its value the product of the
+    chosen values."""
     data = {}
     for parts in itertools.product(*(d.items() for _, d in tensors)):
-        key = tuple(itertools.chain.from_iterable(idx for idx, _ in parts))
+        at = [(l, i) for (legs, _), (idx, _) in zip(tensors, parts)
+              for l, i in zip(legs, idx)]
+        key = (sum(i * place[l][0] for l, i in at),
+               sum(i * place[l][1] for l, i in at))
         data[key] = math.prod((v for _, v in parts), start=Fraction(1))
-    return legs, data
+    return data

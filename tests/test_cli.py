@@ -162,6 +162,31 @@ def test_examples_lists_builtins_and_corpus(capsys):
     assert "figure1.ocd" in out
 
 
+def test_examples_reports_unreadable_files_and_a_missing_corpus(tmp_path,
+                                                                capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "notes.txt").write_text("not a diagram\n", encoding="utf-8")
+    (corpus / "bad.ocd").write_text("source O\nfrobnicate\n",
+                                    encoding="utf-8")
+    assert run(["examples", "--json", "--corpus", str(corpus)]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["corpus_dir"] == str(corpus)
+    [bad] = rep["corpus"]
+    assert bad["file"] == "bad.ocd" and "frobnicate" in bad["error"]
+    assert run(["examples", "--corpus", str(corpus)]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith(f"corpus ({corpus}):\n"
+                        f"  {'bad.ocd':<22} unreadable: {bad['error']}\n")
+    missing = str(tmp_path / "nowhere")
+    assert run(["examples", "--json", "--corpus", missing]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["corpus_dir"] is None and rep["corpus"] == []
+    assert run(["examples", "--corpus", missing]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith(f"corpus: no directory {missing!r} here\n")
+
+
 def test_jobs_keeps_input_order(tmp_path, capsys):
     files = [_ocd(tmp_path, f"f{i}.ocd", "source O\nwindow_c\n")
              for i in range(6)]
@@ -227,7 +252,7 @@ def test_normalize_refuses_a_layout_past_the_cap(tmp_path):
 
 def test_eval_on_a_1500_wide_diagram(tmp_path, capsys):
     # 1500 components, each one tensor after its own contractions, joined
-    # by one outer product
+    # in one pass by _join
     path = _ocd(tmp_path, "wide.ocd", wide_text(1500))
     assert run(["eval", path, "--algebra", "matrix2"]) == 0
     got = capsys.readouterr()
@@ -243,8 +268,13 @@ def test_eval_on_a_1500_wide_diagram(tmp_path, capsys):
     (lambda doc: {**doc, "maps": {**doc["maps"], "mu_C": {
         **doc["maps"]["mu_C"], "entries": [[0, 0, "1/0"]]}}},
      "malformed algebra file"),
+    (lambda doc: {**doc, "dims": {k: v for k, v in doc["dims"].items()
+                                  if k != "C"}}, "missing space C"),
+    (lambda doc: {**doc, "maps": {**doc["maps"], "mu_C": {
+        **doc["maps"]["mu_C"], "rows": 2}}},
+     "map mu_C has shape 2x1, want 1x1"),
 ], ids=["not-an-object", "dims-not-an-object", "negative-dimension",
-        "zero-denominator"])
+        "zero-denominator", "no-space-C", "mu_C-misshapen"])
 def test_axioms_on_a_malformed_kfa_exits_2(tmp_path, capsys, mangle, why):
     path = tmp_path / "bad.kfa"
     save_kfa(builtin_matrix_example(2), path)

@@ -478,8 +478,8 @@ def strategy_audit():
     """Normalize every input of ``scripts/trace_digest.py``; after each
     move, compare ``_of_kind`` with a scan of the nodes, and at each
     Delta_A pick of ``_phase_open``, the pick and every kept path count
-    with the whole-graph oracle's.  Returns the counts and the
-    mismatches."""
+    with the whole-graph oracle's.  Returns the counts, the mismatches
+    and the script's digest lines of those inputs."""
     if str(ROOT / "scripts") not in sys.path:
         sys.path.insert(0, str(ROOT / "scripts"))
     import helpers
@@ -508,19 +508,26 @@ def strategy_audit():
         audit["picks"] += 1
         return d
 
+    def outcomes(inputs):
+        nonlocal label
+        for label, term in inputs:
+            try:
+                trace = normalize_with_trace(term)[1]
+            except OcbordError as e:
+                trace = e       # the digest records it; moves so far count
+            yield label, trace
+
     gen = ladder_gen()
-    inputs = list(trace_digest._inputs(helpers, gen, parse))
-    # a walk where a move lands below nodes whose counts were kept, so a
-    # move that forgot only its own nodes' counts would leave stale ones
-    inputs.append(("ladder 36 s53", parse(gen.ladder_walk(36, "s53").text())))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_Recorder, "apply", audited_apply)
         mp.setattr(rewrite, "_least_delta", audited_least_delta)
-        for label, term in inputs:
-            try:
-                normalize_with_trace(term)
-            except OcbordError:
-                pass        # the digest records the error; moves so far count
+        audit["digests"] = list(trace_digest.digest_lines(
+            outcomes(trace_digest._inputs(helpers, gen, parse))))
+        # a walk where a move lands below nodes whose counts were kept, so
+        # a move that forgot only its own nodes' counts would leave stale
+        # ones; it is not among the digested inputs
+        list(outcomes([("ladder 36 s53",
+                        parse(gen.ladder_walk(36, "s53").text()))]))
     return audit
 
 
@@ -532,6 +539,13 @@ def test_kind_index_reads_as_a_scan_after_every_move(strategy_audit):
 def test_delta_pick_equals_the_whole_graph_oracle(strategy_audit):
     assert strategy_audit["picks"] > 500
     assert strategy_audit["bad picks"] == []
+
+
+def test_traces_match_the_pinned_digest(strategy_audit):
+    # every trace of scripts/trace_digest.py byte for byte, as its total
+    assert strategy_audit["digests"][-1] == (
+        "fb811cdced911676f19c32f18536950185b8e379477e919bc71777e03a79057a"
+        "  total over 868 traces")
 
 
 def test_tree_leaves_on_a_deep_comb():

@@ -31,7 +31,7 @@ from ocbord.tqft import (
 )
 
 from helpers import (axiom_terms_reference, component_count, mutate_algebra,
-                     outer_reference, random_term, recolor,
+                     join_reference, random_term, recolor,
                      scan_contraction_plan, window_strip)
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -138,37 +138,48 @@ def test_zip_lands_in_the_centre():
         assert evaluate(lhs, alg) == evaluate(rhs, alg), name
 
 
-def test_outer_equals_the_product_reference():
+def test_join_equals_the_product_reference():
     # random sparse tensors on disjoint legs, leg-less ones among them,
-    # with empty data (a zero scalar when leg-less) and leg-less-only lists
+    # with empty data (a zero scalar when leg-less) and leg-less-only
+    # lists; each leg is a row wire, a column wire or both, in a random
+    # port order
     rng = random.Random(46)
-    cases = [[], [([], {})], [([], {(): Fraction(2)})],
-             [([], {(): Fraction(2)}), ([], {(): Fraction(-1, 3)})],
-             [([0], {(1,): Fraction(1)}), ([], {})]]
+    cases = [([], {}), ([([], {})], {}), ([([], {(): Fraction(2)})], {}),
+             ([([], {(): Fraction(2)}), ([], {(): Fraction(-1, 3)})], {}),
+             ([([0], {(1,): Fraction(1)}), ([], {})], {0: 2})]
     for _ in range(400):
-        tensors, leg = [], 0
+        tensors, dims = [], {}
         for _ in range(rng.randint(1, 5)):
             k = rng.choice((0, 0, 1, 2, 3))
-            dims = [rng.randint(1, 3) for _ in range(k)]
-            data = {tuple(rng.randrange(d) for d in dims):
+            legs = list(range(len(dims), len(dims) + k))
+            dims.update((l, rng.randint(1, 3)) for l in legs)
+            data = {tuple(rng.randrange(dims[l]) for l in legs):
                     Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.randint(1, 4))
                     for _ in range(rng.randint(0, 4))}
-            tensors.append((list(range(leg, leg + k)), data))
-            leg += k
-        cases.append(tensors)
-    for tensors in cases:
-        legs, data = tqft._outer(tensors)
-        ref_legs, ref = outer_reference(tensors)
-        assert legs == ref_legs
+            tensors.append((legs, data))
+        cases.append((tensors, dims))
+    ports = random.Random(47)
+    for tensors, dims in cases:
+        place = {l: [0, 0] for l in dims}
+        sides = {l: ports.choice(((0,), (1,), (0, 1))) for l in dims}
+        for side in (0, 1):
+            wires = [l for l in dims if side in sides[l]]
+            ports.shuffle(wires)
+            p = 1
+            for l in reversed(wires):
+                place[l][side] = p
+                p *= dims[l]
+        data = tqft._join(tensors, place)
+        ref = join_reference(tensors, place)
         assert list(data.items()) == list(ref.items()), tensors
 
 
-def test_evaluate_with_the_product_outer(monkeypatch):
-    # the corpus under every builtin, with _outer and with its reference
+def test_evaluate_with_the_product_join(monkeypatch):
+    # the corpus under every builtin, with _join and with its reference
     results = []
     for use_reference in (False, True):
         if use_reference:
-            monkeypatch.setattr(tqft, "_outer", outer_reference)
+            monkeypatch.setattr(tqft, "_join", join_reference)
         got = []
         for f in sorted(CORPUS.glob("*.ocd")):
             t = parse_file(f)
@@ -236,7 +247,7 @@ def test_heap_plan_equals_the_scan():
         assert tqft._contraction_plan(legs, wire_dim) \
             == scan_contraction_plan(legs, wire_dim), (alg.name, k)
     # the one-leg diagonal tensors of bare wires are in no pair; the
-    # outer product still carries them to both boundaries
+    # join still carries them to both boundaries
     for t, wires in zip(bare, (3, 2)):
         legs, wire_dim = _network(t, m2)
         plan = tqft._contraction_plan(legs, wire_dim)
@@ -303,6 +314,16 @@ def test_axiom_report_renders():
     mut, _, _ = mutate_algebra(rng, builtin_matrix_example(2))
     bad = check_axioms(mut)
     assert "fail" in str(bad) and str(bad.failures[0])
+
+
+def test_structure_failures_name_the_problem():
+    alg = builtin_matrix_example(2)
+    maps = {k: m for k, m in alg.maps.items() if k != ("mu_C", ())}
+    rep = check_axioms(KFA(colors=alg.colors, dims=alg.dims,
+                           basis=alg.basis, maps=maps))
+    assert not rep.ok and rep.checked == 1
+    assert str(rep) == ("1 of 1 axiom instances fail:\n"
+                        "  structure: missing map mu_C")
 
 
 def test_axiom_instances_are_the_catalog_relations():
