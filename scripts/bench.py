@@ -66,6 +66,11 @@ def _crowns(n):
     return render(helpers.tensor(crown, crown))
 
 
+def _crown(n):
+    import helpers
+    return helpers.crown_text(n)
+
+
 def _strip(n):
     import helpers
     from ocbord.dsl import render
@@ -148,6 +153,10 @@ _CANON_SERIES = {
                (200, 400, 800, 1600, 3200)),
 }
 
+# one crown: a closed torus whose n-fold rotation symmetry keeps n
+# lockstep walks live to the end
+_CROWN = ("tests/helpers.crown_text(n)", _crown, (100, 200, 400, 800))
+
 # the series of the layers that read closed components as a multiset:
 # the canon series and two crowns, each with a k-fold rotation symmetry
 _MULTISET_SERIES = {
@@ -157,11 +166,11 @@ _MULTISET_SERIES = {
                (50, 100, 200, 400, 800, 1600)),
 }
 
-# the series of the layout: long walks, deep strips and closed surfaces,
-# whose input-less nodes are placed in canonical order
+# the series of the layout: long walks, deep strips, closed surfaces and
+# a crown, whose input-less nodes are placed in canonical order
 _LAYOUT_SERIES = {"ladder": _READ_SERIES["ladder"],
                   "strip": _READ_SERIES["strip"],
-                  "closed": _CANON_SERIES["closed"]}
+                  "closed": _CANON_SERIES["closed"], "crown": _CROWN}
 
 # the series of the rewrite layers: moves on long walks and deep strips
 _REWRITE_SERIES = {
@@ -195,9 +204,9 @@ LAYERS = {
                           (100, 200, 400, 800, 1500)),
              }),
     "canonical_key": ("ocbord.diagram.canonical_key(to_port_graph(term))",
-                      _canonical_key, _CANON_SERIES),
+                      _canonical_key, {**_CANON_SERIES, "crown": _CROWN}),
     "invariants": ("ocbord.invariants.invariants(term)", _invariants,
-                   _CANON_SERIES),
+                   {**_CANON_SERIES, "crown": _CROWN}),
     "equivalent": ("ocbord.invariants.equivalent(term, term)", _equivalent,
                    _MULTISET_SERIES),
     "normal_form": ("ocbord.normalform.normal_form(term)", _normal_form,

@@ -435,65 +435,70 @@ class UnionFind:
         self.parent[self.find(x)] = self.find(y)
 
 
-def _walk_order(g: PortGraph, seeds) -> list:
-    """Breadth-first node order, exploring each node's ports left to right."""
-    order, seen = [], set()
-    q = deque()
-
-    def see(ep):
-        if ep[0] in ("in", "out") and ep[1] not in seen:
-            seen.add(ep[1])
-            order.append(ep[1])
-            q.append(ep[1])
-
-    for ep in seeds:
-        see(ep)
-    while q:
-        nid = q.popleft()
-        gen = g.nodes[nid]
-        for k in range(len(gen.source)):
-            see(g.in_to_out[("in", nid, k)])
-        for k in range(len(gen.target)):
-            see(g.out_to_in[("out", nid, k)])
-    return order
-
-
-def _renumber(order: list):
-    """Endpoint map renaming each node id to its position in ``order``."""
-    idx = {nid: i for i, nid in enumerate(order)}
-
-    def ck(ep):
-        if ep[0] == "in" or ep[0] == "out":
-            return (ep[0], idx[ep[1]], ep[2])
-        return ep
-
-    return ck
-
-
-def _node_parts(g: PortGraph, order: list, ck) -> list:
+def _serialise(g: PortGraph, order, idx: dict, nodes) -> list:
+    """The part repr of each node of ``order``: its kind, its colours and
+    the consumers of its outputs, each node id renamed to its number in
+    ``idx``.  ``nodes`` maps the ids to their generators."""
     parts = []
     for nid in order:
-        gen = g.nodes[nid]
-        outs = tuple(ck(g.out_to_in[("out", nid, k)])
-                     for k in range(len(gen.target)))
-        parts.append((gen.kind, gen.colors, outs))
+        gen = nodes[nid]
+        outs = []
+        for k in range(len(gen.target)):
+            ep = g.out_to_in[("out", nid, k)]
+            outs.append(("in", idx[ep[1]], ep[2]) if ep[0] == "in" else ep)
+        parts.append(repr((gen.kind, gen.colors, tuple(outs))))
     return parts
 
 
-def _least_walk(g: PortGraph, comp: list) -> tuple:
-    """``(serialisation, order)`` of the walk of a closed component whose
-    serialisation is least, the smallest seed id winning ties.
+def _walk(g: PortGraph, starts, nodes) -> tuple:
+    """``(order, idx)`` of the least breadth-first walk from a list of
+    start nodes in ``starts``: each node numbers its unseen neighbours in
+    port order, the producers at its inputs, then the consumers at its
+    outputs.  ``nodes`` maps ids to generators.
 
-    The walks from every seed run in lockstep, as :func:`_walk_order`
-    would run each alone.  Step ``t`` finishes the ``t``-th node of every
-    walk: its unseen neighbours are numbered, so its part of the
-    serialisation is fixed.  Only the walks whose part repr is least go
-    on.  A part repr is a tuple repr of kind names, colour names and
-    ints, never a proper prefix of another, so comparing the parts one
-    by one ranks the walks as comparing the whole serialisations would.
-    Each step costs the live walks' degrees: O(n) for an n-node
-    component whose seeds part after a few steps, and up to k x n when k
-    seeds are automorphic and their walks never part.
+    The walks run in lockstep, and two or more start in one component.
+    Step ``t`` finishes the ``t``-th node of every walk, which fixes its
+    part (:func:`_serialise`).  While two or more walks are live, only
+    those whose part is least go on; a lone walk only numbers nodes.  A
+    part repr is never a proper prefix of another, so comparing parts
+    one by one ranks walks as their whole serialisations would; the
+    first walk wins ties.  A step costs the live walks' degrees: O(n) in
+    all when the walks part early, k x n when k starts are automorphic.
+    """
+    in_to_out, out_to_in = g.in_to_out, g.out_to_in
+    walks = [(order, {nid: i for i, nid in enumerate(order)})
+             for order in (list(dict.fromkeys(start)) for start in starts)]
+    t = 0
+    while t < len(walks[0][0]):
+        least, live = None, walks
+        for walk in walks:
+            order, idx = walk
+            nid = order[t]
+            gen = nodes[nid]
+            for k in range(len(gen.source)):
+                ep = in_to_out[("in", nid, k)]
+                if ep[0] == "out" and ep[1] not in idx:
+                    idx[ep[1]] = len(order)
+                    order.append(ep[1])
+            for k in range(len(gen.target)):
+                ep = out_to_in[("out", nid, k)]
+                if ep[0] == "in" and ep[1] not in idx:
+                    idx[ep[1]] = len(order)
+                    order.append(ep[1])
+            if len(walks) > 1:
+                part = _serialise(g, (nid,), idx, nodes)[0]
+                if least is None or part < least:
+                    least, live = part, [walk]
+                elif part == least:
+                    live.append(walk)
+        walks = live
+        t += 1
+    return walks[0]
+
+
+def _least_walk(g: PortGraph, comp: list) -> tuple:
+    """``(serialisation, order)`` of a closed component's least walk
+    (:func:`_walk`) from its seeds, the smallest seed id winning ties.
 
     Walks start only from the seeds whose ``repr((kind, colors))`` is
     least.  A seed's first part repr extends that key less its closing
@@ -507,50 +512,27 @@ def _least_walk(g: PortGraph, comp: list) -> tuple:
     seeds: dict = {}
     for s in sorted(comp):
         seeds.setdefault((gens[s].kind, gens[s].colors), []).append(s)
-    walks = [([s], {s: 0}, []) for s in seeds[min(seeds, key=repr)]]
-    for t in range(len(comp)):
-        least, live = None, []
-        for walk in walks:
-            order, idx, parts = walk
-            nid = order[t]
-            gen = gens[nid]
-            outs = [g.out_to_in[("out", nid, k)]
-                    for k in range(len(gen.target))]
-            for ep in [g.in_to_out[("in", nid, k)]
-                       for k in range(len(gen.source))] + outs:
-                if ep[1] not in idx:
-                    idx[ep[1]] = len(order)
-                    order.append(ep[1])
-            part = repr((gen.kind, gen.colors,
-                         tuple((ep[0], idx[ep[1]], ep[2]) for ep in outs)))
-            if least is None or part < least:
-                least, live = part, [walk]
-            elif part == least:
-                live.append(walk)
-            parts.append(part)
-        walks = live
-    order, _, parts = walks[0]
-    return "[" + ", ".join(parts) + "]", order
+    order, idx = _walk(g, [[s] for s in seeds[min(seeds, key=repr)]], gens)
+    return "[" + ", ".join(_serialise(g, order, idx, gens)) + "]", order
 
 
 def canonical_order(g: PortGraph) -> list:
     """Deterministic node order, independent of node ids.
 
     Nodes reachable from the boundary come first, in breadth-first order
-    seeded by the source ports then the target ports.  Each remaining
-    (closed, boundary-free) component is ordered by the seed that
-    minimises its serialisation (see :func:`_least_walk`), and components
-    are sorted the same way.
+    from the nodes at the source ports then the target ports.  Each
+    remaining (closed, boundary-free) component is ordered by the seed
+    that minimises its serialisation (see :func:`_least_walk`), and
+    components are sorted the same way.
     """
-    seeds = [g.out_to_in[("src", i)] for i in range(len(g.source))]
-    seeds += [g.in_to_out[("tgt", j)] for j in range(len(g.target))]
-    order = _walk_order(g, seeds)
-    left = set(g.nodes) - set(order)
+    ends = [g.out_to_in[("src", i)] for i in range(len(g.source))]
+    ends += [g.in_to_out[("tgt", j)] for j in range(len(g.target))]
+    order, seen = _walk(g, [[ep[1] for ep in ends
+                             if ep[0] == "in" or ep[0] == "out"]], g.nodes)
+    left = g.nodes.keys() - seen
     comps = []
     while left:
-        start = next(iter(left))
-        comp = _walk_order(g, [("out", start, 0) if g.nodes[start].target
-                               else ("in", start, 0)])
+        comp = _walk(g, [[next(iter(left))]], g.nodes)[0]
         left.difference_update(comp)
         comps.append(_least_walk(g, comp))
     comps.sort(key=lambda b: b[0])
@@ -562,10 +544,12 @@ def canonical_order(g: PortGraph) -> list:
 def canonical_key(g: PortGraph) -> str:
     """A string equal for two port graphs iff they are identical up to ids."""
     order = canonical_order(g)
-    ck = _renumber(order)
-    parts = [tuple(map(str, g.source)), tuple(map(str, g.target)),
-             tuple(ck(g.out_to_in[("src", i)]) for i in range(len(g.source)))]
-    return repr(parts + _node_parts(g, order, ck))
+    idx = {nid: i for i, nid in enumerate(order)}
+    src = [g.out_to_in[("src", i)] for i in range(len(g.source))]
+    head = (tuple(map(str, g.source)), tuple(map(str, g.target)), tuple(
+        ("in", idx[ep[1]], ep[2]) if ep[0] == "in" else ep for ep in src))
+    return "[" + ", ".join([*map(repr, head),
+                            *_serialise(g, order, idx, g.nodes)]) + "]"
 
 
 def graph_eq(g1: PortGraph, g2: PortGraph) -> bool:

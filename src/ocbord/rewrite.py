@@ -647,7 +647,8 @@ class _CombView:
     """The ``spec`` tree at endpoint ``root`` of the working graph.
 
     The spine runs from the root along left arms; a left comb has a leaf
-    on every right arm.  Every operation re-reads the tree from the root.
+    on every right arm.  Every operation but :meth:`left_comb` re-reads
+    the tree from the root.
     """
 
     def __init__(self, rec: _Recorder, spec: _Comb, root):
@@ -704,22 +705,24 @@ class _CombView:
                 stack += (wires[(port, n, 1)], wires[(port, n, 0)])
         return spine, leaves
 
-    def _branch(self):
-        # the reassociation site nearest the root: a spine node whose
-        # right arm holds a tree node
-        end = self.across(self.root)
-        while (n := self._node(end)) is not None:
+    def _branches(self):
+        # the reassociation sites, nearest the root first: spine nodes
+        # whose right arm holds a tree node.  A move leaves a leaf on the
+        # right arm of every spine node above its site, so the search
+        # resumes at the endpoint above the last site
+        above = self.root
+        while (n := self._node(self.across(above))) is not None:
             c = self._node(self.across((self.port, n, 1)))
-            if c is not None:
-                return self._flow(c, n)
-            end = self.across((self.port, n, 0))
-        return None
+            if c is None:
+                above = (self.port, n, 0)
+            else:
+                yield self._flow(c, n)
 
     def left_comb(self):
         """Reassociate into a left comb.  Each move puts one more node on
         the spine, so the internal node count on entry bounds the moves."""
         moves = len(self.walk()[1]) - 1
-        while (site := self._branch()) is not None:
+        for site in self._branches():
             if moves == 0:
                 raise StrategyStuck(f"{self.spec.kind} comb reassociation "
                                     "did not converge")

@@ -363,8 +363,6 @@ class AxiomFailure:
     rhs_column: tuple
 
     def __str__(self):
-        if self.basis_index < 0:    # a structure failure: the label says what
-            return f"{self.axiom}: {self.basis_label}"
         cols = f"[{','.join(self.colors)}]" if self.colors else ""
         return (f"{self.axiom}{cols} fails on basis vector "
                 f"{self.basis_label}: lhs {list(self.lhs_column)} != "
@@ -449,12 +447,12 @@ def check_axioms(alg: KFA) -> AxiomReport:
     Each instance is a catalog relation (see above) with its colour
     variables bound; both sides are evaluated as linear maps, and the
     first differing basis column of each failing instance is reported.
+    An algebra missing a space or a map, or with a map of the wrong
+    shape, is refused with :class:`OcbordError` naming its problems.
     """
-    structural = alg.validate_structure()
-    if structural:
-        fails = tuple(AxiomFailure("structure", (), -1, p, (), ())
-                      for p in structural)
-        return AxiomReport(False, len(structural), fails)
+    problems = alg.validate_structure()
+    if problems:
+        raise OcbordError("; ".join(problems[:5]))
     failures = []
     checked = 0
     for name, cols, lhs, rhs in _axiom_instances(alg.colors):

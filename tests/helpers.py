@@ -6,15 +6,15 @@ import math
 import random
 import re
 import sys
+from collections import deque
 from fractions import Fraction
 from pathlib import Path
 
 from ocbord.diagram import (DEFAULT_COLOR, Cross, DiagramTerm, Gen, Id,
                             OcbordError, PortGraph, Seg, TypingError,
-                            UnionFind, _node_parts, _renumber, _walk_order,
-                            canonical_order, check_composable, compose,
-                            from_port_graph, gen_term, identity_term, tensor,
-                            to_port_graph)
+                            UnionFind, canonical_order, check_composable,
+                            compose, from_port_graph, gen_term,
+                            identity_term, tensor, to_port_graph)
 from ocbord.dsl import (_NAME, ParseError, SourceSpan, TypeMismatch,
                         _parse_atom, _parse_seg, _statements, _used_colors,
                         parse, parse_file)
@@ -762,10 +762,57 @@ def scan_contraction_plan(legs, wire_dim) -> list:
         made += 1
 
 
+def _walk_order(g, seeds) -> list:
+    """Breadth-first node order from the endpoints ``seeds``, exploring
+    each node's ports left to right."""
+    order, seen = [], set()
+    q = deque()
+
+    def see(ep):
+        if ep[0] in ("in", "out") and ep[1] not in seen:
+            seen.add(ep[1])
+            order.append(ep[1])
+            q.append(ep[1])
+
+    for ep in seeds:
+        see(ep)
+    while q:
+        nid = q.popleft()
+        gen = g.nodes[nid]
+        for k in range(len(gen.source)):
+            see(g.in_to_out[("in", nid, k)])
+        for k in range(len(gen.target)):
+            see(g.out_to_in[("out", nid, k)])
+    return order
+
+
+def _renumber(order: list):
+    """Endpoint map renaming each node id to its position in ``order``."""
+    idx = {nid: i for i, nid in enumerate(order)}
+
+    def ck(ep):
+        if ep[0] == "in" or ep[0] == "out":
+            return (ep[0], idx[ep[1]], ep[2])
+        return ep
+
+    return ck
+
+
+def _node_parts(g, order: list, ck) -> list:
+    parts = []
+    for nid in order:
+        gen = g.nodes[nid]
+        outs = tuple(ck(g.out_to_in[("out", nid, k)])
+                     for k in range(len(gen.target)))
+        parts.append((gen.kind, gen.colors, outs))
+    return parts
+
+
 def seedwise_canonical_order(g) -> list:
     """Reference for ``diagram.canonical_order``: walk and serialise each
     closed component once per seed node and keep the first least
-    serialisation, O(n^2) for an n-node component."""
+    serialisation, O(n^2) for an n-node component.  It walks and
+    serialises with its own helpers above, not with the lockstep walker."""
     seeds = [g.out_to_in[("src", i)] for i in range(len(g.source))]
     seeds += [g.in_to_out[("tgt", j)] for j in range(len(g.target))]
     order = _walk_order(g, seeds)

@@ -46,6 +46,23 @@ def test_check_syntax_error_exits_2(tmp_path, capsys):
     assert f"error: {blank}:1:1: no source line" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("atom, why", [
+    ("window_o[a]", "window_o takes 0, 2 or 3 colours"),
+    ("mu_A(a,b,c)", "mu_A takes [..] colour brackets, not (..)"),
+])
+def test_check_a_malformed_atom_exits_2(tmp_path, capsys, atom, why):
+    bad = _ocd(tmp_path, "bad.ocd", f"source I\n{atom}\n")
+    assert run(["check", bad]) == 2
+    assert f"error: {bad}:2:1: {why}\n" == capsys.readouterr().err
+
+
+def test_eval_with_a_missing_algebra_file_exits_2(capsys):
+    missing = os.path.join("nothere", "x.kfa")
+    assert run(["eval", FIG, "--algebra", missing]) == 2
+    assert (capsys.readouterr().err
+            == f"error: {missing}: no such algebra file\n")
+
+
 def test_check_type_error_exits_1(tmp_path, capsys):
     bad = _ocd(tmp_path, "badtype.ocd", "source I\nmu_A\n")
     assert run(["check", bad]) == 1
@@ -273,8 +290,13 @@ def test_eval_on_a_1500_wide_diagram(tmp_path, capsys):
     (lambda doc: {**doc, "maps": {**doc["maps"], "mu_C": {
         **doc["maps"]["mu_C"], "rows": 2}}},
      "map mu_C has shape 2x1, want 1x1"),
+    (lambda doc: {**doc, "dims": {**doc["dims"], "B[x]": 1}},
+     "bad space name 'B[x]'"),
+    (lambda doc: {**doc, "dims": {"C": doc["dims"]["C"]}},
+     "missing space A[*,*]"),
 ], ids=["not-an-object", "dims-not-an-object", "negative-dimension",
-        "zero-denominator", "no-space-C", "mu_C-misshapen"])
+        "zero-denominator", "no-space-C", "mu_C-misshapen", "bad-space-name",
+        "no-space-A"])
 def test_axioms_on_a_malformed_kfa_exits_2(tmp_path, capsys, mangle, why):
     path = tmp_path / "bad.kfa"
     save_kfa(builtin_matrix_example(2), path)
