@@ -256,16 +256,11 @@ def _time(checkout, layer, path):
 
 
 def growth(sizes, seconds):
-    """Least-squares slope of log(seconds) against log(size), over the
-    sizes that finished."""
-    pts = [(math.log(n), math.log(s)) for n, s in zip(sizes, seconds)
-           if s is not None and s > 0]
-    if len(pts) < 2:
-        return None
-    mx = sum(x for x, _ in pts) / len(pts)
-    my = sum(y for _, y in pts) / len(pts)
-    sxx = sum((x - mx) ** 2 for x, _ in pts)
-    return round(sum((x - mx) * (y - my) for x, y in pts) / sxx, 3)
+    """``perfbench/spans.growth`` over the sizes that finished, to three
+    places; None below two."""
+    import spans
+    pts = [(n, s) for n, s in zip(sizes, seconds) if s]
+    return round(spans.growth(pts), 3) if len(pts) >= 2 else None
 
 
 def _machine():

@@ -7,6 +7,9 @@ Every rule is checked before being written:
   - both sides evaluate to the same linear map under the matrix algebras
     n=2,3 (every colour variable sent to "*") and under a two-colour
     groupoid algebra for every assignment of colour variables.
+
+Importing the module writes nothing: ``certify(R)`` returns the failures
+of the catalog ``R``.
 """
 
 import itertools
@@ -16,10 +19,10 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from ocbord.diagram import DiagramTerm, Gen, Id, Cross, Seg
-from ocbord.dsl import parse, render
+from ocbord.dsl import _used_colors, parse
 from ocbord.invariants import invariants, profile_key
-from ocbord.tqft import builtin_matrix_example, builtin_groupoid_example, evaluate
+from ocbord.tqft import (_recolored, builtin_groupoid_example,
+                         builtin_matrix_example, evaluate)
 
 R = []
 
@@ -270,72 +273,44 @@ rule("window_unit", "derived",
      "source\neta_A[a]\ncozip[a]\n")
 
 
-def subst_term(t: DiagramTerm, env) -> DiagramTerm:
-    def seg(s):
-        return s if not s.is_interval else Seg.I(env[s.left], env[s.right])
-
-    slices = []
-    for sl in t.slices:
-        row = []
-        for f in sl:
-            if isinstance(f, Id):
-                row.append(Id(seg(f.seg)))
-            elif isinstance(f, Cross):
-                row.append(Cross(seg(f.a), seg(f.b)))
-            else:
-                row.append(Gen(f.kind, tuple(env[c] for c in f.colors)))
-        slices.append(tuple(row))
-    return DiagramTerm(tuple(seg(s) for s in t.source), tuple(slices))
-
-
-def colour_vars(t: DiagramTerm):
-    vs = set()
-    for s in t.source:
-        if s.is_interval:
-            vs.update((s.left, s.right))
-    for sl in t.slices:
-        for f in sl:
-            if isinstance(f, Gen):
-                vs.update(f.colors)
-            elif isinstance(f, Id) and f.seg.is_interval:
-                vs.update((f.seg.left, f.seg.right))
-            elif isinstance(f, Cross):
-                for s in (f.a, f.b):
-                    if s.is_interval:
-                        vs.update((s.left, s.right))
-    return sorted(vs)
-
-
-def main():
+def certify(rules):
+    """The failures of ``rules``: a list of (rule id, reason) pairs,
+    empty when every rule holds."""
     mat = {n: builtin_matrix_example(n) for n in (2, 3)}
     grp = builtin_groupoid_example("pair_z2")
-    bad = []
-    for r in R:
+    ids = [r["id"] for r in rules]
+    bad = [(rid, "duplicate rule id") for rid in sorted(set(ids))
+           if ids.count(rid) > 1]
+    for r in rules:
         lhs, rhs = parse(r["lhs"]), parse(r["rhs"])
         if lhs.source != rhs.source or lhs.target != rhs.target:
             bad.append((r["id"], "boundary mismatch"))
             continue
-        vs = sorted(set(colour_vars(lhs)) | set(colour_vars(rhs)))
-        if set(colour_vars(rhs)) - set(colour_vars(lhs)):
+        lvs, rvs = _used_colors(lhs), _used_colors(rhs)
+        if rvs - lvs:
             bad.append((r["id"], "rhs has colour vars missing from lhs"))
-        if set(colour_vars(lhs)) - set(colour_vars(rhs)):
+        if lvs - rvs:
             bad.append((r["id"], "lhs has colour vars missing from rhs"))
         if profile_key(invariants(lhs)) != profile_key(invariants(rhs)):
             bad.append((r["id"], "invariant profiles differ"))
             continue
-        star = {v: "*" for v in vs}
+        vs = sorted(lvs | rvs)
+        star = dict.fromkeys(vs, "*")
         for n, alg in mat.items():
-            if evaluate(subst_term(lhs, star), alg) != \
-                    evaluate(subst_term(rhs, star), alg):
+            if evaluate(_recolored(lhs, star), alg) != \
+                    evaluate(_recolored(rhs, star), alg):
                 bad.append((r["id"], f"matrix{n} evaluation differs"))
         for combo in itertools.product(grp.colors, repeat=len(vs)):
             env = dict(zip(vs, combo))
-            if evaluate(subst_term(lhs, env), grp) != \
-                    evaluate(subst_term(rhs, env), grp):
+            if evaluate(_recolored(lhs, env), grp) != \
+                    evaluate(_recolored(rhs, env), grp):
                 bad.append((r["id"], f"groupoid evaluation differs at {env}"))
                 break
-    ids = [r["id"] for r in R]
-    assert len(ids) == len(set(ids)), "duplicate rule ids"
+    return bad
+
+
+def main():
+    bad = certify(R)
     print(f"{len(R)} rules")
     if bad:
         for rid, why in bad:

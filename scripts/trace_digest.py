@@ -11,8 +11,7 @@ inputs are:
   necessarily connected);
 - ``perfbench/gen.ladder_walk(n, str(n))`` for n = 200, 400, .., 3200;
 - ``tests/helpers.mu_c_comb_text(101)`` and ``reversed_merge_text(101)``;
-- the handle comb at n = 40: n source circles, a row of n ``window_c``,
-  then the rows of ``mu_c_comb_text(n)``.
+- ``tests/helpers.handle_comb_text(40)``.
 
 The script prints one digest per trace and a total over all of them, so
 two checkouts give the same total exactly when every trace is
@@ -52,11 +51,7 @@ def _inputs(helpers, gen, parse):
         yield f"ladder {n}", parse(gen.ladder_walk(n, str(n)).text())
     yield "mu_c_comb 101", parse(helpers.mu_c_comb_text(101))
     yield "reversed_merge 101", parse(helpers.reversed_merge_text(101))
-    n = 40
-    comb = helpers.mu_c_comb_text(n).split("\n", 1)[1]
-    yield f"handle_comb {n}", parse("source " + ", ".join(["O"] * n) + "\n"
-                                    + " | ".join(["window_c"] * n) + "\n"
-                                    + comb)
+    yield "handle_comb 40", parse(helpers.handle_comb_text(40))
 
 
 def digest_lines(outcomes):

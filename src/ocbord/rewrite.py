@@ -941,7 +941,7 @@ def _macros(g: PortGraph) -> list:
 
 def _macro_step(rec: _Recorder) -> bool:
     # each loop either makes a move and returns or leaves the graph as it
-    # was, so one list of macros serves all three
+    # was, so one list of macros serves both
     g = rec.g
     macros = _macros(g)
     for kind, nodes, mi, mo in macros:
@@ -958,27 +958,21 @@ def _macro_step(rec: _Recorder) -> bool:
                 else "window_slide_comul_"
             rec.do(base + side, True, (prod[1],) + nodes)
             return True
-    for kind, nodes, mi, mo in macros:
-        if kind != "G":
-            continue
-        cons = g.out_to_in[mo]
-        if cons[0] == "in" and g.nodes[cons[1]].kind == "zip":
+    # a handle or window above a window swaps with it: handles first, and
+    # two windows only when out of colour order
+    for want, rule in (("G", "window_handle_swap"), ("W", "window_swap")):
+        for kind, nodes, mi, mo in macros:
+            cons = g.out_to_in[mo]
+            if kind != want or cons[0] != "in" \
+                    or g.nodes[cons[1]].kind != "zip":
+                continue
             z = cons[1]
             zc = g.out_to_in[("out", z, 0)]
-            if zc[0] == "in" and g.nodes[zc[1]].kind == "cozip":
-                rec.do("window_handle_swap", False, nodes + (z, zc[1]))
+            if zc[0] == "in" and g.nodes[zc[1]].kind == "cozip" and (
+                    kind == "G" or g.nodes[nodes[0]].colors[0]
+                    > g.nodes[z].colors[0]):
+                rec.do(rule, False, nodes + (z, zc[1]))
                 return True
-    for kind, nodes, mi, mo in macros:
-        if kind != "W":
-            continue
-        cons = g.out_to_in[mo]
-        if cons[0] == "in" and g.nodes[cons[1]].kind == "zip":
-            z2 = cons[1]
-            c2 = g.out_to_in[("out", z2, 0)]
-            if c2[0] == "in" and g.nodes[c2[1]].kind == "cozip":
-                if g.nodes[nodes[0]].colors[0] > g.nodes[z2].colors[0]:
-                    rec.do("window_swap", False, nodes + (z2, c2[1]))
-                    return True
     return False
 
 

@@ -364,9 +364,10 @@ class AxiomFailure:
 
     def __str__(self):
         cols = f"[{','.join(self.colors)}]" if self.colors else ""
+        lhs, rhs = (", ".join(map(str, c))
+                    for c in (self.lhs_column, self.rhs_column))
         return (f"{self.axiom}{cols} fails on basis vector "
-                f"{self.basis_label}: lhs {list(self.lhs_column)} != "
-                f"rhs {list(self.rhs_column)}")
+                f"{self.basis_label}: lhs [{lhs}] != rhs [{rhs}]")
 
 
 @dataclass(frozen=True)
@@ -438,7 +439,10 @@ def _obj_basis_label(alg: KFA, segs, flat: int) -> str:
     if not segs:
         return "1"
     idx = _decode(flat, [alg.seg_dim(s) for s in segs])
-    return " (x) ".join(alg.basis[_space_key(s)][k] for s, k in zip(segs, idx))
+    names = [alg.basis.get(_space_key(s), ()) for s in segs]
+    # a vector the file gives no label is named by its index
+    return " (x) ".join(ns[k] if k < len(ns) else str(k)
+                        for ns, k in zip(names, idx))
 
 
 def check_axioms(alg: KFA) -> AxiomReport:

@@ -329,6 +329,34 @@ def test_axioms_on_a_huge_kfa_exits_1(tmp_path, capsys):
     assert "over the cap" in err
 
 
+@pytest.mark.parametrize("labels", [None, ["x"]],
+                         ids=["no-labels", "one-label"])
+def test_axioms_name_an_unlabelled_basis_vector_by_its_index(
+        tmp_path, capsys, labels):
+    # eps_A[*] doubled on e22 breaks the counit laws; the file labels no
+    # basis vector of A[*,*], or only the first
+    path = tmp_path / "unlabelled.kfa"
+    save_kfa(builtin_matrix_example(2), path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["maps"]["eps_A[*]"]["entries"] = [[0, 0, "1"], [0, 3, "2"]]
+    if labels is None:
+        del doc["basis"]["A[*,*]"]
+    else:
+        doc["basis"]["A[*,*]"] = labels
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(["axioms", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.splitlines()[1:] == [
+        "4 of 24 axiom instances fail:",
+        "  counitL_A[*,*] fails on basis vector 2: "
+        "lhs [0, 0, 2, 0] != rhs [0, 0, 1, 0]",
+        "  counitR_A[*,*] fails on basis vector 1: "
+        "lhs [0, 2, 0, 0] != rhs [0, 1, 0, 0]",
+        "  symm_A[*,*] fails on basis vector 1 (x) 2: lhs [1] != rhs [2]",
+        "  duality[*] fails on basis vector 3 (x) 1: lhs [1] != rhs [2]"]
+
+
 def test_non_utf8_files_exit_2(tmp_path, capsys):
     ocd, kfa = tmp_path / "junk.ocd", tmp_path / "junk.kfa"
     for p in (ocd, kfa):

@@ -201,6 +201,31 @@ def test_validate_rejects_dangling_port():
         g.validate()
 
 
+def test_add_node_refuses_a_used_id():
+    g = PortGraph()
+    g.add_node(Gen("eta_C"))
+    with pytest.raises(ValueError, match="^node id 0 already used$"):
+        g.add_node(Gen("eps_C"), 0)
+
+
+def test_validate_rejects_wire_maps_that_disagree():
+    # both maps hold every port, but the consumer side swaps the wires
+    g = PortGraph((O, O), (O, O))
+    g.wire(("src", 0), ("tgt", 0))
+    g.wire(("src", 1), ("tgt", 1))
+    g.in_to_out[("tgt", 0)], g.in_to_out[("tgt", 1)] = ("src", 1), ("src", 0)
+    with pytest.raises(TypingError, match=r"^wire maps disagree at "
+                       r"\('src', 0\) -> \('tgt', 0\)$"):
+        g.validate()
+
+
+def test_from_port_graph_refuses_a_cyclic_graph():
+    cyclic = _ill_typed_graphs()[2]
+    with pytest.raises(OcbordError,
+                       match="^port graph is cyclic; cannot lay out$"):
+        from_port_graph(cyclic)
+
+
 def _ill_typed_graphs():
     dangling = PortGraph((O,), (O,))
     dangling.add_node(Gen("mu_C"))

@@ -324,6 +324,15 @@ def test_structure_failures_name_the_problem():
                          basis=alg.basis, maps=maps))
 
 
+def test_evaluate_names_a_missing_structure_map():
+    alg = builtin_matrix_example(1)
+    maps = {k: m for k, m in alg.maps.items() if k != ("mu_C", ())}
+    bad = KFA(colors=alg.colors, dims=alg.dims, basis=alg.basis, maps=maps)
+    with pytest.raises(OcbordError,
+                       match="^algebra has no structure map for mu_C$"):
+        evaluate(parse("source O, O\nmu_C\n"), bad)
+
+
 def test_axiom_instances_are_the_catalog_relations():
     # the recoloured catalog rules, in checking order, against the terms
     # the checker used to build by hand
@@ -382,6 +391,22 @@ def test_non_associative_table_rejected():
         Groupoid(("x",), ms, comp)
 
 
+@pytest.mark.parametrize("objects, morphisms, comp, why", [
+    (("x",), {"e": ("x", "y")}, {}, "e has unknown ends"),
+    (("x",), {"e": ("x", "x")}, {}, "missing composite e,e"),
+    (("x",), {"e": ("x", "x")}, {("e", "e"): "f"}, "bad composite e,e"),
+    (("x", "y"), {"e": ("x", "x"), "i": ("y", "y")},
+     {("e", "e"): "e", ("i", "i"): "i", ("e", "i"): "e"},
+     "e,i not composable"),
+    (("x",), {"e": ("x", "x"), "f": ("x", "x")},
+     {(f, g): "e" for f in "ef" for g in "ef"}, "object x lacks an identity"),
+], ids=["unknown-ends", "missing-composite", "bad-composite",
+        "not-composable", "no-identity"])
+def test_groupoid_data_checks(objects, morphisms, comp, why):
+    with pytest.raises(OcbordError, match=f"^invalid groupoid data: {why}$"):
+        Groupoid(objects, morphisms, comp)
+
+
 # ---------------------------------------------------------------------------
 # File format
 
@@ -426,6 +451,13 @@ def test_kfa_load_errors(tmp_path):
 def test_unknown_builtin_rejected():
     with pytest.raises(OcbordError):
         builtin_algebra("matrixx")
+    with pytest.raises(OcbordError,
+                       match="^unknown builtin algebra 'matrix0'$"):
+        builtin_algebra("matrix0")
+    with pytest.raises(OcbordError, match="^matrix example needs n >= 1$"):
+        builtin_matrix_example(0)
+    with pytest.raises(OcbordError, match="^unknown groupoid example 'nope'$"):
+        builtin_groupoid_example("nope")
 
 
 def test_builtin_algebras_are_built_once():
