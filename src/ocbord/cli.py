@@ -82,8 +82,11 @@ def _emit_json(obj):
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
-def _count_gens(term):
-    return sum(1 for sl in term.slices for f in sl if isinstance(f, Gen))
+def _summary(term):
+    return {"source": [str(s) for s in term.source],
+            "target": [str(s) for s in term.target],
+            "generators": sum(1 for sl in term.slices for f in sl
+                              if isinstance(f, Gen))}
 
 
 def _exit_code(e: Exception) -> int:
@@ -128,14 +131,7 @@ def _batch(ns, work, human):
 
 def _cmd_check(ns):
     def work(path):
-        t = _load_term(path)
-        return {
-            "file": path,
-            "ok": True,
-            "generators": _count_gens(t),
-            "source": [str(s) for s in t.source],
-            "target": [str(s) for s in t.target],
-        }
+        return {"file": path, "ok": True, **_summary(_load_term(path))}
 
     def human(rep):
         yield (f"{rep['file']}: ok: {fmt_obj(rep['source'])} -> "
@@ -281,13 +277,7 @@ def _cmd_examples(ns):
                 continue
             path = os.path.join(ns.corpus, fn)
             try:
-                t = _load_term(path)
-                corpus.append({
-                    "file": fn,
-                    "source": [str(s) for s in t.source],
-                    "target": [str(s) for s in t.target],
-                    "generators": _count_gens(t),
-                })
+                corpus.append({"file": fn, **_summary(_load_term(path))})
             except (_UsageError, OcbordError) as e:
                 corpus.append({"file": fn, "error": str(e)})
     if ns.json:

@@ -191,8 +191,6 @@ def _build_component(h: PortGraph, source, c: ComponentInvariants) -> None:
     tgts = sorted(c.tgt_positions)
     if not tgts:
         h.wire(main, ("in", h.add_node(Gen("eps_C")), 0))
-    elif len(tgts) == 1:
-        h.wire(main, ("tgt", tgts[0]))
     else:
         side = []
         for _ in range(len(tgts) - 1):

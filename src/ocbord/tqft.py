@@ -154,7 +154,8 @@ class KFA:
             yield Gen(kind)
 
     def validate_structure(self):
-        """Check every required map exists with the right shape."""
+        """Check every required space and map exists with the right shape,
+        and every basis label list labels a declared space in full."""
         problems = []
         for a in self.colors:
             for b in self.colors:
@@ -162,6 +163,13 @@ class KFA:
                     problems.append(f"missing space A[{a},{b}]")
         if "C" not in self.dims:
             problems.append("missing space C")
+        for key, labels in self.basis.items():
+            name = _space_name(key)
+            if key not in self.dims:
+                problems.append(f"basis for undeclared space {name}")
+            elif len(labels) != self.dims[key]:
+                problems.append(f"basis of {name} has {len(labels)} "
+                                f"label(s), want {self.dims[key]}")
         if problems:
             return problems
         for gen in self.required_maps():

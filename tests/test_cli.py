@@ -294,9 +294,13 @@ def test_eval_on_a_1500_wide_diagram(tmp_path, capsys):
      "bad space name 'B[x]'"),
     (lambda doc: {**doc, "dims": {"C": doc["dims"]["C"]}},
      "missing space A[*,*]"),
+    (lambda doc: {**doc, "basis": {**doc["basis"], "A[*,*]": ["x"]}},
+     "basis of A[*,*] has 1 label(s), want 4"),
+    (lambda doc: {**doc, "basis": {**doc["basis"], "A[q,q]": ["x"]}},
+     "basis for undeclared space A[q,q]"),
 ], ids=["not-an-object", "dims-not-an-object", "negative-dimension",
         "zero-denominator", "no-space-C", "mu_C-misshapen", "bad-space-name",
-        "no-space-A"])
+        "no-space-A", "one-label", "undeclared-basis"])
 def test_axioms_on_a_malformed_kfa_exits_2(tmp_path, capsys, mangle, why):
     path = tmp_path / "bad.kfa"
     save_kfa(builtin_matrix_example(2), path)
@@ -329,20 +333,16 @@ def test_axioms_on_a_huge_kfa_exits_1(tmp_path, capsys):
     assert "over the cap" in err
 
 
-@pytest.mark.parametrize("labels", [None, ["x"]],
-                         ids=["no-labels", "one-label"])
+@pytest.mark.parametrize("labels", [None], ids=["no-labels"])
 def test_axioms_name_an_unlabelled_basis_vector_by_its_index(
         tmp_path, capsys, labels):
     # eps_A[*] doubled on e22 breaks the counit laws; the file labels no
-    # basis vector of A[*,*], or only the first
+    # basis vector of A[*,*]
     path = tmp_path / "unlabelled.kfa"
     save_kfa(builtin_matrix_example(2), path)
     doc = json.loads(path.read_text(encoding="utf-8"))
     doc["maps"]["eps_A[*]"]["entries"] = [[0, 0, "1"], [0, 3, "2"]]
-    if labels is None:
-        del doc["basis"]["A[*,*]"]
-    else:
-        doc["basis"]["A[*,*]"] = labels
+    del doc["basis"]["A[*,*]"]
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert run(["axioms", str(path)]) == 1
     out, err = capsys.readouterr()

@@ -1,9 +1,13 @@
-"""The rule catalog generator: it certifies every rule of the shipped
-catalog, writes it byte for byte, and refuses broken rules."""
+"""The rule catalog certifier: it reads the shipped catalog, which is in
+canonical form, certifies every rule and refuses broken ones."""
 
+import hashlib
 import json
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 if str(ROOT / "scripts") not in sys.path:
@@ -41,3 +45,27 @@ def test_mutated_rules_are_refused():
     assoc = _rule("assoc_A")
     assert gen_rules.certify([assoc, assoc]) == [
         ("assoc_A", "duplicate rule id")]
+
+
+def test_the_script_certifies_and_writes_nothing():
+    shipped = ROOT / "src" / "ocbord" / "data" / "rules.json"
+    before = hashlib.sha256(shipped.read_bytes()).hexdigest()
+    script = ROOT / "scripts" / "gen_rules.py"
+    done = subprocess.run([sys.executable, str(script)],
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        0, "54 rules\nall rules verified\n", "")
+    assert hashlib.sha256(shipped.read_bytes()).hexdigest() == before
+
+
+def test_the_script_exits_1_on_a_broken_rule(monkeypatch, capsys):
+    swap = _rule("window_swap")
+    swap["rhs"] = swap["rhs"].replace("zip[b]\ncozip[b]", "zip[a]\ncozip[a]")
+    monkeypatch.setattr(gen_rules, "R", [swap])
+    with pytest.raises(SystemExit) as stop:
+        gen_rules.main()
+    assert stop.value.code == 1
+    assert capsys.readouterr().out == (
+        "1 rules\n"
+        "FAIL window_swap: lhs has colour vars missing from rhs\n"
+        "FAIL window_swap: invariant profiles differ\n")
