@@ -313,26 +313,16 @@ class PortGraph:
             return self.target[cons[1]]
         return self.nodes[cons[1]].source[cons[2]]
 
-    def producers(self):
-        for i in range(len(self.source)):
-            yield ("src", i)
-        for nid, gen in self.nodes.items():
-            for k in range(len(gen.target)):
-                yield ("out", nid, k)
-
-    def consumers(self):
-        for j in range(len(self.target)):
-            yield ("tgt", j)
-        for nid, gen in self.nodes.items():
-            for k in range(len(gen.source)):
-                yield ("in", nid, k)
-
     def validate(self) -> None:
         """Raise :class:`TypingError` unless every port is wired once, each
         wire joins equal segments, and the wires form no loop: a cyclic
         graph is no diagram."""
-        prods = set(self.producers())
-        conss = set(self.consumers())
+        prods = {("src", i) for i in range(len(self.source))} | {
+            ("out", nid, k) for nid, gen in self.nodes.items()
+            for k in range(len(gen.target))}
+        conss = {("tgt", j) for j in range(len(self.target))} | {
+            ("in", nid, k) for nid, gen in self.nodes.items()
+            for k in range(len(gen.source))}
         if set(self.out_to_in) != prods:
             missing = prods - set(self.out_to_in)
             extra = set(self.out_to_in) - prods
@@ -516,40 +506,48 @@ def _least_walk(g: PortGraph, comp: list) -> tuple:
     return "[" + ", ".join(_serialise(g, order, idx, gens)) + "]", order
 
 
-def canonical_order(g: PortGraph) -> list:
-    """Deterministic node order, independent of node ids.
-
-    Nodes reachable from the boundary come first, in breadth-first order
-    from the nodes at the source ports then the target ports.  Each
-    remaining (closed, boundary-free) component is ordered by the seed
-    that minimises its serialisation (see :func:`_least_walk`), and
-    components are sorted the same way.
+def _canonical_parts(g: PortGraph) -> tuple:
+    """``(order, idx, comps)``: the boundary walk (:func:`_walk` from the
+    nodes at the source ports, then the target ports) and its numbering,
+    and the ``(serialisation, order)`` of each remaining (closed,
+    boundary-free) component's least walk (:func:`_least_walk`), sorted.
     """
     ends = [g.out_to_in[("src", i)] for i in range(len(g.source))]
     ends += [g.in_to_out[("tgt", j)] for j in range(len(g.target))]
-    order, seen = _walk(g, [[ep[1] for ep in ends
-                             if ep[0] == "in" or ep[0] == "out"]], g.nodes)
-    left = g.nodes.keys() - seen
+    order, idx = _walk(g, [[ep[1] for ep in ends
+                            if ep[0] == "in" or ep[0] == "out"]], g.nodes)
+    left = g.nodes.keys() - idx
     comps = []
     while left:
         comp = _walk(g, [[next(iter(left))]], g.nodes)[0]
         left.difference_update(comp)
         comps.append(_least_walk(g, comp))
     comps.sort(key=lambda b: b[0])
-    for _, walk in comps:
-        order.extend(walk)
-    return order
+    return order, idx, comps
+
+
+def canonical_order(g: PortGraph) -> list:
+    """Deterministic node order, independent of node ids: the nodes
+    reachable from the boundary, then the closed components, each in its
+    least walk, sorted by its serialisation (:func:`_canonical_parts`)."""
+    order, _, comps = _canonical_parts(g)
+    return order + [nid for _, walk in comps for nid in walk]
 
 
 def canonical_key(g: PortGraph) -> str:
-    """A string equal for two port graphs iff they are identical up to ids."""
-    order = canonical_order(g)
-    idx = {nid: i for i, nid in enumerate(order)}
+    """A string equal for two port graphs iff they are identical up to ids.
+
+    It lists the boundary, the boundary walk's parts, then the sorted
+    serialisations of the closed components (:func:`_canonical_parts`),
+    each a bracketed list numbering its own nodes, so each node is
+    serialised once."""
+    order, idx, comps = _canonical_parts(g)
     src = [g.out_to_in[("src", i)] for i in range(len(g.source))]
     head = (tuple(map(str, g.source)), tuple(map(str, g.target)), tuple(
         ("in", idx[ep[1]], ep[2]) if ep[0] == "in" else ep for ep in src))
     return "[" + ", ".join([*map(repr, head),
-                            *_serialise(g, order, idx, g.nodes)]) + "]"
+                            *_serialise(g, order, idx, g.nodes),
+                            *(key for key, _ in comps)]) + "]"
 
 
 def graph_eq(g1: PortGraph, g2: PortGraph) -> bool:

@@ -191,13 +191,13 @@ _gen = lru_cache(maxsize=1024)(Gen)
 
 @dataclass(frozen=True)
 class Match:
-    """One site where a rule side matches, with its colour binding."""
+    """One site where a rule side matches, and so also one step of a move
+    log: applying it reads the colour binding off the host."""
     rule: str
     reverse: bool
     nodes: tuple        # host node ids, in pattern node order
     src_prod: tuple     # host producer feeding each pattern source port
     tgt_cons: tuple     # host consumer eating each pattern target port
-    env: tuple          # sorted (variable, colour) pairs
 
 
 def _unify_seg(env, pseg, hseg) -> bool:
@@ -212,8 +212,8 @@ def _unify_seg(env, pseg, hseg) -> bool:
 
 
 def _bind(host: PortGraph, K: _Kernel, nodes: tuple):
-    """Check a node assignment; return (env, src_prod, tgt_cons), or None
-    when the assignment is not a match."""
+    """Check a node assignment; return (src_prod, tgt_cons), or None when
+    the assignment is not a match."""
     if len(nodes) != len(K.kinds) or len(set(nodes)) != len(nodes):
         return None
     hnodes, o2i, i2o = host.nodes, host.out_to_in, host.in_to_out
@@ -240,7 +240,7 @@ def _bind(host: PortGraph, K: _Kernel, nodes: tuple):
         src_prod[s] = hp
     for i, k, t in K.tgt:
         tgt_cons[t] = o2i[("out", nodes[i], k)]
-    return env, tuple(src_prod), tuple(tgt_cons)
+    return tuple(src_prod), tuple(tgt_cons)
 
 
 def _reaches(host: PortGraph, start: int, goals: set) -> bool:
@@ -288,15 +288,14 @@ def _of_kind(g: PortGraph, *kinds) -> list:
 
 
 def _sites(host: PortGraph, K: _Kernel, at):
-    """``(nodes, env, src_prod, tgt_cons)`` for each site of
+    """``(nodes, src_prod, tgt_cons)`` for each site of
     :func:`find_matches` before its splice check, one at a time."""
     if not K.kinds:
         if at:
             return          # an empty side has no nodes to pin
         for hp in sorted(host.out_to_in):
-            env = {}
-            if _unify_seg(env, K.source[0], host.producer_seg(hp)):
-                yield (), env, (hp,), (host.out_to_in[hp],)
+            if _unify_seg({}, K.source[0], host.producer_seg(hp)):
+                yield (), (hp,), (host.out_to_in[hp],)
         return
     if at is not None:
         got = _bind(host, K, tuple(at))
@@ -335,11 +334,10 @@ def find_matches(host: PortGraph, rule_id: str, reverse: bool = False,
     to it.
     """
     out = []
-    for nodes, env, src_prod, tgt_cons in _sites(
+    for nodes, src_prod, tgt_cons in _sites(
             host, _kernel(rule_id, reverse), at):
         if _splice_is_acyclic(host, rule_id, reverse, src_prod, tgt_cons):
-            out.append(Match(rule_id, reverse, nodes, src_prod, tgt_cons,
-                             tuple(sorted(env.items()))))
+            out.append(Match(rule_id, reverse, nodes, src_prod, tgt_cons))
             if first:
                 break
     return out
@@ -347,9 +345,14 @@ def find_matches(host: PortGraph, rule_id: str, reverse: bool = False,
 
 def _apply_full(h: PortGraph, m: Match) -> list:
     """Cut out the matched side and glue in the other side of the rule,
-    editing ``h`` itself; returns the new node ids in pattern order."""
+    editing ``h`` itself; returns the new node ids in pattern order.  The
+    colours are read off the matched nodes, or a bare wire's segment."""
     K = _kernel(m.rule, m.reverse)
-    env = dict(m.env)
+    env: dict = {}
+    for hn, cvars in zip(m.nodes, K.colors):
+        env.update(zip(cvars, h.nodes[hn].colors))
+    if not K.kinds:
+        _unify_seg(env, K.source[0], h.producer_seg(m.src_prod[0]))
     try:
         gens = [_gen(kind, tuple(env[v] for v in cvars))
                 for kind, cvars in K.gens]
@@ -381,23 +384,10 @@ def apply_match(host: PortGraph, m: Match) -> PortGraph:
 # --- move logs ----------------------------------------------------------
 
 @dataclass(frozen=True)
-class Move:
-    rule: str
-    reverse: bool
-    nodes: tuple
-    src_prod: tuple
-    tgt_cons: tuple
-
-
-@dataclass(frozen=True)
 class MoveTrace:
     initial: DiagramTerm
     moves: tuple
     final: DiagramTerm
-
-
-def _move_of(m: Match) -> Move:
-    return Move(m.rule, m.reverse, m.nodes, m.src_prod, m.tgt_cons)
 
 
 def _ep_str(ep) -> str:
@@ -431,7 +421,7 @@ def _split(field: str, parse_one) -> tuple:
     return tuple(parse_one(x) for x in field.split(","))
 
 
-def format_move(step: int, mv: Move) -> str:
+def format_move(step: int, mv: Match) -> str:
     return " ".join([str(step), mv.rule, "rev" if mv.reverse else "fwd",
                      _join(mv.nodes, str), _join(mv.src_prod, _ep_str),
                      _join(mv.tgt_cons, _ep_str)])
@@ -447,8 +437,8 @@ def parse_move(line: str) -> tuple:
     except ValueError:
         raise TraceError(f"bad step or node id in move line {line!r}") \
             from None
-    mv = Move(parts[1], parts[2] == "rev", nodes,
-              _split(parts[4], _ep_parse), _split(parts[5], _ep_parse))
+    mv = Match(parts[1], parts[2] == "rev", nodes,
+               _split(parts[4], _ep_parse), _split(parts[5], _ep_parse))
     return step, mv
 
 
@@ -510,24 +500,20 @@ def read_trace(path) -> MoveTrace:
 def check_trace(trace: MoveTrace) -> bool:
     """Replay a move log from scratch and verify every step.
 
-    Each recorded site is re-matched against the replayed diagram, so a
-    log edited to use a rule where it does not apply is rejected.  The
-    moves rewrite one graph, built from the initial diagram, in place.
-    The replayed result must equal the recorded final diagram.
+    Each step must be one of the matches found at its nodes in the
+    replayed diagram, so a log edited to use a rule where it does not
+    apply is rejected.  The moves rewrite one graph, built from the
+    initial diagram, in place.  The replayed result must equal the
+    recorded final diagram.
     """
     g = to_port_graph(trace.initial)
     for step, mv in enumerate(trace.moves, 1):
         if mv.rule not in rules():
             raise TraceError(f"step {step}: unknown rule {mv.rule!r}")
-        found = None
-        for m in find_matches(g, mv.rule, mv.reverse, at=mv.nodes):
-            if m.src_prod == mv.src_prod and m.tgt_cons == mv.tgt_cons:
-                found = m
-                break
-        if found is None:
+        if mv not in find_matches(g, mv.rule, mv.reverse, at=mv.nodes):
             raise TraceError(
                 f"step {step}: {mv.rule} does not match at the recorded site")
-        _apply_full(g, found)
+        _apply_full(g, mv)
     if not graph_eq(g, to_port_graph(trace.final)):
         raise TraceError("replayed moves do not produce the recorded "
                          "final diagram")
@@ -547,7 +533,7 @@ class _Recorder:
 
     def apply(self, m: Match) -> list:
         new = _apply_full(self.g, m)
-        self.moves.append(_move_of(m))
+        self.moves.append(m)
         # a move changes the cones of the matched nodes and of the nodes
         # above its sources only; a node without a count has none above it
         g, paths = self.g, self.paths

@@ -848,7 +848,8 @@ def load_kfa(path) -> KFA:
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        except (json.JSONDecodeError, UnicodeDecodeError,
+                RecursionError) as e:
             raise OcbordError(f"{path}: not valid JSON: {e}") from None
     if not isinstance(doc, dict) or doc.get("format") != "kfa":
         raise OcbordError(f"{path}: missing 'format': 'kfa' marker")
@@ -883,7 +884,7 @@ def load_kfa(path) -> KFA:
                 int(m["rows"]), int(m["cols"]),
                 {(int(r), int(c)): Fraction(v) for r, c, v in m["entries"]})
     except (KeyError, ValueError, TypeError, AttributeError,
-            ZeroDivisionError) as e:
+            ZeroDivisionError, OverflowError) as e:
         raise OcbordError(f"{path}: malformed algebra file: {e}") from None
     alg = KFA(colors=colors, dims=dims, basis=basis, maps=maps,
               name=doc.get("name", ""))

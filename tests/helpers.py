@@ -432,9 +432,13 @@ def graph_bind(host, P, nodes: tuple):
 def graph_apply(h, m) -> list:
     """Reference for ``rewrite._apply_full``: glue in the other side of
     the rule, read from its port graph and building fresh generators, in
-    ``h`` itself; returns the new node ids in pattern order."""
-    R = _pattern(m.rule, not m.reverse)
-    env = dict(m.env)
+    ``h`` itself; returns the new node ids in pattern order.  The colour
+    binding comes from :func:`graph_bind` against the matched side's port
+    graph, with each source segment unified against its host producer."""
+    P, R = _pattern(m.rule, m.reverse), _pattern(m.rule, not m.reverse)
+    env = graph_bind(h, P, m.nodes)[0]
+    for seg, hp in zip(P.source, m.src_prod):
+        assert _unify_seg(env, seg, h.producer_seg(hp))
     gens = [Gen(R.nodes[rn].kind, tuple(env[v] for v in R.nodes[rn].colors))
             for rn in sorted(R.nodes)]
     for hn in m.nodes:
@@ -507,7 +511,7 @@ def product_find_matches(host, rule_id: str, reverse: bool = False) -> list:
             if _splice_is_acyclic(host, rule_id, reverse, src_prod,
                                   tgt_cons):
                 out.append(Match(rule_id, reverse, nodes, tuple(src_prod),
-                                 tuple(tgt_cons), tuple(sorted(env.items()))))
+                                 tuple(tgt_cons)))
             return
         (i, j), rest = bare[0], bare[1:]
         used = set(src_prod) | set(tgt_cons)

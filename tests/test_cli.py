@@ -13,6 +13,7 @@ from ocbord.cli import _build_parser, run
 from ocbord.diagram import Gen
 from ocbord.dsl import parse, parse_file, render
 from ocbord.invariants import equivalent
+from ocbord.normalform import normal_form
 from ocbord.rewrite import check_trace, read_trace
 from ocbord.tqft import builtin_matrix_example, evaluate, save_kfa
 
@@ -119,6 +120,33 @@ def test_normalize_a_reversed_101_block_merge(tmp_path, capsys):
     got = capsys.readouterr()
     assert got.err == ""
     assert equivalent(parse(got.out), parse_file(src))
+
+
+def test_normalize_json_report(tmp_path, capsys):
+    nf = render(normal_form(parse_file(FIG)))
+    out, log = str(tmp_path / "nf.ocd"), str(tmp_path / "nf.trace")
+    for argv, files in ((["normalize", "--json", FIG], (None, None)),
+                        (["normalize", "--json", FIG, "-o", out,
+                          "--trace", log], (out, log))):
+        assert run(argv) == 0
+        got = capsys.readouterr()
+        assert got.err == ""
+        assert json.loads(got.out) == {
+            "file": FIG, "ok": True, "moves": 43, "normal_form": nf,
+            "output": files[0], "trace": files[1]}
+    assert len(read_trace(log).moves) == 43
+    with open(out, encoding="utf-8") as fh:
+        assert fh.read() == nf
+
+
+def test_equiv_json_report(capsys):
+    other = str(CORPUS / "torus.ocd")
+    for right, eq in ((FIG, True), (other, False)):
+        assert run(["equiv", "--json", FIG, right]) == (0 if eq else 1)
+        got = capsys.readouterr()
+        assert got.err == ""
+        assert json.loads(got.out) == {"left": FIG, "right": right,
+                                       "equivalent": eq}
 
 
 def test_equiv_exit_codes(tmp_path, capsys):
@@ -298,9 +326,15 @@ def test_eval_on_a_1500_wide_diagram(tmp_path, capsys):
      "basis of A[*,*] has 1 label(s), want 4"),
     (lambda doc: {**doc, "basis": {**doc["basis"], "A[q,q]": ["x"]}},
      "basis for undeclared space A[q,q]"),
+    (lambda doc: {**doc, "dims": {**doc["dims"], "C": float("inf")}},
+     "malformed algebra file"),
+    (lambda doc: {**doc, "maps": {**doc["maps"], "mu_C": {
+        **doc["maps"]["mu_C"], "entries": [[0, 0, float("inf")]]}}},
+     "malformed algebra file"),
 ], ids=["not-an-object", "dims-not-an-object", "negative-dimension",
         "zero-denominator", "no-space-C", "mu_C-misshapen", "bad-space-name",
-        "no-space-A", "one-label", "undeclared-basis"])
+        "no-space-A", "one-label", "undeclared-basis", "inf-dimension",
+        "inf-entry"])
 def test_axioms_on_a_malformed_kfa_exits_2(tmp_path, capsys, mangle, why):
     path = tmp_path / "bad.kfa"
     save_kfa(builtin_matrix_example(2), path)
@@ -310,6 +344,23 @@ def test_axioms_on_a_malformed_kfa_exits_2(tmp_path, capsys, mangle, why):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert why in err
+
+
+@pytest.mark.parametrize("text, why", [
+    ("[" * 200000 + "]" * 200000, "not valid JSON"),
+    ('{"format": "kfa", "colors": ["*"], "dims": {"C": 1e999}, '
+     '"basis": {}, "maps": {}}', "malformed algebra file"),
+], ids=["nested-200000-deep", "dimension-1e999"])
+def test_a_kfa_that_json_cannot_hold_exits_2(tmp_path, capsys, text, why):
+    # json.load recurses once per nesting level and reads 1e999 as inf
+    path = tmp_path / "bad.kfa"
+    path.write_text(text, encoding="utf-8")
+    for argv in (["axioms", str(path)],
+                 ["eval", "--algebra", str(path), FIG]):
+        assert run(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") \
+            and err.count("\n") == 1 and why in err, argv
 
 
 def test_axioms_on_a_huge_kfa_exits_1(tmp_path, capsys):

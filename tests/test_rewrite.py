@@ -206,7 +206,7 @@ def test_new_pair_splice_check_equals_the_all_pairs_check():
     sites = refused = 0
     for g in hosts:
         for rid, rev, K in kernels:
-            for nodes, _, sp, tc in rewrite._sites(g, K, None):
+            for nodes, sp, tc in rewrite._sites(g, K, None):
                 ok = rewrite._splice_is_acyclic(g, rid, rev, sp, tc)
                 assert ok == all_pairs_splice_is_acyclic(g, rid, rev, sp,
                                                          tc), (rid, rev, nodes)
@@ -709,6 +709,22 @@ def test_move_at_a_huge_node_id_is_rejected():
     text = trace_text(MoveTrace(tr.initial, (mv,) + tr.moves[1:], tr.final))
     with pytest.raises(TraceError):
         check_trace(parse_trace(text))
+
+
+def test_a_bare_wire_move_replays_at_its_recorded_wire():
+    # the bare-wire side of unitL_A matches both wires; the endpoints
+    # pick one, and a pair that is no host wire is refused
+    def log(ends):
+        return ("ocbord-trace 1\ninitial-begin\nsource I, I\n"
+                "id:I | id:I\ninitial-end\n"
+                f"1 unitL_A rev - {ends}\nfinal-begin\nsource I, I\n"
+                "eta_A | id:I | id:I\nmu_A | id:I\nfinal-end\n")
+
+    assert check_trace(parse_trace(log("s0 t0")))
+    for ends in ("s1 t0", "s0 t1"):
+        with pytest.raises(TraceError, match=re.escape(
+                "step 1: unitL_A does not match at the recorded site")):
+            check_trace(parse_trace(log(ends)))
 
 
 def test_malformed_trace_text_is_rejected():
