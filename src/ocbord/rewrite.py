@@ -611,6 +611,13 @@ def _is_handle(g: PortGraph, s: int) -> bool:
             and g.nodes[c0[1]].kind == "mu_C")
 
 
+def _is_cap(g: PortGraph, m: int) -> bool:
+    # the mu_C closing a handle: both inputs come from one node
+    p0 = g.in_to_out[("in", m, 0)]
+    p1 = g.in_to_out[("in", m, 1)]
+    return p0[0] == p1[0] == "out" and p0[1] == p1[1]
+
+
 class _Comb(NamedTuple):
     """A kind of binary tree the strategy combs.  The tree hangs off a
     root endpoint and is read along ``direction``, the wire map walked
@@ -625,7 +632,7 @@ class _Comb(NamedTuple):
 
 
 _MU_A = _Comb("mu_A", "in_to_out", "assoc_A")
-_MU_C = _Comb("mu_C", "in_to_out", "assoc_C", "comm_C")
+_MU_C = _Comb("mu_C", "in_to_out", "assoc_C", "comm_C", _is_cap)
 _DELTA_C = _Comb("Delta_C", "out_to_in", "coassoc_C", "cocomm_C", _is_handle)
 
 
@@ -639,21 +646,32 @@ class _CombView:
 
     def __init__(self, rec: _Recorder, spec: _Comb, root):
         self.rec, self.spec, self.root = rec, spec, root
-        self.g = rec.g
-        self.port = "in" if spec.direction == "in_to_out" else "out"
+        self.g = g = rec.g
+        # the port kinds away from the root and towards it, and the wire
+        # map walked towards it
+        self.port, self.back, self.up = ("in", "out", g.out_to_in) \
+            if spec.direction == "in_to_out" else ("out", "in", g.in_to_out)
 
     @classmethod
     def holding(cls, rec: _Recorder, spec: _Comb, leaf):
         """The view of the tree that ``leaf`` is a leaf of, rooted at the
         first endpoint towards the root that is not a tree node."""
         view = cls(rec, spec, None)
-        back = "out" if view.port == "in" else "in"
-        wires = view.g.out_to_in if back == "out" else view.g.in_to_out
-        end = wires[leaf]
+        end = view.up[leaf]
         while (n := view._node(end)) is not None:
-            end = wires[(back, n, 0)]
+            end = view.up[(view.back, n, 0)]
         view.root = end
         return view
+
+    @classmethod
+    def trees(cls, rec: _Recorder, spec: _Comb) -> list:
+        """Views of every whole ``spec`` tree, ascending by the id of its
+        top node (the one nearest the root), each rooted where
+        :meth:`holding` roots it."""
+        v = cls(rec, spec, None)
+        ups = [v.up[(v.back, n, 0)] for n in _of_kind(rec.g, spec.kind)
+               if v._node((v.back, n, 0)) is not None]
+        return [cls(rec, spec, end) for end in ups if v._node(end) is None]
 
     def across(self, end):
         """The far end of the wire at ``end``, away from the root."""
@@ -716,9 +734,10 @@ class _CombView:
             self.rec.do(self.spec.assoc, True, site)
 
     def rotate_until(self, want):
-        """Rotate a left comb of ``mu_A`` under a cozip, moving its last
-        leaf to the front, until ``want(leaves)`` holds.  As many turns
-        as leaves bring the comb back to where it started."""
+        """Comb a tree of ``mu_A`` under a cozip, then rotate it, moving
+        its last leaf to the front, until ``want(leaves)`` holds.  As many
+        turns as leaves bring the comb back to where it started."""
+        self.left_comb()
         leaves = self.walk()[1]
         for _ in range(len(leaves) + 1):
             if want(leaves):
@@ -731,13 +750,14 @@ class _CombView:
         raise StrategyStuck("comb rotation did not reach the wanted leaf")
 
     def sort(self, key):
-        """Sort a left comb's leaves ascending by ``key``.  Each round swaps
+        """Comb, then sort the leaves ascending by ``key``.  Each round swaps
         the out-of-order adjacent pair met first from the top of the
         diagram (the far end of a product comb, the root of a coproduct
         comb), so the k leaves on entry need at most k(k-1)/2 rounds and
         a last one.  The moves touch only tree nodes, so a leaf's key is
         computed once."""
         key = lru_cache(maxsize=None)(key)
+        self.left_comb()
         k = len(self.walk()[1])
         for _ in range(k * (k - 1) // 2 + 1):
             spine, leaves = self.walk()
@@ -822,7 +842,6 @@ def _absorb_legs(rec: _Recorder, d: int, blk: _CombView, done) -> int:
 def _comult_one_cozip(rec: _Recorder, d: int, blk: _CombView):
     # both legs reach the same cozip: rotate the second leg to the
     # front, absorb everything between the legs, then fold by cardy
-    blk.left_comb()
     blk.rotate_until(lambda ls: ls[0] == ("out", d, 1))
     d = _absorb_legs(rec, d, blk, lambda d: blk.walk()[1][1] == ("out", d, 0))
     b = rec.g.out_to_in[("out", d, 1)][1]
@@ -834,11 +853,9 @@ def _comult_two_cozips(rec: _Recorder, d: int, blk0: _CombView,
     # legs reach different cozips: bring each leg directly under its
     # cozip, then split off a closed comultiplication
     if blk0.across(blk0.root) != ("out", d, 0):
-        blk0.left_comb()
         blk0.rotate_until(lambda ls: ls[-1] == ("out", d, 0))
         d = rec.do("frobR_A", False, (d, blk0.across(blk0.root)[1]))[1]
     if blk1.across(blk1.root) != ("out", d, 1):
-        blk1.left_comb()
         blk1.rotate_until(lambda ls: ls[0] == ("out", d, 1))
         d = _absorb_legs(rec, d, blk1,
                          lambda d: blk1.across(blk1.root) == ("out", d, 1))
@@ -909,19 +926,17 @@ def _closed_frob_step(rec: _Recorder) -> bool:
 
 
 def _macros(g: PortGraph) -> list:
-    """Window and handle pairs: (kind, nodes, input cons, output prod)."""
+    """Window and handle pairs ``(kind, (top, bottom))``, entered at input
+    0 of ``top`` and left at output 0 of ``bottom``; the kind,
+    ``"window"`` or ``"handle"``, prefixes the pair's slide rules."""
     out = []
     for n in _of_kind(g, "zip", "Delta_C"):
+        cons = g.out_to_in[("out", n, 0)]
         if g.nodes[n].kind == "zip":
-            cons = g.out_to_in[("out", n, 0)]
             if cons[0] == "in" and g.nodes[cons[1]].kind == "cozip":
-                out.append(("W", (n, cons[1]), ("in", n, 0),
-                            ("out", cons[1], 0)))
-        elif _is_handle(g, n):
-            c0 = g.out_to_in[("out", n, 0)]
-            if c0[2] == 0:      # straight, so leg 1 enters input 1
-                out.append(("G", (n, c0[1]), ("in", n, 0),
-                            ("out", c0[1], 0)))
+                out.append(("window", (n, cons[1])))
+        elif _is_handle(g, n) and cons[2] == 0:     # a straight handle
+            out.append(("handle", (n, cons[1])))
     return out
 
 
@@ -930,34 +945,32 @@ def _macro_step(rec: _Recorder) -> bool:
     # was, so one list of macros serves both
     g = rec.g
     macros = _macros(g)
-    for kind, nodes, mi, mo in macros:
-        cons = g.out_to_in[mo]
+    for kind, (top, bottom) in macros:
+        cons = g.out_to_in[("out", bottom, 0)]
         if cons[0] == "in" and g.nodes[cons[1]].kind == "mu_C":
-            side = "l" if cons[2] == 0 else "r"
-            base = "handle_slide_mul_" if kind == "G" else "window_slide_mul_"
-            rec.do(base + side, False, nodes + (cons[1],))
+            rec.do(f"{kind}_slide_mul_{'lr'[cons[2]]}", False,
+                   (top, bottom, cons[1]))
             return True
-        prod = g.in_to_out[mi]
+        prod = g.in_to_out[("in", top, 0)]
         if prod[0] == "out" and g.nodes[prod[1]].kind == "Delta_C":
-            side = "l" if prod[2] == 0 else "r"
-            base = "handle_slide_comul_" if kind == "G" \
-                else "window_slide_comul_"
-            rec.do(base + side, True, (prod[1],) + nodes)
+            rec.do(f"{kind}_slide_comul_{'lr'[prod[2]]}", True,
+                   (prod[1], top, bottom))
             return True
     # a handle or window above a window swaps with it: handles first, and
     # two windows only when out of colour order
-    for want, rule in (("G", "window_handle_swap"), ("W", "window_swap")):
-        for kind, nodes, mi, mo in macros:
-            cons = g.out_to_in[mo]
+    for want, rule in (("handle", "window_handle_swap"),
+                       ("window", "window_swap")):
+        for kind, (top, bottom) in macros:
+            cons = g.out_to_in[("out", bottom, 0)]
             if kind != want or cons[0] != "in" \
                     or g.nodes[cons[1]].kind != "zip":
                 continue
             z = cons[1]
             zc = g.out_to_in[("out", z, 0)]
             if zc[0] == "in" and g.nodes[zc[1]].kind == "cozip" and (
-                    kind == "G" or g.nodes[nodes[0]].colors[0]
+                    kind == "handle" or g.nodes[top].colors[0]
                     > g.nodes[z].colors[0]):
-                rec.do(rule, False, nodes + (z, zc[1]))
+                rec.do(rule, False, (top, bottom, z, zc[1]))
                 return True
     return False
 
@@ -974,9 +987,8 @@ def _phase_canonical(rec: _Recorder):
         prod = rec.g.in_to_out[("in", cz, 0)]
         if prod[0] == "out" and rec.g.nodes[prod[1]].kind == "zip":
             continue            # window, not a block
-        blk = _CombView(rec, _MU_A, ("in", cz, 0))
-        blk.left_comb()
-        blk.rotate_until(lambda ls: ls[0] == min(ls))
+        _CombView(rec, _MU_A, ("in", cz, 0)).rotate_until(
+            lambda ls: ls[0] == min(ls))
 
     # closed merges: left comb sorted by each block's smallest port
     def block_min(leaf):
@@ -985,45 +997,18 @@ def _phase_canonical(rec: _Recorder):
         blk = _CombView(rec, _MU_A, ("in", leaf[1], 0))
         return min(lf[1] for lf in blk.walk()[1])
 
-    roots = []
-    for n in _of_kind(rec.g, "mu_C"):
-        p0 = rec.g.in_to_out[("in", n, 0)]
-        p1 = rec.g.in_to_out[("in", n, 1)]
-        if p0[0] == "out" and p1[0] == "out" and p0[1] == p1[1]:
-            continue            # the cap of a handle, not a merge
-        cons = rec.g.out_to_in[("out", n, 0)]
-        if cons[0] == "in" and rec.g.nodes[cons[1]].kind == "mu_C":
-            continue
-        roots.append(cons)
-    for root_cons in roots:
-        merge = _CombView(rec, _MU_C, root_cons)
-        merge.left_comb()
+    for merge in _CombView.trees(rec, _MU_C):
         merge.sort(block_min)
 
     # closed splits: spine along the first leg, outputs sorted so the
     # lowest target hangs off the deepest comultiplication
-    tops = []
-    for n in _of_kind(rec.g, "Delta_C"):
-        if _is_handle(rec.g, n):
-            continue
-        prod = rec.g.in_to_out[("in", n, 0)]
-        if prod[0] == "out" and rec.g.nodes[prod[1]].kind == "Delta_C" \
-                and not _is_handle(rec.g, prod[1]):
-            continue
-        tops.append(prod)       # stable anchor above
-    for anchor in tops:
-        _canonical_one_split(rec, anchor)
-
-
-def _canonical_one_split(rec: _Recorder, anchor):
     def target(leg):
         if leg[0] != "tgt":
             raise StrategyStuck("split leg does not reach the boundary")
         return leg[1]
 
-    split = _CombView(rec, _DELTA_C, anchor)
-    split.left_comb()
-    split.sort(target)
+    for split in _CombView.trees(rec, _DELTA_C):
+        split.sort(target)
 
 
 def normalize_with_trace(x):

@@ -154,9 +154,14 @@ class KFA:
             yield Gen(kind)
 
     def validate_structure(self):
-        """Check every required space and map exists with the right shape,
-        and every basis label list labels a declared space in full."""
-        problems = []
+        """Check every colour and basis label is a string, every required
+        space and map exists with the right shape, and every basis label
+        list labels a declared space in full."""
+        names = [*self.colors, *(x for xs in self.basis.values() for x in xs)]
+        problems = [f"colour or basis label {x!r} is not a string"
+                    for x in names if not isinstance(x, str)]
+        if problems:
+            return problems
         for a in self.colors:
             for b in self.colors:
                 if ("A", a, b) not in self.dims:
@@ -848,8 +853,8 @@ def load_kfa(path) -> KFA:
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError,
-                RecursionError) as e:
+        except (ValueError, RecursionError) as e:
+            # ValueError: not UTF-8, not JSON, or an over-long integer
             raise OcbordError(f"{path}: not valid JSON: {e}") from None
     if not isinstance(doc, dict) or doc.get("format") != "kfa":
         raise OcbordError(f"{path}: missing 'format': 'kfa' marker")
@@ -862,8 +867,14 @@ def load_kfa(path) -> KFA:
             return ("A", a.strip(), b.strip())
         raise OcbordError(f"{path}: bad space name {name!r}")
 
+    def whole(value):
+        # a JSON integer; JSON reads 1.0, 1e999 and true as other types
+        if type(value) is not int:
+            raise TypeError(f"{value!r} is not an integer")
+        return value
+
     def dim(value):
-        d = int(value)
+        d = whole(value)
         if d < 0:
             raise ValueError(f"negative dimension {d}")
         return d
@@ -881,13 +892,16 @@ def load_kfa(path) -> KFA:
         maps = {}
         for name, m in doc["maps"].items():
             maps[map_key(name)] = LinearMap(
-                int(m["rows"]), int(m["cols"]),
-                {(int(r), int(c)): Fraction(v) for r, c, v in m["entries"]})
+                whole(m["rows"]), whole(m["cols"]),
+                {(whole(r), whole(c)): v if isinstance(v, str) else whole(v)
+                 for r, c, v in m["entries"]})
+        title = doc.get("name", "")
+        if not isinstance(title, str):
+            raise TypeError(f"name {title!r} is not a string")
     except (KeyError, ValueError, TypeError, AttributeError,
-            ZeroDivisionError, OverflowError) as e:
+            ZeroDivisionError) as e:
         raise OcbordError(f"{path}: malformed algebra file: {e}") from None
-    alg = KFA(colors=colors, dims=dims, basis=basis, maps=maps,
-              name=doc.get("name", ""))
+    alg = KFA(colors=colors, dims=dims, basis=basis, maps=maps, name=title)
     problems = alg.validate_structure()
     if problems:
         raise OcbordError(f"{path}: " + "; ".join(problems[:5]))

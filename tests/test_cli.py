@@ -331,28 +331,51 @@ def test_eval_on_a_1500_wide_diagram(tmp_path, capsys):
     (lambda doc: {**doc, "maps": {**doc["maps"], "mu_C": {
         **doc["maps"]["mu_C"], "entries": [[0, 0, float("inf")]]}}},
      "malformed algebra file"),
+    (lambda doc: {**doc, "dims": {**doc["dims"], "C": 1.9}},
+     "malformed algebra file"),
+    (lambda doc: {**doc, "dims": {**doc["dims"], "C": True}},
+     "malformed algebra file"),
+    (lambda doc: {**doc, "maps": {**doc["maps"], "mu_C": {
+        **doc["maps"]["mu_C"], "entries": [[0, 0, 0.1]]}}},
+     "malformed algebra file"),
+    (lambda doc: {**doc, "colors": [["*"]]},
+     "colour or basis label ['*'] is not a string"),
+    # eps_A[*] doubled on e22 fails an axiom, whose report would name a
+    # basis vector by its label
+    (lambda doc: {**doc, "basis": {**doc["basis"], "A[*,*]": [1, 2, 3, 4]},
+                  "maps": {**doc["maps"], "eps_A[*]": {
+                      **doc["maps"]["eps_A[*]"],
+                      "entries": [[0, 0, "1"], [0, 3, "2"]]}}},
+     "colour or basis label 1 is not a string"),
+    (lambda doc: {**doc, "name": ["x"]}, "name ['x'] is not a string"),
 ], ids=["not-an-object", "dims-not-an-object", "negative-dimension",
         "zero-denominator", "no-space-C", "mu_C-misshapen", "bad-space-name",
         "no-space-A", "one-label", "undeclared-basis", "inf-dimension",
-        "inf-entry"])
+        "inf-entry", "float-dimension", "bool-dimension", "float-entry",
+        "list-colour", "int-labels", "list-name"])
 def test_axioms_on_a_malformed_kfa_exits_2(tmp_path, capsys, mangle, why):
     path = tmp_path / "bad.kfa"
     save_kfa(builtin_matrix_example(2), path)
     doc = mangle(json.loads(path.read_text(encoding="utf-8")))
     path.write_text(json.dumps(doc), encoding="utf-8")
-    assert run(["axioms", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert why in err
+    for argv in (["axioms", str(path)],
+                 ["eval", "--algebra", str(path), FIG]):
+        assert run(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+        assert why in err, argv
 
 
 @pytest.mark.parametrize("text, why", [
     ("[" * 200000 + "]" * 200000, "not valid JSON"),
     ('{"format": "kfa", "colors": ["*"], "dims": {"C": 1e999}, '
      '"basis": {}, "maps": {}}', "malformed algebra file"),
-], ids=["nested-200000-deep", "dimension-1e999"])
+    ('{"format": "kfa", "dims": {"C": 1' + "0" * 5000 + '}}',
+     "not valid JSON"),
+], ids=["nested-200000-deep", "dimension-1e999", "dimension-5001-digits"])
 def test_a_kfa_that_json_cannot_hold_exits_2(tmp_path, capsys, text, why):
-    # json.load recurses once per nesting level and reads 1e999 as inf
+    # json.load recurses once per nesting level, reads 1e999 as inf and
+    # refuses to convert an integer of more than 4300 digits
     path = tmp_path / "bad.kfa"
     path.write_text(text, encoding="utf-8")
     for argv in (["axioms", str(path)],

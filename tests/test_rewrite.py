@@ -22,7 +22,6 @@ from ocbord.rewrite import (
     _DELTA_C,
     _MU_A,
     _Recorder,
-    _canonical_one_split,
     _comult_two_cozips,
     apply_match,
     check_trace,
@@ -311,15 +310,29 @@ def test_a_splice_that_closes_a_loop_is_not_a_match():
         frozenset({0, 1}), frozenset({0, 1}))
 
 
+def _kernel_of(monkeypatch, rid, text):
+    # the side's pattern is cached under the rule id, so each test names
+    # its own
+    side = parse(text)
+    monkeypatch.setitem(rules(), rid, rewrite.Rule(rid, "test", "-", side,
+                                                   side))
+    return rewrite._kernel(rid, False)
+
+
 def test_a_bare_wire_beside_a_node_is_rejected(monkeypatch):
     # only an empty side holds a bare wire, so a search never has to place
     # one beside matched nodes
-    side = parse("source O, O\nid:O | eps_C\n")
-    rid = "test_bare_wire_beside_a_node"
-    monkeypatch.setitem(rules(), rid, rewrite.Rule(rid, "test", "-", side,
-                                                   side))
     with pytest.raises(OcbordError, match="bare wire"):
-        rewrite._kernel(rid, False)
+        _kernel_of(monkeypatch, "test_bare_wire_beside_a_node",
+                   "source O, O\nid:O | eps_C\n")
+
+
+def test_a_disconnected_side_is_rejected(monkeypatch):
+    # the kernel's steps reach every node from node 0, so a search can
+    # place a whole side from one anchor
+    with pytest.raises(OcbordError, match="has a disconnected side"):
+        _kernel_of(monkeypatch, "test_disconnected_side",
+                   "source O, O\neps_C | eps_C\n")
 
 
 def test_exhaust_caps_the_moving_steps():
@@ -626,7 +639,7 @@ def test_comb_loops_are_bounded_by_the_input():
     g.wire(up, ("tgt", n - 1))
     g.validate()
     rec = _Recorder(g)
-    _canonical_one_split(rec, ("src", 0))
+    rewrite._phase_canonical(rec)
     assert [mv.rule for mv in rec.moves] == ["coassoc_C"] * (n - 2)
     spine, leaves = _CombView(rec, _DELTA_C, ("src", 0)).walk()
     assert len(spine) == n - 1
@@ -713,18 +726,19 @@ def test_move_at_a_huge_node_id_is_rejected():
 
 def test_a_bare_wire_move_replays_at_its_recorded_wire():
     # the bare-wire side of unitL_A matches both wires; the endpoints
-    # pick one, and a pair that is no host wire is refused
-    def log(ends):
+    # pick one, and a pair that is no host wire, or a step naming a node
+    # the side does not have, is refused
+    def log(site):
         return ("ocbord-trace 1\ninitial-begin\nsource I, I\n"
                 "id:I | id:I\ninitial-end\n"
-                f"1 unitL_A rev - {ends}\nfinal-begin\nsource I, I\n"
+                f"1 unitL_A rev {site}\nfinal-begin\nsource I, I\n"
                 "eta_A | id:I | id:I\nmu_A | id:I\nfinal-end\n")
 
-    assert check_trace(parse_trace(log("s0 t0")))
-    for ends in ("s1 t0", "s0 t1"):
+    assert check_trace(parse_trace(log("- s0 t0")))
+    for site in ("- s1 t0", "- s0 t1", "0 s0 t0"):
         with pytest.raises(TraceError, match=re.escape(
                 "step 1: unitL_A does not match at the recorded site")):
-            check_trace(parse_trace(log(ends)))
+            check_trace(parse_trace(log(site)))
 
 
 def test_malformed_trace_text_is_rejected():
