@@ -135,6 +135,21 @@ def _check_trace(term):
     return lambda: check_trace(trace)
 
 
+def _cli_check(term):
+    # a fresh interpreter of the same checkout, as a user's shell starts
+    # one, on the term written out untimed
+    import ocbord
+    from ocbord.dsl import render
+    tmp = tempfile.TemporaryDirectory()     # kept alive by the call
+    with open(os.path.join(tmp.name, "in.ocd"), "w", encoding="utf-8") as fh:
+        fh.write(render(term))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(ocbord.__file__)))
+    argv = [sys.executable, "-m", "ocbord.cli", "check", "in.ocd"]
+    return lambda: subprocess.run(argv, cwd=tmp.name, env=env, check=True,
+                                  stdout=subprocess.DEVNULL)
+
+
 # the series of the layers that read a diagram in: long walks, deep
 # strips and rows n atoms wide
 _READ_SERIES = {
@@ -219,6 +234,9 @@ LAYERS = {
     "check_trace": ("ocbord.rewrite.check_trace(trace), the trace made "
                     "untimed by the checkout's normalize_with_trace(term)",
                     _check_trace, _REWRITE_SERIES),
+    "cli_check": ("a fresh `python3 -m ocbord.cli check FILE` process, "
+                  "FILE written untimed from render(term)", _cli_check,
+                  _READ_SERIES),
 }
 
 

@@ -34,6 +34,7 @@ from .tqft import (
     builtin_algebra,
     check_axioms,
     evaluate,
+    exact_str,
     load_kfa,
 )
 
@@ -219,9 +220,9 @@ def _cmd_eval(ns):
             "codomain": [str(s) for s in t.target],
             "rows": m.rows,
             "cols": m.cols,
-            "entries": [[r, c, str(v)]
+            "entries": [[r, c, exact_str(v)]
                         for (r, c), v in sorted(m.data.items())],
-            "dense": [[str(v) for v in row] for row in m.to_rows()],
+            "dense": [[exact_str(v) for v in row] for row in m.to_rows()],
         }
 
     def human(rep):
@@ -246,12 +247,9 @@ def _cmd_axioms(ns):
             "ok": rep.ok,
             "checked": rep.checked,
             "failures": [{
-                "axiom": f.axiom,
-                "colors": list(f.colors),
-                "basis_index": f.basis_index,
-                "basis_label": f.basis_label,
-                "lhs_column": [str(v) for v in f.lhs_column],
-                "rhs_column": [str(v) for v in f.rhs_column],
+                **f._asdict(),
+                "lhs_column": [exact_str(v) for v in f.lhs_column],
+                "rhs_column": [exact_str(v) for v in f.rhs_column],
             } for f in rep.failures],
         })
     else:

@@ -20,7 +20,6 @@ free-boundary labels.  Monochrome diagrams use the single colour ``*``.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 DEFAULT_COLOR = "*"
@@ -34,13 +33,47 @@ class TypingError(OcbordError):
     """A diagram fails to type-check (mismatched boundary segments)."""
 
 
-@dataclass(frozen=True)
-class Seg:
+_set = object.__setattr__
+
+
+class _Value:
+    """Base of the immutable values below.  Each sets its fields once, in
+    ``__init__``, and writes out its ``__eq__``, which parsing and layout
+    call in bulk; factors also store their ``source`` and ``target``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({args})"
+
+    def __hash__(self):
+        return hash(tuple(getattr(self, f) for f in self._fields))
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+
+class Seg(_Value):
     """One boundary segment: a circle ``O`` or an interval ``I[left,right]``."""
 
-    kind: str
-    left: str = ""
-    right: str = ""
+    __slots__ = _fields = ("kind", "left", "right")
+    __hash__ = _Value.__hash__
+
+    def __init__(self, kind: str, left: str = "", right: str = ""):
+        _set(self, "kind", kind)
+        _set(self, "left", left)
+        _set(self, "right", right)
+
+    def __eq__(self, other):
+        return (self.kind == other.kind and self.left == other.left
+                and self.right == other.right
+                if other.__class__ is Seg else NotImplemented)
 
     @staticmethod
     def O() -> "Seg":
@@ -91,29 +124,33 @@ def _sig(kind: str, colors: tuple) -> tuple:
     return _SIGS[kind][1](*colors)
 
 
-@dataclass(frozen=True)
-class Gen:
+class Gen(_Value):
     """A single generator occurrence, e.g. ``Gen("mu_A", ("a","b","c"))``.
 
     ``source`` and ``target`` are read from the signature table once, at
     construction; they take no part in equality, hashing or the repr.
     """
 
-    kind: str
-    colors: tuple = ()
-    source: tuple = field(init=False, compare=False, repr=False)
-    target: tuple = field(init=False, compare=False, repr=False)
+    __slots__ = ("kind", "colors", "source", "target")
+    _fields = ("kind", "colors")
+    __hash__ = _Value.__hash__
 
-    def __post_init__(self):
-        if self.kind not in GEN_ARITY:
-            raise ValueError(f"unknown generator kind {self.kind!r}")
-        want = GEN_ARITY[self.kind]
-        if len(self.colors) != want:
+    def __init__(self, kind: str, colors: tuple = ()):
+        if kind not in GEN_ARITY:
+            raise ValueError(f"unknown generator kind {kind!r}")
+        want = GEN_ARITY[kind]
+        if len(colors) != want:
             raise ValueError(
-                f"{self.kind} takes {want} colour(s), got {len(self.colors)}")
-        source, target = _sig(self.kind, self.colors)
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
+                f"{kind} takes {want} colour(s), got {len(colors)}")
+        _set(self, "kind", kind)
+        _set(self, "colors", colors)
+        source, target = _sig(kind, colors)
+        _set(self, "source", source)
+        _set(self, "target", target)
+
+    def __eq__(self, other):
+        return (self.kind == other.kind and self.colors == other.colors
+                if other.__class__ is Gen else NotImplemented)
 
     def __str__(self) -> str:
         if not self.colors or all(c == DEFAULT_COLOR for c in self.colors):
@@ -121,45 +158,48 @@ class Gen:
         return f"{self.kind}[{','.join(self.colors)}]"
 
 
-@dataclass(frozen=True)
-class Id:
+class Id(_Value):
     """Identity factor on one segment."""
 
-    seg: Seg
+    __slots__ = ("seg", "source", "target")
+    _fields = ("seg",)
+    __hash__ = _Value.__hash__
 
-    @property
-    def source(self) -> tuple:
-        return (self.seg,)
+    def __init__(self, seg: Seg):
+        _set(self, "seg", seg)
+        _set(self, "source", (seg,))
+        _set(self, "target", self.source)
 
-    @property
-    def target(self) -> tuple:
-        return (self.seg,)
+    def __eq__(self, other):
+        return (self.seg == other.seg
+                if other.__class__ is Id else NotImplemented)
 
     def __str__(self) -> str:
         return f"id:{self.seg}"
 
 
-@dataclass(frozen=True)
-class Cross:
+class Cross(_Value):
     """Crossing factor: swaps two adjacent segments."""
 
-    a: Seg
-    b: Seg
+    __slots__ = ("a", "b", "source", "target")
+    _fields = ("a", "b")
+    __hash__ = _Value.__hash__
 
-    @property
-    def source(self) -> tuple:
-        return (self.a, self.b)
+    def __init__(self, a: Seg, b: Seg):
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "source", (a, b))
+        _set(self, "target", (b, a))
 
-    @property
-    def target(self) -> tuple:
-        return (self.b, self.a)
+    def __eq__(self, other):
+        return (self.a == other.a and self.b == other.b
+                if other.__class__ is Cross else NotImplemented)
 
     def __str__(self) -> str:
         return f"cross({self.a},{self.b})"
 
 
-@dataclass(frozen=True)
-class DiagramTerm:
+class DiagramTerm(_Value):
     """A diagram presented as slices of factors.
 
     ``source`` is the top boundary object; the bottom one, ``target``, is
@@ -167,8 +207,16 @@ class DiagramTerm:
     use runs :meth:`validate`, which type-checks every slice boundary.
     """
 
-    source: tuple
-    slices: tuple
+    _fields = ("source", "slices")      # the target cache needs __dict__
+    __hash__ = _Value.__hash__
+
+    def __init__(self, source: tuple, slices: tuple):
+        _set(self, "source", source)
+        _set(self, "slices", slices)
+
+    def __eq__(self, other):
+        return (self.source == other.source and self.slices == other.slices
+                if other.__class__ is DiagramTerm else NotImplemented)
 
     def validate(self) -> tuple:
         """Type-check and return the target boundary object."""

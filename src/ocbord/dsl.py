@@ -34,7 +34,7 @@ Delta_A
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .diagram import (
     GEN_ARITY,
@@ -55,8 +55,7 @@ from .diagram import (
 )
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(NamedTuple):
     file: str
     line: int
     col: int

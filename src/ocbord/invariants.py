@@ -23,7 +23,7 @@ so that the multiplication generator alone gives the cycle (1 3 2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .diagram import OcbordError, _least_walk, as_graph
 
@@ -58,8 +58,7 @@ _ARC_AT = {kind: {**dict(arcs), **{b: a for a, b in arcs}}
            for kind, arcs in _ARCS.items()}
 
 
-@dataclass(frozen=True)
-class ComponentInvariants:
+class ComponentInvariants(NamedTuple):
     """Invariants of one connected component of the surface."""
 
     src_positions: tuple     # indices into the source boundary object
@@ -75,8 +74,7 @@ class ComponentInvariants:
         return tuple(sorted(j for cyc in self.cycles for j in cyc))
 
 
-@dataclass(frozen=True)
-class Invariants:
+class Invariants(NamedTuple):
     """Full invariant record of a diagram."""
 
     source: tuple

@@ -41,9 +41,8 @@ frontier endpoints are written ``s0``/``t1`` for boundary ports and
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import os
 from functools import lru_cache
-from importlib import resources
 from typing import NamedTuple
 
 from .diagram import (DiagramTerm, Gen, OcbordError, PortGraph, as_graph,
@@ -60,8 +59,7 @@ class TraceError(OcbordError):
     """A move log failed verification."""
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     id: str
     group: str
     law: str
@@ -75,10 +73,11 @@ class Rule:
 @lru_cache(maxsize=None)
 def rules() -> dict:
     """The shipped relation catalog keyed by rule id.  Treat as read-only."""
-    text = resources.files(__package__).joinpath("data", "rules.json") \
-        .read_text("utf-8")
+    # the module's own loader reads package data, also from a zip
+    data = __spec__.loader.get_data(
+        os.path.join(os.path.dirname(__file__), "data", "rules.json"))
     out = {}
-    for r in json.loads(text)["rules"]:
+    for r in json.loads(data)["rules"]:
         out[r["id"]] = Rule(r["id"], r["group"], r["law"],
                             parse(r["lhs"]), parse(r["rhs"]))
     return out
@@ -189,8 +188,7 @@ def _links(G: PortGraph) -> tuple:
 _gen = lru_cache(maxsize=1024)(Gen)
 
 
-@dataclass(frozen=True)
-class Match:
+class Match(NamedTuple):
     """One site where a rule side matches, and so also one step of a move
     log: applying it reads the colour binding off the host."""
     rule: str
@@ -383,8 +381,7 @@ def apply_match(host: PortGraph, m: Match) -> PortGraph:
 
 # --- move logs ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class MoveTrace:
+class MoveTrace(NamedTuple):
     initial: DiagramTerm
     moves: tuple
     final: DiagramTerm

@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import heapq
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .diagram import (
     DEFAULT_COLOR,
@@ -33,12 +33,26 @@ from .diagram import (
     OcbordError,
     Seg,
     UnionFind,
+    _Value,
     as_graph,
 )
 from .rewrite import rules
 
 EVAL_DIM_CAP = 4096
 _ZERO = Fraction(0)     # the default of every sparse lookup
+
+
+def exact_str(x) -> str:
+    """``str`` of an int or Fraction with every digit, also past the
+    interpreter's limit on converting long integers to text."""
+    if x.denominator != 1:
+        return f"{exact_str(x.numerator)}/{exact_str(x.denominator)}"
+    n = x.numerator
+    if n.bit_length() <= 2000:      # under 640 digits, the least limit
+        return str(n)
+    k = n.bit_length() * 3 // 20    # about half the digits
+    hi, lo = divmod(abs(n), 10 ** k)
+    return "-" * (n < 0) + exact_str(hi) + exact_str(lo).zfill(k)
 
 
 class LinearMap:
@@ -108,7 +122,6 @@ def _map_key(gen: Gen):
     return (gen.kind, gen.colors)
 
 
-@dataclass
 class KFA:
     """A (coloured) knowledgeable Frobenius algebra over the rationals.
 
@@ -116,11 +129,19 @@ class KFA:
     (kind, colours) for each generator instance the colour set allows.
     """
 
-    colors: tuple
-    dims: dict
-    basis: dict
-    maps: dict
-    name: str = ""
+    __slots__ = _fields = ("colors", "dims", "basis", "maps", "name")
+    __repr__ = _Value.__repr__
+
+    def __init__(self, colors: tuple, dims: dict, basis: dict, maps: dict,
+                 name: str = ""):
+        self.colors, self.dims, self.basis = colors, dims, basis
+        self.maps, self.name = maps, name
+
+    def __eq__(self, other):        # leaves KFA unhashable, as it is mutable
+        return (self.colors == other.colors and self.dims == other.dims
+                and self.basis == other.basis and self.maps == other.maps
+                and self.name == other.name
+                if other.__class__ is KFA else NotImplemented)
 
     def seg_dim(self, seg: Seg) -> int:
         key = _space_key(seg)
@@ -366,8 +387,7 @@ def evaluate(x, alg: KFA) -> LinearMap:
 # Axiom checking
 
 
-@dataclass(frozen=True)
-class AxiomFailure:
+class AxiomFailure(NamedTuple):
     axiom: str
     colors: tuple
     basis_index: int
@@ -377,14 +397,13 @@ class AxiomFailure:
 
     def __str__(self):
         cols = f"[{','.join(self.colors)}]" if self.colors else ""
-        lhs, rhs = (", ".join(map(str, c))
+        lhs, rhs = (", ".join(map(exact_str, c))
                     for c in (self.lhs_column, self.rhs_column))
         return (f"{self.axiom}{cols} fails on basis vector "
                 f"{self.basis_label}: lhs [{lhs}] != rhs [{rhs}]")
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(NamedTuple):
     ok: bool
     checked: int
     failures: tuple
@@ -839,7 +858,7 @@ def save_kfa(alg: KFA, path) -> None:
         "maps": {
             map_name(k): {
                 "rows": m.rows, "cols": m.cols,
-                "entries": [[r, c, str(v)]
+                "entries": [[r, c, exact_str(v)]
                             for (r, c), v in sorted(m.data.items())],
             } for k, m in sorted(alg.maps.items())
         },
@@ -873,6 +892,11 @@ def load_kfa(path) -> KFA:
             raise TypeError(f"{value!r} is not an integer")
         return value
 
+    def array(value):       # not a string, which tuple() splits up
+        if type(value) is not list:
+            raise TypeError(f"{value!r} is not an array")
+        return tuple(value)
+
     def dim(value):
         d = whole(value)
         if d < 0:
@@ -886,9 +910,9 @@ def load_kfa(path) -> KFA:
         return (name, ())
 
     try:
-        colors = tuple(doc["colors"])
+        colors = array(doc["colors"])
         dims = {space_key(k): dim(v) for k, v in doc["dims"].items()}
-        basis = {space_key(k): tuple(v) for k, v in doc["basis"].items()}
+        basis = {space_key(k): array(v) for k, v in doc["basis"].items()}
         maps = {}
         for name, m in doc["maps"].items():
             maps[map_key(name)] = LinearMap(

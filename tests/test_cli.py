@@ -15,7 +15,7 @@ from ocbord.dsl import parse, parse_file, render
 from ocbord.invariants import equivalent
 from ocbord.normalform import normal_form
 from ocbord.rewrite import check_trace, read_trace
-from ocbord.tqft import builtin_matrix_example, evaluate, save_kfa
+from ocbord.tqft import builtin_matrix_example, evaluate, load_kfa, save_kfa
 
 from helpers import (mu_c_comb_text, mutate_algebra, reversed_merge_text,
                      wide_text, window_strip)
@@ -305,6 +305,38 @@ def test_eval_on_a_1500_wide_diagram(tmp_path, capsys):
     assert got.out.endswith("matrix 1 x 1:\n1\n\n")
 
 
+def test_numbers_past_the_digit_limit_print_in_full(tmp_path, capsys):
+    # str() refuses an integer of more than 4300 digits; a 2200-digit entry
+    # in mu_C, Delta_C and eps_C squares past that in eval, in the axioms
+    # report (counitL_C) and in a saved algebra
+    big = 10 ** 2199 + 7
+    square = "1" + "0" * 2197 + "14" + "0" * 2197 + "49"
+    path = tmp_path / "big.kfa"
+    save_kfa(builtin_matrix_example(1), path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    for name in ("mu_C", "Delta_C", "eps_C"):
+        doc["maps"][name]["entries"] = [[0, 0, str(big)]]
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    ocd = _ocd(tmp_path, "merges.ocd",
+               "source O, O, O\nmu_C | id:O\nmu_C\n")
+    assert run(["eval", "--algebra", str(path), ocd]) == 0
+    assert capsys.readouterr().out.endswith(f"matrix 1 x 1:\n{square}\n\n")
+    assert run(["eval", "--json", "--algebra", str(path), ocd]) == 0
+    rep, = json.loads(capsys.readouterr().out)
+    assert rep["entries"] == [[0, 0, square]] and rep["dense"] == [[square]]
+    assert run(["axioms", str(path)]) == 1
+    assert f"counitL_C fails on basis vector 1: lhs [{square}] != rhs [1]" \
+        in capsys.readouterr().out
+    assert run(["axioms", "--json", str(path)]) == 1
+    fail, = (f for f in json.loads(capsys.readouterr().out)["failures"]
+             if f["axiom"] == "counitL_C")
+    assert (fail["lhs_column"], fail["rhs_column"]) == ([square], ["1"])
+    alg = load_kfa(path)
+    alg.maps[("eps_C", ())] = evaluate(parse_file(ocd), alg)
+    save_kfa(alg, tmp_path / "square.kfa")
+    assert f'"{square}"' in (tmp_path / "square.kfa").read_text("utf-8")
+
+
 @pytest.mark.parametrize("mangle, why", [
     (lambda doc: [], "missing 'format': 'kfa' marker"),
     (lambda doc: {**doc, "dims": [1]}, "malformed algebra file"),
@@ -348,11 +380,17 @@ def test_eval_on_a_1500_wide_diagram(tmp_path, capsys):
                       "entries": [[0, 0, "1"], [0, 3, "2"]]}}},
      "colour or basis label 1 is not a string"),
     (lambda doc: {**doc, "name": ["x"]}, "name ['x'] is not a string"),
+    # a string where an array belongs is not split into characters
+    (lambda doc: {**doc, "colors": "*"}, "'*' is not an array"),
+    (lambda doc: {**doc, "colors": "ab"}, "'ab' is not an array"),
+    (lambda doc: {**doc, "basis": {**doc["basis"], "A[*,*]": "abcd"}},
+     "'abcd' is not an array"),
 ], ids=["not-an-object", "dims-not-an-object", "negative-dimension",
         "zero-denominator", "no-space-C", "mu_C-misshapen", "bad-space-name",
         "no-space-A", "one-label", "undeclared-basis", "inf-dimension",
         "inf-entry", "float-dimension", "bool-dimension", "float-entry",
-        "list-colour", "int-labels", "list-name"])
+        "list-colour", "int-labels", "list-name", "string-colour",
+        "string-colours", "string-labels"])
 def test_axioms_on_a_malformed_kfa_exits_2(tmp_path, capsys, mangle, why):
     path = tmp_path / "bad.kfa"
     save_kfa(builtin_matrix_example(2), path)
@@ -513,3 +551,19 @@ def test_cli_outputs_match_the_pinned_digest():
     assert proc.stdout.splitlines()[-1] == (
         "f99a0443c6723e7ec05d2df589874bfa8cd0821926b9c64cf1bdbb8e2d304e3e"
         "  total over 310 outputs")
+
+
+def test_a_fresh_cli_process_imports_no_heavy_stdlib_module():
+    # each subcommand runs in a fresh interpreter, where these imports
+    # would cost more than the work on a corpus file
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "before = set(sys.modules); import ocbord.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-B", "-c", code,
+         str(Path(ocbord.__file__).parent.parent)],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "ocbord.cli" in added
+    assert added & {"dataclasses", "inspect", "importlib.resources"} == set()

@@ -1,6 +1,6 @@
 """Generator signatures, term typing, and the port graph layer."""
 
-import dataclasses
+import copy
 import random
 from pathlib import Path
 
@@ -77,10 +77,35 @@ def test_generator_identity_is_kind_and_colours():
         assert (g.source, g.target) == _SIGS[kind][1](*cols)
         if arity:
             assert g != Gen(kind, ("d",) * arity)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            g.source = ()
-    assert [f.name for f in dataclasses.fields(Gen) if f.compare] \
-        == ["kind", "colors"]
+        for name in ("source", "kind", "colors"):
+            with pytest.raises(AttributeError):
+                setattr(g, name, ())
+        # a copy with other stored ends still equals, hashes and prints
+        # as the original
+        h = copy.copy(g)
+        object.__setattr__(h, "source", ())
+        object.__setattr__(h, "target", ())
+        assert (h, hash(h), repr(h)) == (g, hash(g), repr(g))
+
+
+def test_values_keep_their_repr_hash_and_immutability():
+    # the repr and hash of each value are those of its field tuple, so
+    # set and dict orders do not depend on how the class is written
+    a, o = Seg.I("a", "b"), Seg.O()
+    t = parse("source I[a,b], O\nid:I[a,b] | id:O\n")
+    cases = [(a, "Seg(kind='I', left='a', right='b')", ("I", "a", "b")),
+             (Id(o), "Id(seg=Seg(kind='O', left='', right=''))", (o,)),
+             (Cross(a, o), f"Cross(a={a!r}, b={o!r})", (a, o)),
+             (t, f"DiagramTerm(source={t.source!r}, slices={t.slices!r})",
+              (t.source, t.slices))]
+    for v, text, fields in cases:
+        assert repr(v) == text and hash(v) == hash(fields)
+        assert copy.copy(v) == v and copy.copy(v) is not v
+        assert v != fields and v != Seg("x")
+        with pytest.raises(AttributeError):
+            v.source = ()
+    assert (Id(o).source, Id(o).target) == ((o,), (o,))
+    assert (Cross(a, o).source, Cross(a, o).target) == ((a, o), (o, a))
 
 
 def test_a_layout_past_the_cap_is_refused(monkeypatch):

@@ -1,6 +1,5 @@
 """Rule catalog, match/apply semantics, move traces, and the normalizer."""
 
-import dataclasses
 import random
 import re
 import sys
@@ -684,7 +683,7 @@ def test_tampered_rule_name_is_rejected():
     m0 = tr.moves[0]
     wrong = "assoc_A" if m0.rule != "assoc_A" else "assoc_C"
     bad = MoveTrace(tr.initial,
-                    (dataclasses.replace(m0, rule=wrong),) + tr.moves[1:],
+                    (m0._replace(rule=wrong),) + tr.moves[1:],
                     tr.final)
     with pytest.raises(TraceError):
         check_trace(bad)
@@ -717,8 +716,7 @@ def test_move_line_with_bad_numbers_is_a_trace_error():
 
 def test_move_at_a_huge_node_id_is_rejected():
     _, tr = normalize_with_trace(parse_file(CORPUS / "strip_hole.ocd"))
-    mv = dataclasses.replace(tr.moves[0],
-                             nodes=(10 ** 30,) + tr.moves[0].nodes[1:])
+    mv = tr.moves[0]._replace(nodes=(10 ** 30,) + tr.moves[0].nodes[1:])
     text = trace_text(MoveTrace(tr.initial, (mv,) + tr.moves[1:], tr.final))
     with pytest.raises(TraceError):
         check_trace(parse_trace(text))
