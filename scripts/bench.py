@@ -49,6 +49,11 @@ def _ladder(n):
     return gen.ladder_walk(n, str(n)).text()
 
 
+def _bare(n):
+    # as a hand-written file: opened by a comment, no spaces around |
+    return "# a ladder walk\n" + _ladder(n).replace(" | ", "|")
+
+
 def _wide(n):
     import helpers
     return helpers.wide_text(n)
@@ -208,7 +213,12 @@ _NORMALIZE_SERIES = {
 # text for parse, and returns the call to time; {series: (the input,
 # builder, sizes)})
 LAYERS = {
-    "parse": ("ocbord.dsl.parse(text)", _parse, _READ_SERIES),
+    "parse": ("ocbord.dsl.parse(text)", _parse, {
+        **_READ_SERIES,
+        "bare": ("'# a ladder walk' line, then perfbench/gen.ladder_walk("
+                 "n, str(n)) with bare |", _bare,
+                 (200, 400, 800, 1600, 3200)),
+    }),
     "to_port_graph": ("ocbord.diagram.to_port_graph(term)", _to_port_graph,
                       _READ_SERIES),
     "eval": ("ocbord.tqft.evaluate(term, builtin_algebra('matrix2'))",

@@ -60,7 +60,12 @@ class _Value:
 
 
 class Seg(_Value):
-    """One boundary segment: a circle ``O`` or an interval ``I[left,right]``."""
+    """One boundary segment: a circle ``O`` or an interval ``I[left,right]``.
+
+    ``Seg.O()`` and ``Seg.I(a, b)`` return one shared instance per value
+    (hash-consing), so a tuple compare of parsed boundaries meets equal
+    segments as identical objects.  The constructor, ``copy`` and
+    ``pickle`` make fresh instances, equal to the shared one."""
 
     __slots__ = _fields = ("kind", "left", "right")
     __hash__ = _Value.__hash__
@@ -77,11 +82,11 @@ class Seg(_Value):
 
     @staticmethod
     def O() -> "Seg":
-        return Seg("O")
+        return _shared_seg("O", "", "")
 
     @staticmethod
     def I(left: str = DEFAULT_COLOR, right: str = DEFAULT_COLOR) -> "Seg":
-        return Seg("I", left, right)
+        return _shared_seg("I", left, right)
 
     @property
     def is_interval(self) -> bool:
@@ -93,6 +98,23 @@ class Seg(_Value):
         if self.left == DEFAULT_COLOR and self.right == DEFAULT_COLOR:
             return "I"
         return f"I[{self.left},{self.right}]"
+
+
+# (kind, left, right) -> the shared segment of that value.  The table is
+# emptied when it reaches the cap; a segment made before that stays
+# equal to its successor, though no longer identical.
+SEG_TABLE_CAP = 4096
+_SEGS: dict = {}
+
+
+def _shared_seg(kind: str, left: str, right: str) -> Seg:
+    key = (kind, left, right)
+    s = _SEGS.get(key)
+    if s is None:
+        if len(_SEGS) >= SEG_TABLE_CAP:
+            _SEGS.clear()
+        s = _SEGS[key] = Seg(kind, left, right)
+    return s
 
 
 def fmt_obj(segs) -> str:

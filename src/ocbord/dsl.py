@@ -19,10 +19,20 @@ Within a row the atoms bind left to right against the current boundary;
 an atom with empty source (``eta_A``, ``eta_C``) sits at the cursor
 position between its neighbours' wires.  Each distinct atom text is read
 and type-checked once per process, into a table that every ``parse`` call
-shares; rows are assembled from its entries, and a row of one-slice atoms
-is joined straight into one slice.  Each entry keeps the colours its atom
-uses, and the ``colors`` header is checked against those.  A source span
-is built only for an error or for an atom seen for the first time.
+shares.  A text with no ``#`` and no ``;`` is read straight from its
+lines.  A row is split on ``|`` by ``str.split`` and each raw piece is
+looked up as it stands; a row found whole is assembled from the entries,
+and a row of one-slice atoms is joined straight into one slice.  A row
+with a piece not in the table goes through :func:`_read_row`: stripped,
+split bracket-aware if it holds a bracket, each new atom read by
+:func:`_parse_atom`, and each raw piece stored as an alias of its atom's
+entry when the two splits agree.  The table is emptied at
+``ATOM_TABLE_CAP`` entries, aliases included.  Each entry keeps the
+colours its atom uses, and the ``colors`` header is checked against
+those.  Segments come from the shared table of :class:`Seg` (emptied at
+``diagram.SEG_TABLE_CAP``), so a row's typing check compares identical
+objects.  A source span is built only for an error or for an atom seen
+for the first time.
 
 >>> t = parse("source I,I ; mu_A ; Delta_A")
 >>> print(render(t), end="")
@@ -34,6 +44,7 @@ Delta_A
 from __future__ import annotations
 
 import re
+from itertools import count, repeat
 from typing import NamedTuple
 
 from .diagram import (
@@ -207,11 +218,18 @@ def _parse_atom(text: str, span: SourceSpan) -> DiagramTerm:
 
 
 # atom text -> (source, target, slices, identity slice on the target,
-# colours used).  Only atoms that parsed are stored, so an error always
-# carries the span of the file being read.  The table is emptied when it
-# reaches the cap.
+# colours used, first slice, macro flag).  Only atoms that parsed are
+# stored, so an error always carries the span of the file being read.  A
+# raw row piece that strips to such an atom is stored too, as an alias of
+# its entry.  The table is emptied when it reaches the cap.
 ATOM_TABLE_CAP = 4096
 _ATOMS: dict = {}
+
+
+def _store(key: str, entry: tuple) -> None:
+    if len(_ATOMS) >= ATOM_TABLE_CAP:
+        _ATOMS.clear()
+    _ATOMS[key] = entry
 
 
 def _statements(text: str):
@@ -227,73 +245,115 @@ def _statements(text: str):
             col += len(piece) + 1
 
 
+def _span(filename: str, ln: int, col: int, stmt: str) -> SourceSpan:
+    """The span of a statement; ``col`` 0 means ``stmt`` is its whole
+    line, unstripped, and the column is read off the line's indent."""
+    return SourceSpan(filename, ln, col or 1 + len(stmt) - len(stmt.lstrip()))
+
+
+def _read_row(stmt: str, filename: str, ln: int, col: int) -> list:
+    """The table entries of a row that holds a piece not in the table.
+
+    The row is split bracket-aware when it holds a bracket, each atom is
+    stripped and, on first sight, read by :func:`_parse_atom` and
+    validated.  When that split gives one atom per ``|`` piece, each raw
+    piece that differs from its atom is stored as an alias of its entry,
+    so a row spaced the same way is read from the table next time."""
+    text = stmt.strip()
+    # str.split halves the split time of a bracket-free row
+    if "[" in text or "(" in text or "]" in text or ")" in text:
+        atoms = _split_top(text, "|")
+    else:
+        atoms = [a.strip() for a in text.split("|")]
+    row = []
+    for a in atoms:
+        e = _ATOMS.get(a)
+        if e is None:
+            t = _parse_atom(a, _span(filename, ln, col, stmt))
+            tgt = t.validate()
+            e = (t.source, tgt, t.slices, _id_slice(tgt),
+                 frozenset(_used_colors(t)), t.slices[0], len(t.slices) > 1)
+            _store(a, e)
+        row.append(e)
+    pieces = stmt.split("|")
+    if len(pieces) == len(atoms):
+        for p, a, e in zip(pieces, atoms, row):
+            if p != a:
+                _store(p, e)
+    return row
+
+
 def parse(text: str, filename: str = "<string>") -> DiagramTerm:
     """Parse ``.ocd`` text into a validated :class:`DiagramTerm`."""
     palette = None
     source = None
-    cur = None          # the boundary below the rows read so far
+    cur = None          # the boundary below the rows read so far, a list
     slices = []
     used = set()        # colours of the rows, kept once a header asks
-    for stmt, ln, col in _statements(text):
-        head = stmt[:6]
-        if head in ("colors", "source") and stmt.split(None, 1)[0] == head:
-            rest, span = stmt[6:].strip(), SourceSpan(filename, ln, col)
-            if head == "colors":
-                if source is not None or palette is not None:
-                    raise ParseError("colors header must come first, once",
-                                     span)
-                palette = _split_top(rest)
-                for n in palette:
-                    if not re.fullmatch(_NAME, n):
-                        raise ParseError(f"bad colour name {n!r}", span)
-            elif source is not None:
-                raise ParseError("duplicate source line", span)
-            else:
-                source = cur = tuple(_parse_seg(s, span)
-                                     for s in _split_top(rest))
-            continue
-        if source is None:
-            raise ParseError("expected a source line before rows",
-                             SourceSpan(filename, ln, col))
-        # str.split halves the split time of a bracket-free row
-        if "[" in stmt or "(" in stmt or "]" in stmt or ")" in stmt:
-            atoms = _split_top(stmt, "|")
-        else:
-            atoms = [a.strip() for a in stmt.split("|")]
-        row, src, nxt, one, deep = [], [], [], [], False
-        for a in atoms:
-            e = _ATOMS.get(a)
-            if e is None:
-                t = _parse_atom(a, SourceSpan(filename, ln, col))
-                tgt = t.validate()
-                if len(_ATOMS) >= ATOM_TABLE_CAP:
-                    _ATOMS.clear()
-                e = _ATOMS[a] = (t.source, tgt, t.slices, _id_slice(tgt),
-                                 frozenset(_used_colors(t)))
-            row.append(e)
-            src += e[0]
-            nxt += e[1]
-            one += e[2][0]
-            deep = deep or len(e[2]) > 1
+    get = _ATOMS.get
+    if "#" in text or ";" in text:
+        stmts = _statements(text)
+    else:               # a statement per line, its column found on demand
+        stmts = zip(text.splitlines(), count(1), repeat(0))
+    for stmt, ln, col in stmts:
+        row = list(map(get, stmt.split("|")))
+        # a header, a blank line and a row with a piece not in the table
+        # (None) take the long way; so does all before the source line
+        if cur is None or None in row:
+            stripped = stmt.strip()
+            if not stripped:
+                continue
+            head = stripped[:6]
+            if head in ("colors", "source") \
+                    and stripped.split(None, 1)[0] == head:
+                rest = stripped[6:].strip()
+                span = _span(filename, ln, col, stmt)
+                if head == "colors":
+                    if source is not None or palette is not None:
+                        raise ParseError(
+                            "colors header must come first, once", span)
+                    palette = _split_top(rest)
+                    for n in palette:
+                        if not re.fullmatch(_NAME, n):
+                            raise ParseError(f"bad colour name {n!r}", span)
+                elif source is not None:
+                    raise ParseError("duplicate source line", span)
+                else:
+                    source = tuple(_parse_seg(s, span)
+                                   for s in _split_top(rest))
+                    cur = list(source)
+                continue
+            if source is None:
+                raise ParseError("expected a source line before rows",
+                                 _span(filename, ln, col, stmt))
+            row = _read_row(stmt, filename, ln, col)
+        src, nxt, one, deep = [], [], [], False
+        for s, t, _, _, _, first, macro in row:
+            src += s
+            nxt += t
+            one += first
+            if macro:
+                deep = True
         if not deep:    # no macro: the row is one slice, no padding
             slices.append(tuple(one))
         else:
             # as tensor() would: pad the shorter atoms with identities
             n = max(len(e[2]) for e in row)
-            cols = [e[2] + (e[3],) * (n - len(e[2])) for e in row]
-            slices.extend(tuple(f for col in cols for f in col[i])
+            stacks = [e[2] + (e[3],) * (n - len(e[2])) for e in row]
+            slices.extend(tuple(f for stack in stacks for f in stack[i])
                           for i in range(n))
         try:
-            check_composable(cur, tuple(src))
+            check_composable(cur, src)
         except TypingError as e:
-            raise TypeMismatch(str(e), SourceSpan(filename, ln, col)) from None
+            raise TypeMismatch(str(e), _span(filename, ln, col, stmt)) \
+                from None
         if palette is not None:
             used.update(*[e[4] for e in row])
-        cur = tuple(nxt)
+        cur = nxt
     if source is None:
         raise ParseError("no source line", SourceSpan(filename, 1, 1))
     term = DiagramTerm(source, tuple(slices))
-    vars(term)["target"] = cur      # the rows typed it: fill its cache
+    vars(term)["target"] = tuple(cur)   # the rows typed it: fill its cache
     if palette is not None:
         used.update(c for s in source if s.is_interval
                     for c in (s.left, s.right))

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import re
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -53,6 +54,30 @@ def exact_str(x) -> str:
     k = n.bit_length() * 3 // 20    # about half the digits
     hi, lo = divmod(abs(n), 10 ** k)
     return "-" * (n < 0) + exact_str(hi) + exact_str(lo).zfill(k)
+
+
+_EXACT_RE = re.compile(r"(-?)([0-9]+)(?:/([0-9]+))?")
+
+
+def _digits_int(digits: str) -> int:
+    """``int`` of ASCII digits of any length, joined from halves short
+    enough to pass the interpreter's digit limit."""
+    if len(digits) <= 640:          # the least digit limit
+        return int(digits)
+    k = len(digits) // 2
+    return _digits_int(digits[:-k]) * 10 ** k + _digits_int(digits[-k:])
+
+
+def _exact_of(text: str) -> Fraction:
+    """The inverse of :func:`exact_str`: an integer or ``p/q`` of any
+    length; any other text is read by ``Fraction``, which refuses it or
+    reads it as it always has."""
+    m = _EXACT_RE.fullmatch(text)
+    if m is None or len(text) <= 640:
+        return Fraction(text)
+    sign, num, den = m.groups()
+    n = _digits_int(num)
+    return Fraction(-n if sign else n, _digits_int(den) if den else 1)
 
 
 class LinearMap:
@@ -917,7 +942,8 @@ def load_kfa(path) -> KFA:
         for name, m in doc["maps"].items():
             maps[map_key(name)] = LinearMap(
                 whole(m["rows"]), whole(m["cols"]),
-                {(whole(r), whole(c)): v if isinstance(v, str) else whole(v)
+                {(whole(r), whole(c)):
+                 _exact_of(v) if isinstance(v, str) else whole(v)
                  for r, c, v in m["entries"]})
         title = doc.get("name", "")
         if not isinstance(title, str):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from ocbord import dsl
+from ocbord import diagram, dsl
 from ocbord.diagram import (DiagramTerm, Gen, Seg, TypingError, compose,
                             fmt_obj, gen_term, graph_eq, identity_term,
                             syntactic_eq, tensor, to_port_graph)
@@ -254,10 +254,17 @@ def test_colour_header_is_checked_against_the_atom_colours():
 _GOOD_ROWS = ["id:I | id:O", "window_o | id:O", "id:I | window_c",
               "Delta_A | id:O ; mu_A | id:O", "cross(I, O) ; cross(O,I)",
               "id:I|Delta_C;id:I|mu_C",
-              "  id:I |   id:O  "]
+              "  id:I |   id:O  ", "id:I|id:O", "window_o|id:O",
+              "id:I  |  id:O", "\tid:I\t|\tid:O\t", "id:I[*,*]|id:O",
+              "id:I[*, *]  |  window_c", "Delta_A|id:O\nmu_A\t| id:O"]
 # rows that fail to parse or to compose there
 _BAD_ROWS = [
-    "mu_A[a|b,c] | id:O",           # | inside brackets
+    "mu_A[a|b,c] | id:O", "mu_A[a | b,c] | id:O",  # | inside brackets
+    "mu_A[a |b,c]|id:O", "id:I | cross(I|O)",
+    "id:I | id:O | eps_Q", "id:I|frob_x|id:O",  # new bad atom among hits
+    "id:I||id:O", "id:I\t|\tid:O\t|",  # empty atoms, bare or tabbed
+    "id:I|id:O|mu_C", "id:I  |  mu_A", "window_o|id:O|id:I",  # no compose
+    "\t id:I | frob",               # an error past the indent
     "id:I] | id:O", "id:I | id:O]",  # stray ]
     "cross(I,O)) | id:O", ")id:I | id:O",  # stray )
     "id:I |  | id:O", "| id:I | id:O", "id:I | id:O |",  # empty atoms
@@ -296,19 +303,26 @@ def test_row_table_parse_equals_the_tensor_parse():
         assert syntactic_eq(t, ref), k
         assert t.target == ref.target == t.validate(), k
 
+    # rows joined by newlines, CRLF or ;, with or without a closing
+    # comment, so that both line readers run
     rng = random.Random(8)
     failed = 0
-    for _ in range(400):
+    for k in range(600):
         rows = rng.choices(_GOOD_ROWS, k=rng.randrange(3))
-        bad = rng.choice(_BAD_ROWS)
-        rows.append(bad)
-        rows += rng.choices(_GOOD_ROWS, k=rng.randrange(2))
-        if rng.random() < 0.5:
-            rows.append(bad)            # the first of the two must win
+        if k < 400:
+            bad = rng.choice(_BAD_ROWS)
+            rows.append(bad)
+            rows += rng.choices(_GOOD_ROWS, k=rng.randrange(2))
+            if rng.random() < 0.5:
+                rows.append(bad)        # the first of the two must win
         head = "source I, O"
-        if rng.random() < 0.1:
+        if k < 400 and rng.random() < 0.1:
             head = rng.choice(_BAD_HEADS) + "\n" + head
         text = head + "\n" + rng.choice(["\n", " ; "]).join(rows) + "\n"
+        if rng.random() < 0.5:
+            text = text.replace("\n", "\r\n")
+        if rng.random() < 0.5:
+            text += "# comment\n"
         new, old = _outcome(text)
         assert new == old, text
         failed += not isinstance(new, str)
@@ -366,6 +380,91 @@ def test_the_atom_table_is_emptied_at_its_cap(monkeypatch):
     small = [parse(text) for text in texts]
     monkeypatch.undo()
     assert len(sizes) == 24 and max(sizes) == 5
+    assert small == [parse(text) for text in texts]
+
+
+def _counting(monkeypatch, name):
+    """Replace ``dsl.<name>`` by a wrapper that lists its first argument."""
+    calls, real = [], getattr(dsl, name)
+
+    def counting(first, *rest):
+        calls.append(first)
+        return real(first, *rest)
+
+    monkeypatch.setattr(dsl, name, counting)
+    return calls
+
+
+def test_each_atom_is_read_once_however_the_rows_are_spaced(monkeypatch):
+    # one file rendered, with bare | and with doubled spaces: the raw
+    # pieces differ, the stripped atoms do not
+    text = render(parse(gen.ladder_walk(400, "400").text()))
+    texts = [text, text.replace(" | ", "|"), text.replace(" | ", "  |  ")]
+    distinct = {a.strip() for row in text.splitlines()[1:]
+                for a in row.split("|")}
+    dsl._ATOMS.clear()
+    read = _counting(monkeypatch, "_parse_atom")
+    terms = [parse(t) for t in texts]
+    monkeypatch.undo()
+    assert sorted(read) == sorted(distinct)
+    assert terms[0] == terms[1] == terms[2]
+
+
+def test_only_a_row_with_a_first_seen_piece_is_read_the_long_way(
+        monkeypatch):
+    # a row goes to _read_row only when one of its raw | pieces is in no
+    # earlier row, as raw or stripped text; every other row is read from
+    # the table
+    strip = render(window_strip(500))
+    ladder = gen.ladder_walk(400, "400").text()
+    for text, most in ((strip, 2), (ladder, None),
+                       (ladder.replace(" | ", "|"), None)):
+        rows = text.splitlines()[1:]
+        seen, fresh = set(), 0
+        for row in rows:
+            pieces = set(row.split("|"))
+            fresh += not pieces <= seen
+            seen |= pieces | {p.strip() for p in pieces}
+        dsl._ATOMS.clear()
+        long_way = _counting(monkeypatch, "_read_row")
+        parse(text)
+        parse(text)
+        monkeypatch.undo()
+        assert len(long_way) == fresh <= (most or len(rows) // 10)
+
+
+def test_a_segment_is_shared_per_value():
+    assert Seg.I("a", "b") is Seg.I("a", "b") is parse(
+        "source I[a,b]\nid:I[a,b]\n").target[0]
+    assert Seg.O() is Seg.O() and Seg.I() is Seg.I("*", "*")
+    assert Seg.I("a", "b") is not Seg.I("b", "a")
+    t = parse("source O, I\nid:O | id:I\n")
+    assert all(a is b for a, b in zip(t.source, t.target))
+
+
+def test_segments_and_aliases_are_held_under_the_caps(monkeypatch):
+    # rendered rows are spaced, so their pieces are stored as aliases
+    rng = random.Random(99)
+    colors = tuple(f"c{i}" for i in range(8))
+    texts = [render(random_term(rng, max_gens=15, colors=colors,
+                                connected=False)) for _ in range(40)]
+    sizes = {"segs": [], "atoms": []}
+
+    def table(name):
+        class Table(dict):
+            def __setitem__(self, key, value):
+                super().__setitem__(key, value)
+                sizes[name].append(len(self))
+        return Table()
+
+    monkeypatch.setattr(diagram, "SEG_TABLE_CAP", 5)
+    monkeypatch.setattr(diagram, "_SEGS", table("segs"))
+    monkeypatch.setattr(dsl, "ATOM_TABLE_CAP", 6)
+    monkeypatch.setattr(dsl, "_ATOMS", table("atoms"))
+    small = [parse(text) for text in texts]
+    monkeypatch.undo()
+    assert len(sizes["segs"]) > 20 and max(sizes["segs"]) == 5
+    assert len(sizes["atoms"]) > 20 and max(sizes["atoms"]) == 6
     assert small == [parse(text) for text in texts]
 
 

@@ -422,6 +422,20 @@ def test_kfa_round_trip(tmp_path):
         assert back.maps == alg.maps
 
 
+def test_kfa_round_trip_keeps_entries_past_the_digit_limit(tmp_path):
+    # str and int refuse more than 4300 digits by default; save_kfa writes
+    # every digit, so load_kfa must read them back
+    alg = builtin_matrix_example(2)     # a fresh copy: its maps change
+    big = 10 ** 4400 + 1
+    for v in (Fraction(big), Fraction(-big, 3), Fraction(7, big)):
+        alg.maps[("eps_C", ())] = LinearMap(1, 1, {(0, 0): v})
+        p = tmp_path / "big.kfa"
+        save_kfa(alg, p)
+        back = load_kfa(p)
+        assert back.maps == alg.maps
+        assert back.maps[("eps_C", ())].data[(0, 0)] == v
+
+
 def test_shipped_algebra_files_are_the_builtins(tmp_path):
     for name, file in (("matrix2", "matrix2"), ("matrix3", "matrix3"),
                        ("groupoid-pair_z2", "pair_z2")):
