@@ -141,7 +141,7 @@ _SIGS = {
 GEN_ARITY = {kind: arity for kind, (arity, _) in _SIGS.items()}
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SEG_TABLE_CAP)
 def _sig(kind: str, colors: tuple) -> tuple:
     return _SIGS[kind][1](*colors)
 

@@ -24,12 +24,15 @@ from __future__ import annotations
 import heapq
 import json
 import re
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, product
 from typing import NamedTuple
 
 from .diagram import (
     DEFAULT_COLOR,
+    GEN_ARITY,
     Gen,
     OcbordError,
     Seg,
@@ -51,33 +54,21 @@ def exact_str(x) -> str:
     n = x.numerator
     if n.bit_length() <= 2000:      # under 640 digits, the least limit
         return str(n)
-    k = n.bit_length() * 3 // 20    # about half the digits
-    hi, lo = divmod(abs(n), 10 ** k)
-    return "-" * (n < 0) + exact_str(hi) + exact_str(lo).zfill(k)
-
-
-_EXACT_RE = re.compile(r"(-?)([0-9]+)(?:/([0-9]+))?")
-
-
-def _digits_int(digits: str) -> int:
-    """``int`` of ASCII digits of any length, joined from halves short
-    enough to pass the interpreter's digit limit."""
-    if len(digits) <= 640:          # the least digit limit
-        return int(digits)
-    k = len(digits) // 2
-    return _digits_int(digits[:-k]) * 10 ** k + _digits_int(digits[-k:])
+    from decimal import Decimal     # no digit limit; only long numbers pay
+    return str(Decimal(n))
 
 
 def _exact_of(text: str) -> Fraction:
     """The inverse of :func:`exact_str`: an integer or ``p/q`` of any
-    length; any other text is read by ``Fraction``, which refuses it or
-    reads it as it always has."""
-    m = _EXACT_RE.fullmatch(text)
-    if m is None or len(text) <= 640:
+    length; other text is read, or refused, by ``Fraction`` alone."""
+    if len(text) <= 640 or not re.fullmatch(r"-?[0-9]+(/[0-9]+)?", text):
         return Fraction(text)
-    sign, num, den = m.groups()
-    n = _digits_int(num)
-    return Fraction(-n if sign else n, _digits_int(den) if den else 1)
+    from decimal import Decimal
+    num, _, den = text.partition("/")
+    q = int(Decimal(den or 1))
+    if not q:       # Fraction(p, 0) would spell out p in its message
+        raise ZeroDivisionError("zero denominator")
+    return Fraction(int(Decimal(num)), q)
 
 
 class LinearMap:
@@ -91,10 +82,10 @@ class LinearMap:
         self.data = {}
         if entries:
             for (r, c), v in entries.items():
+                if not (0 <= r < rows and 0 <= c < cols):
+                    raise ValueError(f"entry ({r},{c}) out of range")
                 v = Fraction(v)
                 if v:
-                    if not (0 <= r < rows and 0 <= c < cols):
-                        raise ValueError(f"entry ({r},{c}) out of range")
                     self.data[(r, c)] = v
 
     @staticmethod
@@ -147,6 +138,14 @@ def _map_key(gen: Gen):
     return (gen.kind, gen.colors)
 
 
+def _label_problems(colors, label_lists) -> list:
+    """Each colour and basis label must be a string; no colour repeats."""
+    return ([f"colour or basis label {x!r} is not a string"
+             for x in chain(colors, *label_lists) if not isinstance(x, str)]
+            or [f"colour {a!r} is listed {n} times"
+                for a, n in Counter(colors).items() if n > 1])
+
+
 class KFA:
     """A (coloured) knowledgeable Frobenius algebra over the rationals.
 
@@ -187,33 +186,24 @@ class KFA:
         return self.maps[key]
 
     def required_maps(self):
-        for a in self.colors:
-            yield Gen("eta_A", (a,))
-            yield Gen("eps_A", (a,))
-            yield Gen("zip", (a,))
-            yield Gen("cozip", (a,))
-            for b in self.colors:
-                for c in self.colors:
-                    yield Gen("mu_A", (a, b, c))
-                    yield Gen("Delta_A", (a, b, c))
-        for kind in ("mu_C", "eta_C", "Delta_C", "eps_C"):
-            yield Gen(kind)
+        for kind, n in GEN_ARITY.items():
+            for cols in product(self.colors, repeat=n):
+                yield Gen(kind, cols)
+
+    def _space_names(self):
+        """``{save_kfa's name: key}`` of every space the colours need."""
+        pairs = product(self.colors, repeat=2)
+        return {_space_name(k): k for k in (*(("A", *p) for p in pairs), "C")}
 
     def validate_structure(self):
-        """Check every colour and basis label is a string, every required
-        space and map exists with the right shape, and every basis label
-        list labels a declared space in full."""
-        names = [*self.colors, *(x for xs in self.basis.values() for x in xs)]
-        problems = [f"colour or basis label {x!r} is not a string"
-                    for x in names if not isinstance(x, str)]
+        """Check every colour and basis label is a string, no colour is
+        listed twice, every required space and map exists with the right
+        shape, and every basis label list labels a declared space in full."""
+        problems = _label_problems(self.colors, self.basis.values())
         if problems:
             return problems
-        for a in self.colors:
-            for b in self.colors:
-                if ("A", a, b) not in self.dims:
-                    problems.append(f"missing space A[{a},{b}]")
-        if "C" not in self.dims:
-            problems.append("missing space C")
+        problems = [f"missing space {name}" for name, key
+                    in self._space_names().items() if key not in self.dims]
         for key, labels in self.basis.items():
             name = _space_name(key)
             if key not in self.dims:
@@ -224,16 +214,13 @@ class KFA:
         if problems:
             return problems
         for gen in self.required_maps():
-            key = _map_key(gen)
-            if key not in self.maps:
-                problems.append(f"missing map {gen}")
-                continue
-            m = self.maps[key]
+            m = self.maps.get(_map_key(gen))
             want = (self.obj_dim(gen.target), self.obj_dim(gen.source))
-            if (m.rows, m.cols) != want:
-                problems.append(
-                    f"map {gen} has shape {m.rows}x{m.cols}, want "
-                    f"{want[0]}x{want[1]}")
+            if m is None:
+                problems.append(f"missing map {gen}")
+            elif (m.rows, m.cols) != want:
+                problems.append(f"map {gen} has shape {m.rows}x{m.cols}, "
+                                f"want {want[0]}x{want[1]}")
         return problems
 
 
@@ -869,11 +856,12 @@ def _space_name(key) -> str:
     return key if key == "C" else f"A[{key[1]},{key[2]}]"
 
 
-def save_kfa(alg: KFA, path) -> None:
-    def map_name(key):
-        kind, cols = key
-        return kind if not cols else f"{kind}[{','.join(cols)}]"
+def _map_name(key) -> str:
+    kind, cols = key
+    return kind if not cols else f"{kind}[{','.join(cols)}]"
 
+
+def save_kfa(alg: KFA, path) -> None:
     doc = {
         "format": "kfa",
         "name": alg.name,
@@ -881,7 +869,7 @@ def save_kfa(alg: KFA, path) -> None:
         "dims": {_space_name(k): v for k, v in alg.dims.items()},
         "basis": {_space_name(k): list(v) for k, v in alg.basis.items()},
         "maps": {
-            map_name(k): {
+            _map_name(k): {
                 "rows": m.rows, "cols": m.cols,
                 "entries": [[r, c, exact_str(v)]
                             for (r, c), v in sorted(m.data.items())],
@@ -894,6 +882,8 @@ def save_kfa(alg: KFA, path) -> None:
 
 
 def load_kfa(path) -> KFA:
+    """Read a file :func:`save_kfa` writes: each space and map name is one
+    it writes for the colours (blanks aside), and none is given twice."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -902,14 +892,6 @@ def load_kfa(path) -> KFA:
             raise OcbordError(f"{path}: not valid JSON: {e}") from None
     if not isinstance(doc, dict) or doc.get("format") != "kfa":
         raise OcbordError(f"{path}: missing 'format': 'kfa' marker")
-
-    def space_key(name):
-        if name == "C":
-            return "C"
-        if name.startswith("A[") and name.endswith("]"):
-            a, b = name[2:-1].split(",")
-            return ("A", a.strip(), b.strip())
-        raise OcbordError(f"{path}: bad space name {name!r}")
 
     def whole(value):
         # a JSON integer; JSON reads 1.0, 1e999 and true as other types
@@ -928,31 +910,48 @@ def load_kfa(path) -> KFA:
             raise ValueError(f"negative dimension {d}")
         return d
 
-    def map_key(name):
-        if "[" in name:
-            kind, rest = name.split("[", 1)
-            return (kind, tuple(s.strip() for s in rest.rstrip("]").split(",")))
-        return (name, ())
+    def unique(pairs, name):    # json.load and dict() keep a key's last
+        out = {}
+        for k, v in pairs:
+            if k in out:
+                raise ValueError(f"{name(k)} given twice")
+            out[k] = v
+        return out
+
+    def named(obj, table, problem, value):
+        out = unique(((re.sub(r"\s*([\[\],])\s*", r"\1", k), v)
+                      for k, v in obj.items()), repr)
+        if bad := out.keys() - table.keys():
+            raise OcbordError(f"{path}: " + problem.format(min(bad)))
+        return {table[name]: value(v) for name, v in out.items()}
+
+    def matrix(m):
+        return LinearMap(whole(m["rows"]), whole(m["cols"]), unique(
+            (((whole(r), whole(c)),
+              _exact_of(v) if isinstance(v, str) else whole(v))
+             for r, c, v in array(m["entries"])), "entry {}".format))
 
     try:
         colors = array(doc["colors"])
-        dims = {space_key(k): dim(v) for k, v in doc["dims"].items()}
-        basis = {space_key(k): array(v) for k, v in doc["basis"].items()}
-        maps = {}
-        for name, m in doc["maps"].items():
-            maps[map_key(name)] = LinearMap(
-                whole(m["rows"]), whole(m["cols"]),
-                {(whole(r), whole(c)):
-                 _exact_of(v) if isinstance(v, str) else whole(v)
-                 for r, c, v in m["entries"]})
         title = doc.get("name", "")
         if not isinstance(title, str):
             raise TypeError(f"name {title!r} is not a string")
+        problems = _label_problems(colors, map(array, doc["basis"].values()))
+        if not problems:    # every name is built from them
+            alg = KFA(colors=colors, dims={}, basis={}, maps={}, name=title)
+            spaces = alg._space_names()
+            alg.dims = named(doc["dims"], spaces, "bad space name {!r}", dim)
+            alg.basis = named(doc["basis"], spaces,
+                              "basis for undeclared space {}", array)
+            if len(alg.dims) == len(spaces):  # k**3 maps wait for k*k spaces
+                maps = {_map_name(k): k
+                        for k in map(_map_key, alg.required_maps())}
+                alg.maps = named(doc["maps"], maps, "bad map name {!r}",
+                                 matrix)
     except (KeyError, ValueError, TypeError, AttributeError,
             ZeroDivisionError) as e:
         raise OcbordError(f"{path}: malformed algebra file: {e}") from None
-    alg = KFA(colors=colors, dims=dims, basis=basis, maps=maps, name=title)
-    problems = alg.validate_structure()
+    problems = problems or alg.validate_structure()
     if problems:
         raise OcbordError(f"{path}: " + "; ".join(problems[:5]))
     return alg

@@ -276,6 +276,58 @@ def mutate_algebra(rng: random.Random, alg):
                name=alg.name + "+mutation"), key, (r, c)
 
 
+def mutate_kfa_doc(rng: random.Random, doc) -> str:
+    """Mangle the JSON value of a ``.kfa`` file in place, in one of seven
+    ways: drop, duplicate or retype a field at any depth, duplicate an
+    entry, move an entry's index, rename a space or a map, or add blanks
+    to its name.  Returns what was done, for failure messages."""
+    how = rng.choice(("drop", "duplicate", "retype", "entry", "index",
+                      "rename", "blanks"))
+    if how in ("drop", "duplicate", "retype"):
+        box, key = doc, rng.choice(list(doc))
+        while (isinstance(box[key], (dict, list)) and box[key]
+               and rng.random() < 0.6):
+            box = box[key]
+            key = rng.choice(list(box) if isinstance(box, dict)
+                             else range(len(box)))
+        if how == "drop":
+            del box[key]
+        elif how == "retype":
+            box[key] = rng.choice(
+                ("", "1", 0, 1, -1, 1.5, True, None, [], {}))
+        elif isinstance(box, dict):     # the copy's name ends in a blank
+            box[key + " "] = box[key]
+        else:
+            box.insert(key, box[key])
+        return f"{how} {key!r}"
+    if how in ("entry", "index"):
+        name = rng.choice([k for k, m in doc["maps"].items() if m["entries"]])
+        m = doc["maps"][name]
+        entries = m["entries"]
+        r, c, v = rng.choice(entries)
+        if how == "entry":
+            entries.append([r, c, rng.choice((v, "0", "7"))])
+        else:
+            side = rng.randrange(2)
+            n = (m["rows"], m["cols"])[side]
+            rc = [r, c]
+            rc[side] = rng.choice((-1, 0, n - 1, n, n + 3, rng.randrange(n)))
+            entries[entries.index([r, c, v])] = [*rc, v]
+        return f"{how} in {name}"
+    part = doc[rng.choice(("dims", "basis", "maps"))]
+    name = rng.choice(list(part))
+    if how == "rename":
+        new = rng.choice((name.replace(rng.choice(doc["colors"]), "q"),
+                          name + "[x]", "bogus", rng.choice(list(part))))
+    else:
+        new = name
+        for _ in range(rng.randint(1, 3)):
+            at = rng.randrange(len(new) + 1)
+            new = new[:at] + " " + new[at:]
+    part[new] = part.pop(name)
+    return f"{how} {name!r} to {new!r}"
+
+
 def recolor(t: DiagramTerm, to: str = "*") -> DiagramTerm:
     """The same diagram with every colour renamed to ``to``."""
     def seg(s):

@@ -1,9 +1,12 @@
 """Command line behaviour: reports, exit codes, determinism."""
 
+import copy
 import json
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -17,8 +20,8 @@ from ocbord.normalform import normal_form
 from ocbord.rewrite import check_trace, read_trace
 from ocbord.tqft import builtin_matrix_example, evaluate, load_kfa, save_kfa
 
-from helpers import (mu_c_comb_text, mutate_algebra, reversed_merge_text,
-                     wide_text, window_strip)
+from helpers import (mu_c_comb_text, mutate_algebra, mutate_kfa_doc,
+                     reversed_merge_text, wide_text, window_strip)
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 FIG = str(CORPUS / "figure1.ocd")
@@ -385,12 +388,40 @@ def test_numbers_past_the_digit_limit_print_in_full(tmp_path, capsys):
     (lambda doc: {**doc, "colors": "ab"}, "'ab' is not an array"),
     (lambda doc: {**doc, "basis": {**doc["basis"], "A[*,*]": "abcd"}},
      "'abcd' is not an array"),
+    # json.load and a dict keep the last of two values for one place
+    (lambda doc: {**doc, "maps": {**doc["maps"], "eps_C": {
+        **doc["maps"]["eps_C"], "entries": [[0, 0, "1"], [0, 0, "7"]]}}},
+     "entry (0, 0) given twice"),
+    # names that save_kfa writes for no colour of the file
+    (lambda doc: {**doc, "maps": {**doc["maps"], "bogus": {
+        "rows": 1, "cols": 1, "entries": []}}}, "bad map name 'bogus'"),
+    (lambda doc: {**doc, "maps": {**doc["maps"],
+                                  "mu_C[x]": doc["maps"]["mu_C"]}},
+     "bad map name 'mu_C[x]'"),
+    (lambda doc: {**doc, "dims": {**doc["dims"], "A[q,q]": 1}},
+     "bad space name 'A[q,q]'"),
+    # a zero entry is range-checked before it is dropped
+    (lambda doc: {**doc, "maps": {**doc["maps"], "eps_C": {
+        **doc["maps"]["eps_C"], "entries": [[0, 0, "1"], [7, 3, "0"]]}}},
+     "entry (7,3) out of range"),
+    (lambda doc: {**doc, "maps": {**doc["maps"], "eps_C": {
+        **doc["maps"]["eps_C"], "entries": [[0, 0, "1"], [-1, 0, "0"]]}}},
+     "entry (-1,0) out of range"),
+    (lambda doc: {**doc, "colors": ["*", "*"]},
+     "colour '*' is listed 2 times"),
+    (lambda doc: {**doc, "dims": {**doc["dims"], "A[ *,*]": 4}},
+     "'A[*,*]' given twice"),
+    (lambda doc: {**doc, "maps": {**doc["maps"], "eps_C": {
+        **doc["maps"]["eps_C"], "entries": ""}}}, "'' is not an array"),
 ], ids=["not-an-object", "dims-not-an-object", "negative-dimension",
         "zero-denominator", "no-space-C", "mu_C-misshapen", "bad-space-name",
         "no-space-A", "one-label", "undeclared-basis", "inf-dimension",
         "inf-entry", "float-dimension", "bool-dimension", "float-entry",
         "list-colour", "int-labels", "list-name", "string-colour",
-        "string-colours", "string-labels"])
+        "string-colours", "string-labels", "entry-twice", "bogus-map",
+        "map-of-another-colour", "space-of-another-colour",
+        "zero-past-the-rows", "zero-at-row-minus-1", "colour-twice",
+        "space-named-twice", "string-entries"])
 def test_axioms_on_a_malformed_kfa_exits_2(tmp_path, capsys, mangle, why):
     path = tmp_path / "bad.kfa"
     save_kfa(builtin_matrix_example(2), path)
@@ -410,10 +441,15 @@ def test_axioms_on_a_malformed_kfa_exits_2(tmp_path, capsys, mangle, why):
      '"basis": {}, "maps": {}}', "malformed algebra file"),
     ('{"format": "kfa", "dims": {"C": 1' + "0" * 5000 + '}}',
      "not valid JSON"),
-], ids=["nested-200000-deep", "dimension-1e999", "dimension-5001-digits"])
+    ('{"format": "kfa", "colors": [], "dims": {"C": 1}, "basis": {}, '
+     '"maps": {"eps_C": {"rows": 1, "cols": 1, "entries": [[0, 0, "1'
+     + "0" * 5000 + '/0"]]}}}', "malformed algebra file: zero denominator"),
+], ids=["nested-200000-deep", "dimension-1e999", "dimension-5001-digits",
+        "over-5001-digits-by-0"])
 def test_a_kfa_that_json_cannot_hold_exits_2(tmp_path, capsys, text, why):
     # json.load recurses once per nesting level, reads 1e999 as inf and
-    # refuses to convert an integer of more than 4300 digits
+    # refuses to convert an integer of more than 4300 digits; Fraction(p, 0)
+    # spells p out in its error text
     path = tmp_path / "bad.kfa"
     path.write_text(text, encoding="utf-8")
     for argv in (["axioms", str(path)],
@@ -422,6 +458,52 @@ def test_a_kfa_that_json_cannot_hold_exits_2(tmp_path, capsys, text, why):
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") \
             and err.count("\n") == 1 and why in err, argv
+
+
+def _as_saved(doc):
+    """The part of a ``.kfa`` JSON value that a load and a save give
+    back: not key order, blanks in names, a missing name, zero entries in
+    range, the text of each number or a key that save_kfa never writes."""
+    def name(k):
+        return "".join(k.split())
+
+    def entries(m):
+        rows, cols, got = m["rows"], m["cols"], m["entries"]
+        return sorted((r, c, Fraction(v)) for r, c, v in got
+                      if Fraction(v) or not (0 <= r < rows and 0 <= c < cols)
+                      ) if type(got) is list else got
+
+    return (doc.get("name", ""), doc["colors"],
+            {name(k): v for k, v in doc["dims"].items()},
+            {name(k): v for k, v in doc["basis"].items()},
+            {name(k): (m["rows"], m["cols"], entries(m))
+             for k, m in doc["maps"].items()})
+
+
+def test_a_mangled_kfa_is_refused_or_saved_back_as_read(tmp_path, capsys):
+    # the save-load fixpoint: a mangled shipped algebra is refused with one
+    # error line, or loads into one that save_kfa writes back as the same
+    # JSON value, up to what the format leaves free
+    rng = random.Random(28)
+    shipped = [json.loads(p.read_text(encoding="utf-8"))
+               for p in sorted((CORPUS.parent / "algebras").glob("*.kfa"))]
+    path, back = tmp_path / "mangled.kfa", tmp_path / "back.kfa"
+    refused = 0
+    for _ in range(60):
+        doc = copy.deepcopy(rng.choice(shipped))
+        how = mutate_kfa_doc(rng, doc)
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code = run(["axioms", str(path)])
+        out, err = capsys.readouterr()
+        if code == 2:
+            assert out == "" and err.startswith("error: ") \
+                and err.count("\n") == 1, how
+            refused += 1
+            continue
+        save_kfa(load_kfa(path), back)
+        assert _as_saved(json.loads(back.read_text(encoding="utf-8"))) \
+            == _as_saved(doc), how
+    assert 0 < refused < 60
 
 
 def test_axioms_on_a_huge_kfa_exits_1(tmp_path, capsys):
@@ -567,3 +649,10 @@ def test_a_fresh_cli_process_imports_no_heavy_stdlib_module():
     added = set(proc.stdout.split())
     assert "ocbord.cli" in added
     assert added & {"dataclasses", "inspect", "importlib.resources"} == set()
+    # decimal is imported only to write or read numbers past the digit
+    # limit, unless fractions imports it anyway (it does on 3.11 to 3.13)
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-B", "-c",
+         "import sys, fractions; print('decimal' in sys.modules)"],
+        capture_output=True, text=True, timeout=60)
+    assert proc.stdout == "True\n" or "decimal" not in added

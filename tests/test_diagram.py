@@ -66,6 +66,14 @@ def test_generator_signatures():
     assert Gen("cozip", ("a",)).target == (O,)
 
 
+def test_signatures_are_cached_under_the_segment_cap():
+    # one cache entry per (kind, colours): a process that reads many files
+    # of fresh colours keeps no more signatures than shared segments
+    for i in range(diagram.SEG_TABLE_CAP + 100):
+        Gen("zip", (f"c{i}",))
+    assert diagram._sig.cache_info().currsize <= diagram.SEG_TABLE_CAP
+
+
 def test_generator_identity_is_kind_and_colours():
     # source and target are stored at construction but stay out of
     # equality, hashing and the repr
