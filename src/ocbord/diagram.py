@@ -38,8 +38,8 @@ _set = object.__setattr__
 
 class _Value:
     """Base of the immutable values below.  Each sets its fields once, in
-    ``__init__``, and writes out its ``__eq__``, which parsing and layout
-    call in bulk; factors also store their ``source`` and ``target``."""
+    ``__init__``, and writes out its ``__eq__``, which ``syntactic_eq``
+    calls per factor; factors also store their ``source`` and ``target``."""
 
     __slots__ = ()
 

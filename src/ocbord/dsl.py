@@ -23,8 +23,8 @@ shares.  A text with no ``#`` and no ``;`` is read straight from its
 lines.  A row is split on ``|`` by ``str.split`` and each raw piece is
 looked up as it stands; a row found whole is assembled from the entries,
 and a row of one-slice atoms is joined straight into one slice.  A row
-with a piece not in the table goes through :func:`_read_row`: stripped,
-split bracket-aware if it holds a bracket, each new atom read by
+with a piece not in the table goes through :func:`_read_row`: split
+bracket-aware, each atom stripped, each new atom read by
 :func:`_parse_atom`, and each raw piece stored as an alias of its atom's
 entry when the two splits agree.  The table is emptied at
 ``ATOM_TABLE_CAP`` entries, aliases included.  Each entry keeps the
@@ -254,17 +254,12 @@ def _span(filename: str, ln: int, col: int, stmt: str) -> SourceSpan:
 def _read_row(stmt: str, filename: str, ln: int, col: int) -> list:
     """The table entries of a row that holds a piece not in the table.
 
-    The row is split bracket-aware when it holds a bracket, each atom is
-    stripped and, on first sight, read by :func:`_parse_atom` and
-    validated.  When that split gives one atom per ``|`` piece, each raw
-    piece that differs from its atom is stored as an alias of its entry,
-    so a row spaced the same way is read from the table next time."""
-    text = stmt.strip()
-    # str.split halves the split time of a bracket-free row
-    if "[" in text or "(" in text or "]" in text or ")" in text:
-        atoms = _split_top(text, "|")
-    else:
-        atoms = [a.strip() for a in text.split("|")]
+    The row is split bracket-aware, each atom is stripped and, on first
+    sight, read by :func:`_parse_atom` and validated.  When that split
+    gives one atom per ``|`` piece, each raw piece that differs from its
+    atom is stored as an alias of its entry, so a row spaced the same way
+    is read from the table next time."""
+    atoms = _split_top(stmt, "|")
     row = []
     for a in atoms:
         e = _ATOMS.get(a)

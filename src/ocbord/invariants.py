@@ -25,37 +25,33 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .diagram import OcbordError, _least_walk, as_graph
+from .diagram import (DEFAULT_COLOR, GEN_ARITY, Gen, OcbordError,
+                      _least_walk, as_graph)
 
-# Euler characteristic of each generator's underlying sheet: discs for
-# the open generators and the closed cup/cap, pants for the closed
-# (co)multiplication, an annulus (whistle) for zip and cozip.
-CHI = {
-    "mu_A": 1, "eta_A": 1, "Delta_A": 1, "eps_A": 1,
-    "mu_C": -1, "eta_C": 1, "Delta_C": -1, "eps_C": 1,
-    "zip": 0, "cozip": 0,
-}
 
-# Free-boundary arcs of each generator, as (port, corner) pairs over the
-# generator's own ports.  Ports are ("in", k) or ("out", k); corners "L"
-# and "R".  The multiplication's middle arc is the notch between its two
-# inputs; the comultiplication mirrors it.
-_ARCS = {
-    "mu_A": (((("in", 0), "L"), (("out", 0), "L")),
-             ((("in", 0), "R"), (("in", 1), "L")),
-             ((("in", 1), "R"), (("out", 0), "R"))),
-    "Delta_A": (((("in", 0), "L"), (("out", 0), "L")),
-                ((("out", 0), "R"), (("out", 1), "L")),
-                ((("in", 0), "R"), (("out", 1), "R"))),
-    "eta_A": (((("out", 0), "L"), (("out", 0), "R")),),
-    "eps_A": (((("in", 0), "L"), (("in", 0), "R")),),
-    "zip": (((("out", 0), "L"), (("out", 0), "R")),),
-    "cozip": (((("in", 0), "L"), (("in", 0), "R")),),
-    "mu_C": (), "eta_C": (), "Delta_C": (), "eps_C": (),
-}
-# The far corner of each corner's one arc, read in both directions.
-_ARC_AT = {kind: {**dict(arcs), **{b: a for a, b in arcs}}
-           for kind, arcs in _ARCS.items()}
+def _sheet(kind):
+    """``(euler, arc_at)`` of a generator's planar sheet, read off its
+    signature: a disc less one hole per circle port, the interval ports
+    all on one free-boundary circle.  Walking that circle passes the
+    interval inputs left to right (entered at L, left at R), then the
+    interval outputs right to left (entered at R, left at L); an arc joins
+    each port's leaving corner to the next port's entering corner,
+    cyclically, and ``arc_at`` maps each ``(port, corner)`` to its arc's
+    far corner."""
+    gen = Gen(kind, (DEFAULT_COLOR,) * GEN_ARITY[kind])
+    ins = [("in", k) for k, s in enumerate(gen.source) if s.is_interval]
+    outs = [("out", k) for k, s in enumerate(gen.target) if s.is_interval]
+    walk = [(p, "L", "R") for p in ins] + [(p, "R", "L") for p in outs[::-1]]
+    arc_at = {}
+    for (p, _, out), (q, enter, _) in zip(walk, walk[1:] + walk[:1]):
+        arc_at[p, out], arc_at[q, enter] = (q, enter), (p, out)
+    circles = len(gen.source) + len(gen.target) - len(walk)
+    return 2 - circles - bool(walk), arc_at
+
+
+# Each generator's Euler characteristic, and the far corner of each of
+# its corners' one arc.
+CHI, _ARC_AT = (dict(zip(GEN_ARITY, t)) for t in zip(*map(_sheet, GEN_ARITY)))
 
 
 class ComponentInvariants(NamedTuple):

@@ -134,10 +134,6 @@ def _space_key(seg: Seg):
     return "C" if not seg.is_interval else ("A", seg.left, seg.right)
 
 
-def _map_key(gen: Gen):
-    return (gen.kind, gen.colors)
-
-
 def _label_problems(colors, label_lists) -> list:
     """Each colour and basis label must be a string; no colour repeats."""
     return ([f"colour or basis label {x!r} is not a string"
@@ -180,15 +176,16 @@ class KFA:
         return d
 
     def gen_map(self, gen: Gen) -> LinearMap:
-        key = _map_key(gen)
+        key = (gen.kind, gen.colors)
         if key not in self.maps:
             raise OcbordError(f"algebra has no structure map for {gen}")
         return self.maps[key]
 
     def required_maps(self):
+        """The ``(kind, colours)`` key of every map the colours need."""
         for kind, n in GEN_ARITY.items():
             for cols in product(self.colors, repeat=n):
-                yield Gen(kind, cols)
+                yield kind, cols
 
     def _space_names(self):
         """``{save_kfa's name: key}`` of every space the colours need."""
@@ -196,12 +193,13 @@ class KFA:
         return {_space_name(k): k for k in (*(("A", *p) for p in pairs), "C")}
 
     def validate_structure(self):
-        """Check every colour and basis label is a string, no colour is
-        listed twice, every required space and map exists with the right
-        shape, and every basis label list labels a declared space in full."""
+        """Up to five problems, the first found: a colour or basis label
+        that is not a string, or a colour listed twice; else a required
+        space missing, or a basis label list that does not label a declared
+        space in full; else a required map missing or of the wrong shape."""
         problems = _label_problems(self.colors, self.basis.values())
         if problems:
-            return problems
+            return problems[:5]
         problems = [f"missing space {name}" for name, key
                     in self._space_names().items() if key not in self.dims]
         for key, labels in self.basis.items():
@@ -212,15 +210,17 @@ class KFA:
                 problems.append(f"basis of {name} has {len(labels)} "
                                 f"label(s), want {self.dims[key]}")
         if problems:
-            return problems
-        for gen in self.required_maps():
-            m = self.maps.get(_map_key(gen))
+            return problems[:5]
+        for key in self.required_maps():
+            m, gen = self.maps.get(key), Gen(*key)
             want = (self.obj_dim(gen.target), self.obj_dim(gen.source))
             if m is None:
                 problems.append(f"missing map {gen}")
             elif (m.rows, m.cols) != want:
                 problems.append(f"map {gen} has shape {m.rows}x{m.cols}, "
                                 f"want {want[0]}x{want[1]}")
+            if len(problems) == 5:
+                break
         return problems
 
 
@@ -500,7 +500,7 @@ def check_axioms(alg: KFA) -> AxiomReport:
     """
     problems = alg.validate_structure()
     if problems:
-        raise OcbordError("; ".join(problems[:5]))
+        raise OcbordError("; ".join(problems))
     failures = []
     checked = 0
     for name, cols, lhs, rhs in _axiom_instances(alg.colors):
@@ -944,8 +944,7 @@ def load_kfa(path) -> KFA:
             alg.basis = named(doc["basis"], spaces,
                               "basis for undeclared space {}", array)
             if len(alg.dims) == len(spaces):  # k**3 maps wait for k*k spaces
-                maps = {_map_name(k): k
-                        for k in map(_map_key, alg.required_maps())}
+                maps = {_map_name(k): k for k in alg.required_maps()}
                 alg.maps = named(doc["maps"], maps, "bad map name {!r}",
                                  matrix)
     except (KeyError, ValueError, TypeError, AttributeError,

@@ -18,13 +18,39 @@ from ocbord.diagram import (DEFAULT_COLOR, Cross, DiagramTerm, Gen, Id,
 from ocbord.dsl import (_NAME, ParseError, SourceSpan, TypeMismatch,
                         _parse_atom, _parse_seg, _statements, _used_colors,
                         parse, parse_file)
-from ocbord.invariants import (_ARCS, CHI, ComponentInvariants, Invariants,
-                               _ports, invariants, profile_key)
+from ocbord.invariants import (ComponentInvariants, Invariants, _ports,
+                               invariants, profile_key)
 from ocbord.rewrite import (Match, _kernel, _pattern, _reaches,
                             _splice_is_acyclic, _unify_seg, apply_match,
                             find_matches, rules)
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# The reference oracles' own copy of each generator sheet, drawn by hand:
+# its Euler characteristic (discs for the open generators and the closed
+# cup/cap, pants for the closed (co)multiplication, an annulus for zip and
+# cozip) and its free-boundary arcs as (port, corner) pairs over its own
+# ports, ("in", k) or ("out", k) with corners "L" and "R".  The
+# multiplication's middle arc is the notch between its two inputs; the
+# comultiplication mirrors it.
+CHI = {
+    "mu_A": 1, "eta_A": 1, "Delta_A": 1, "eps_A": 1,
+    "mu_C": -1, "eta_C": 1, "Delta_C": -1, "eps_C": 1,
+    "zip": 0, "cozip": 0,
+}
+ARCS = {
+    "mu_A": (((("in", 0), "L"), (("out", 0), "L")),
+             ((("in", 0), "R"), (("in", 1), "L")),
+             ((("in", 1), "R"), (("out", 0), "R"))),
+    "Delta_A": (((("in", 0), "L"), (("out", 0), "L")),
+                ((("out", 0), "R"), (("out", 1), "L")),
+                ((("in", 0), "R"), (("out", 1), "R"))),
+    "eta_A": (((("out", 0), "L"), (("out", 0), "R")),),
+    "eps_A": (((("in", 0), "L"), (("in", 0), "R")),),
+    "zip": (((("out", 0), "L"), (("out", 0), "R")),),
+    "cozip": (((("in", 0), "L"), (("in", 0), "R")),),
+    "mu_C": (), "eta_C": (), "Delta_C": (), "eps_C": (),
+}
 
 
 def _interval(rng, colors):
@@ -740,7 +766,7 @@ def union_find_free_boundary(g):
             uf.union((prod, "L"), (cons, "L"))
             uf.union((prod, "R"), (cons, "R"))
     for nid, gen in g.nodes.items():
-        for (p1, c1), (p2, c2) in _ARCS[gen.kind]:
+        for (p1, c1), (p2, c2) in ARCS[gen.kind]:
             ep1 = (p1[0], nid, p1[1])
             ep2 = (p2[0], nid, p2[1])
             seg = (g.consumer_seg if p1[0] == "in" else g.producer_seg)(ep1)

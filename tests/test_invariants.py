@@ -8,15 +8,17 @@ from pathlib import Path
 
 from ocbord.diagram import (Seg, as_graph, identity_term, tensor,
                             to_port_graph, from_port_graph)
-from ocbord.invariants import (_assemble, _free_boundary, _unordered,
-                               equivalent, invariants, profile_key)
+from ocbord.invariants import (_ARC_AT, CHI, _assemble, _free_boundary,
+                               _unordered, equivalent, invariants,
+                               profile_key)
 from ocbord.dsl import parse, parse_file
 from ocbord.normalform import normal_form
 
 from cw_oracle import cw_profile
-from helpers import (closed_surface, crown_text, perturb, random_mutant,
-                     random_term, read_path_samples, union_find_assemble,
-                     union_find_free_boundary, wide_text, window_strip)
+from helpers import (ARCS, CHI as DRAWN_CHI, closed_surface, crown_text,
+                     perturb, random_mutant, random_term, read_path_samples,
+                     union_find_assemble, union_find_free_boundary,
+                     wide_text, window_strip)
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -31,6 +33,12 @@ def _load(name):
 def _objects(inv):
     enc = lambda segs: tuple(1 if s.is_interval else 0 for s in segs)
     return enc(inv.source), enc(inv.target)
+
+
+def test_sheets_read_off_the_signatures_match_the_drawn_ones():
+    assert CHI == DRAWN_CHI
+    assert _ARC_AT == {kind: {**dict(arcs), **{b: a for a, b in arcs}}
+                       for kind, arcs in ARCS.items()}
 
 
 def test_figure1():

@@ -1,5 +1,6 @@
 """Exact-rational evaluation and the algebra axiom checker."""
 
+import json
 import random
 import sys
 from fractions import Fraction
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import ocbord.tqft as tqft
-from ocbord.diagram import (Cross, DiagramTerm, OcbordError, Seg,
+from ocbord.diagram import (Cross, DiagramTerm, Gen, OcbordError, Seg,
                             canonical_key, identity_term, tensor,
                             to_port_graph)
 from ocbord.dsl import parse, parse_file
@@ -412,14 +413,12 @@ def test_groupoid_data_checks(objects, morphisms, comp, why):
 
 
 def test_kfa_round_trip(tmp_path):
-    for name in ("matrix2", "groupoid-pair_z2", "groupoid-two_comps"):
-        alg = builtin_algebra(name)
-        p = tmp_path / f"{name}.kfa"
+    algs = [builtin_algebra(name) for name in BUILTIN_ALGEBRAS]
+    algs += map(load_kfa, sorted((ROOT / "algebras").glob("*.kfa")))
+    for i, alg in enumerate(algs):
+        p = tmp_path / f"{i}.kfa"
         save_kfa(alg, p)
-        back = load_kfa(p)
-        assert back.colors == alg.colors
-        assert back.dims == alg.dims
-        assert back.maps == alg.maps
+        assert load_kfa(p) == alg, alg.name
 
 
 def test_kfa_round_trip_keeps_entries_past_the_digit_limit(tmp_path):
@@ -452,7 +451,6 @@ def test_kfa_load_errors(tmp_path):
     p.write_text('{"format": "other"}', encoding="utf-8")
     with pytest.raises(OcbordError):
         load_kfa(p)
-    import json
     alg = builtin_matrix_example(1)
     save_kfa(alg, p)
     doc = json.loads(p.read_text(encoding="utf-8"))
@@ -460,6 +458,25 @@ def test_kfa_load_errors(tmp_path):
     p.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(OcbordError):
         load_kfa(p)
+
+
+def test_kfa_with_many_colours_and_no_maps_is_refused_cheaply(
+        tmp_path, monkeypatch):
+    # 60 colours need 2 * 60**3 + 4 * 60 + 4 maps; the refusal names five
+    # and builds a generator for those alone
+    cols = [f"c{i}" for i in range(60)]
+    p = tmp_path / "wide.kfa"
+    p.write_text(json.dumps({
+        "format": "kfa", "colors": cols, "basis": {}, "maps": {},
+        "dims": {"C": 1, **{f"A[{a},{b}]": 1 for a in cols for b in cols}},
+    }), encoding="utf-8")
+    built = []
+    monkeypatch.setattr(tqft, "Gen", lambda *a: built.append(a) or Gen(*a))
+    with pytest.raises(OcbordError) as e:
+        load_kfa(p)
+    assert str(e.value) == f"{p}: " + "; ".join(
+        f"missing map mu_A[c0,c0,c{i}]" for i in range(5))
+    assert len(built) == 5
 
 
 def test_unknown_builtin_rejected():
