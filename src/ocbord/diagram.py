@@ -100,21 +100,11 @@ class Seg(_Value):
         return f"I[{self.left},{self.right}]"
 
 
-# (kind, left, right) -> the shared segment of that value.  The table is
-# emptied when it reaches the cap; a segment made before that stays
-# equal to its successor, though no longer identical.
+# (kind, left, right) -> the shared segment of that value.  The least
+# recently used entry is evicted at the cap; a segment made before that
+# stays equal to its successor, though no longer identical.
 SEG_TABLE_CAP = 4096
-_SEGS: dict = {}
-
-
-def _shared_seg(kind: str, left: str, right: str) -> Seg:
-    key = (kind, left, right)
-    s = _SEGS.get(key)
-    if s is None:
-        if len(_SEGS) >= SEG_TABLE_CAP:
-            _SEGS.clear()
-        s = _SEGS[key] = Seg(kind, left, right)
-    return s
+_shared_seg = lru_cache(maxsize=SEG_TABLE_CAP)(Seg)
 
 
 def fmt_obj(segs) -> str:

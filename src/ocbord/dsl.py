@@ -12,8 +12,9 @@ comment.  Atoms are the ten generators (``mu_A[a,b,c]``, ``eta_A[a]``,
 ``eps_C``, ``zip[a]``, ``cozip[a]``), identities ``id:O`` / ``id:I[a,b]``,
 crossings ``cross(seg,seg)``, and macros that expand to composites:
 six saddles, ``window_o`` (hole in a strip), ``window_c`` (hole through a
-closed sheet) and ``window_w`` (free window on a circle).  Colour
-brackets may be omitted; a bare atom uses the colour ``*``.
+closed sheet) and ``window_w`` (free window on a circle), each read
+from its ``.ocd`` text in ``_MACROS``.  Colour brackets may be omitted;
+a bare atom uses the colour ``*``.
 
 Within a row the atoms bind left to right against the current boundary;
 an atom with empty source (``eta_A``, ``eta_C``) sits at the cursor
@@ -29,16 +30,21 @@ bracket-aware, each atom stripped, each new atom read by
 entry when the two splits agree.  The table is emptied at
 ``ATOM_TABLE_CAP`` entries, aliases included.  Each entry keeps the
 colours its atom uses, and the ``colors`` header is checked against
-those.  Segments come from the shared table of :class:`Seg` (emptied at
-``diagram.SEG_TABLE_CAP``), so a row's typing check compares identical
-objects.  A source span is built only for an error or for an atom seen
-for the first time.
+those.  Segments come from the shared table of :class:`Seg`, which
+evicts its least recently used entry at ``diagram.SEG_TABLE_CAP``, so a
+row's typing check compares identical objects.  A source span is built
+only for an error or for an atom seen for the first time.
 
 >>> t = parse("source I,I ; mu_A ; Delta_A")
 >>> print(render(t), end="")
 source I, I
 mu_A
 Delta_A
+>>> print(render(parse("source O; window_w[a]")), end="")
+colors a
+source O
+zip[a]
+cozip[a]
 """
 
 from __future__ import annotations
@@ -57,11 +63,9 @@ from .diagram import (
     TypingError,
     _id_slice,
     check_composable,
-    compose,
     fmt_obj,
     gen_term,
     identity_term,
-    tensor,
     DEFAULT_COLOR,
 )
 
@@ -133,64 +137,50 @@ def _colors(arg: str, want: int, atom: str, span: SourceSpan) -> tuple:
     return tuple(names)
 
 
+# macro name -> (its colour variables in bracket order, its definition
+# as .ocd text).  A macro is read like any other text, once per process.
+_MACROS = {
+    "window_o": ("asb", "source I[{a},{b}]; Delta_A[{a},{s},{b}]; "
+                        "mu_A[{a},{s},{b}]"),
+    "window_c": ("", "source O; Delta_C; mu_C"),
+    "window_w": ("a", "source O; zip[{a}]; cozip[{a}]"),
+    "saddle_cross_l": ("abcd", "source I[{a},{c}], I[{b},{d}]; "
+                       "Delta_A[{a},{b},{c}] | id:I[{b},{d}]; "
+                       "id:I[{a},{b}] | cross(I[{b},{c}],I[{b},{d}]); "
+                       "mu_A[{a},{b},{d}] | id:I[{b},{c}]"),
+    "saddle_cross_r": ("abcd", "source I[{d},{b}], I[{a},{c}]; "
+                       "id:I[{d},{b}] | Delta_A[{a},{b},{c}]; "
+                       "cross(I[{d},{b}],I[{a},{b}]) | id:I[{b},{c}]; "
+                       "id:I[{a},{b}] | mu_A[{d},{b},{c}]"),
+    "saddle_zip_l": ("ab", "source O, I[{a},{b}]; zip[{a}] | id:I[{a},{b}]; "
+                     "mu_A[{a},{a},{b}]"),
+    "saddle_zip_r": ("ab", "source I[{a},{b}], O; id:I[{a},{b}] | zip[{b}]; "
+                     "mu_A[{a},{b},{b}]"),
+    "saddle_cozip_l": ("ab", "source I[{a},{b}]; Delta_A[{a},{a},{b}]; "
+                       "cozip[{a}] | id:I[{a},{b}]"),
+    "saddle_cozip_r": ("ab", "source I[{a},{b}]; Delta_A[{a},{b},{b}]; "
+                       "id:I[{a},{b}] | cozip[{b}]"),
+}
+
+
 def _macro(name: str, arg: str, span: SourceSpan) -> DiagramTerm:
-    """Expand one macro atom to its defining composite."""
-    def g(kind, *cols):
-        return gen_term(Gen(kind, tuple(cols)))
-
-    def idt(seg):
-        return identity_term((seg,))
-
+    """Expand one macro atom by reading its text from ``_MACROS``."""
+    if name not in _MACROS:
+        raise ParseError(f"unknown atom {name!r}", span)
+    names, text = _MACROS[name]
     if name == "window_o":
-        # hole in a strip: split, then rejoin around the window colour
-        names = _split_top(arg) if arg is not None else []
-        if len(names) == 0:
-            a = s = b = DEFAULT_COLOR
-        elif len(names) == 2:
-            a, b = _colors(arg, 2, name, span)
-            s = a
-        elif len(names) == 3:
-            a, s, b = _colors(arg, 3, name, span)
-        else:
+        # window_o[a,b] is window_o[a,a,b]; bare, all three are *
+        n = len(_split_top(arg)) if arg is not None else 0
+        if n not in (0, 2, 3):
             raise ParseError("window_o takes 0, 2 or 3 colours", span)
-        return compose(g("Delta_A", a, s, b), g("mu_A", a, s, b))
-    if name == "window_c":
-        if arg is not None:
-            raise ParseError("window_c takes no colours", span)
-        return compose(g("Delta_C"), g("mu_C"))
-    if name == "window_w":
-        (a,) = _colors(arg, 1, name, span)
-        return compose(g("zip", a), g("cozip", a))
-    if name in ("saddle_cross_l", "saddle_cross_r"):
-        a, b, c, d = _colors(arg, 4, name, span)
-        if name == "saddle_cross_l":
-            top = tensor(g("Delta_A", a, b, c), idt(Seg.I(b, d)))
-            mid = tensor(idt(Seg.I(a, b)), DiagramTerm(
-                (Seg.I(b, c), Seg.I(b, d)),
-                ((Cross(Seg.I(b, c), Seg.I(b, d)),),)))
-            bot = tensor(g("mu_A", a, b, d), idt(Seg.I(b, c)))
-        else:
-            top = tensor(idt(Seg.I(d, b)), g("Delta_A", a, b, c))
-            mid = tensor(DiagramTerm(
-                (Seg.I(d, b), Seg.I(a, b)),
-                ((Cross(Seg.I(d, b), Seg.I(a, b)),),)), idt(Seg.I(b, c)))
-            bot = tensor(idt(Seg.I(a, b)), g("mu_A", d, b, c))
-        return compose(compose(top, mid), bot)
-    if name in ("saddle_zip_l", "saddle_zip_r"):
-        a, b = _colors(arg, 2, name, span)
-        if name == "saddle_zip_l":
-            return compose(tensor(g("zip", a), idt(Seg.I(a, b))),
-                           g("mu_A", a, a, b))
-        return compose(tensor(idt(Seg.I(a, b)), g("zip", b)),
-                       g("mu_A", a, b, b))
-    if name in ("saddle_cozip_l", "saddle_cozip_r"):
-        a, b = _colors(arg, 2, name, span)
-        if name == "saddle_cozip_l":
-            return compose(g("Delta_A", a, a, b),
-                           tensor(g("cozip", a), idt(Seg.I(a, b))))
-        return compose(g("Delta_A", a, b, b),
-                       tensor(idt(Seg.I(a, b)), g("cozip", b)))
-    raise ParseError(f"unknown atom {name!r}", span)
+        cols = _colors(arg if n else None, n or 3, name, span)
+        if n == 2:
+            cols = cols[:1] + cols
+    elif name == "window_c" and arg is not None:
+        raise ParseError("window_c takes no colours", span)
+    else:
+        cols = _colors(arg, len(names), name, span)
+    return parse(text.format(**dict(zip(names, cols))))
 
 
 def _parse_atom(text: str, span: SourceSpan) -> DiagramTerm:

@@ -10,14 +10,14 @@ from collections import deque
 from fractions import Fraction
 from pathlib import Path
 
-from ocbord.diagram import (DEFAULT_COLOR, Cross, DiagramTerm, Gen, Id,
-                            OcbordError, PortGraph, Seg, TypingError,
+from ocbord.diagram import (DEFAULT_COLOR, GEN_ARITY, Cross, DiagramTerm,
+                            Gen, Id, OcbordError, PortGraph, Seg, TypingError,
                             UnionFind, canonical_order, check_composable,
                             compose, from_port_graph, gen_term,
                             identity_term, tensor, to_port_graph)
-from ocbord.dsl import (_NAME, ParseError, SourceSpan, TypeMismatch,
-                        _parse_atom, _parse_seg, _statements, _used_colors,
-                        parse, parse_file)
+from ocbord.dsl import (_ATOM_RE, _NAME, ParseError, SourceSpan,
+                        TypeMismatch, _colors, _parse_atom, _parse_seg,
+                        _statements, _used_colors, parse, parse_file)
 from ocbord.invariants import (ComponentInvariants, Invariants, _ports,
                                invariants, profile_key)
 from ocbord.rewrite import (Match, _kernel, _pattern, _reaches,
@@ -940,9 +940,82 @@ def _scan_split(text: str, sep: str = ","):
     return parts
 
 
+def macro_reference(name: str, arg: str, span: SourceSpan) -> DiagramTerm:
+    """Reference for ``dsl._macro``: each macro atom expanded to its
+    defining composite, built by hand from generators, identities and
+    crossings."""
+    def g(kind, *cols):
+        return gen_term(Gen(kind, tuple(cols)))
+
+    def idt(seg):
+        return identity_term((seg,))
+
+    if name == "window_o":
+        # hole in a strip: split, then rejoin around the window colour
+        names = _scan_split(arg) if arg is not None else []
+        if len(names) == 0:
+            a = s = b = DEFAULT_COLOR
+        elif len(names) == 2:
+            a, b = _colors(arg, 2, name, span)
+            s = a
+        elif len(names) == 3:
+            a, s, b = _colors(arg, 3, name, span)
+        else:
+            raise ParseError("window_o takes 0, 2 or 3 colours", span)
+        return compose(g("Delta_A", a, s, b), g("mu_A", a, s, b))
+    if name == "window_c":
+        if arg is not None:
+            raise ParseError("window_c takes no colours", span)
+        return compose(g("Delta_C"), g("mu_C"))
+    if name == "window_w":
+        (a,) = _colors(arg, 1, name, span)
+        return compose(g("zip", a), g("cozip", a))
+    if name in ("saddle_cross_l", "saddle_cross_r"):
+        a, b, c, d = _colors(arg, 4, name, span)
+        if name == "saddle_cross_l":
+            top = tensor(g("Delta_A", a, b, c), idt(Seg.I(b, d)))
+            mid = tensor(idt(Seg.I(a, b)), DiagramTerm(
+                (Seg.I(b, c), Seg.I(b, d)),
+                ((Cross(Seg.I(b, c), Seg.I(b, d)),),)))
+            bot = tensor(g("mu_A", a, b, d), idt(Seg.I(b, c)))
+        else:
+            top = tensor(idt(Seg.I(d, b)), g("Delta_A", a, b, c))
+            mid = tensor(DiagramTerm(
+                (Seg.I(d, b), Seg.I(a, b)),
+                ((Cross(Seg.I(d, b), Seg.I(a, b)),),)), idt(Seg.I(b, c)))
+            bot = tensor(idt(Seg.I(a, b)), g("mu_A", d, b, c))
+        return compose(compose(top, mid), bot)
+    if name in ("saddle_zip_l", "saddle_zip_r"):
+        a, b = _colors(arg, 2, name, span)
+        if name == "saddle_zip_l":
+            return compose(tensor(g("zip", a), idt(Seg.I(a, b))),
+                           g("mu_A", a, a, b))
+        return compose(tensor(idt(Seg.I(a, b)), g("zip", b)),
+                       g("mu_A", a, b, b))
+    if name in ("saddle_cozip_l", "saddle_cozip_r"):
+        a, b = _colors(arg, 2, name, span)
+        if name == "saddle_cozip_l":
+            return compose(g("Delta_A", a, a, b),
+                           tensor(g("cozip", a), idt(Seg.I(a, b))))
+        return compose(g("Delta_A", a, b, b),
+                       tensor(idt(Seg.I(a, b)), g("cozip", b)))
+    raise ParseError(f"unknown atom {name!r}", span)
+
+
+def _reference_atom(text: str, span: SourceSpan) -> DiagramTerm:
+    """``dsl._parse_atom`` with each macro expanded by
+    :func:`macro_reference`."""
+    m = _ATOM_RE.match(text.strip())
+    if m and m.group(3) is None and m.group(1) not in GEN_ARITY \
+            and m.group(1) != "cross":
+        return macro_reference(m.group(1), m.group(2), span)
+    return _parse_atom(text, span)
+
+
 def tensor_parse(text: str, filename: str = "<string>") -> DiagramTerm:
     """Reference for ``dsl.parse``: each row is the ``tensor`` of its
-    atoms, every one parsed afresh, and is validated whole."""
+    atoms, every one parsed afresh and each macro expanded by
+    :func:`macro_reference`, and is validated whole."""
     palette = None
     source = None
     cur = None
@@ -967,7 +1040,8 @@ def tensor_parse(text: str, filename: str = "<string>") -> DiagramTerm:
             continue
         if source is None:
             raise ParseError("expected a source line before rows", span)
-        row = tensor(*[_parse_atom(a, span) for a in _scan_split(stmt, "|")])
+        row = tensor(*[_reference_atom(a, span)
+                       for a in _scan_split(stmt, "|")])
         try:
             check_composable(cur, row.source)
         except TypingError as e:

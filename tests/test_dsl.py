@@ -1,7 +1,9 @@
 """Text format: parsing, rendering, macros, and error positions."""
 
+import itertools
 import random
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -13,8 +15,8 @@ from ocbord.diagram import (DiagramTerm, Gen, Seg, TypingError, compose,
 from ocbord.dsl import ParseError, TypeMismatch, parse, parse_file, render
 from ocbord.invariants import invariants
 
-from helpers import (_scan_split, random_term, tensor_parse, wide_text,
-                     window_strip)
+from helpers import (_scan_split, macro_reference, random_term, tensor_parse,
+                     wide_text, window_strip)
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -92,6 +94,44 @@ def test_window_macros():
     c = parse("source O\nwindow_c\n")
     built = compose(gen_term(Gen("Delta_C")), gen_term(Gen("mu_C")))
     assert graph_eq(to_port_graph(c), to_port_graph(built))
+
+
+def test_each_macro_expands_as_its_hand_built_reference():
+    # every colour list of length 0-4 over a, b, * and c1, the bare atom
+    # and malformed brackets: the same term and target, or the same error
+    args = [None, *(",".join(c) for n in range(5)
+                    for c in itertools.product(("a", "b", "*", "c1"),
+                                               repeat=n)),
+            "a b", "1x", "a,,b", "", "a,b,*,c1,a"]
+    span = dsl.SourceSpan("m.ocd", 3, 7)
+    assert set(dsl._MACROS) == {
+        "window_o", "window_c", "window_w", "saddle_cross_l",
+        "saddle_cross_r", "saddle_zip_l", "saddle_zip_r", "saddle_cozip_l",
+        "saddle_cozip_r"}
+    cases = 0
+    for name in dsl._MACROS:
+        for arg in args:
+            try:
+                got = dsl._macro(name, arg, span)
+            except ParseError as e:
+                got = str(e)
+            try:
+                want = macro_reference(name, arg, span)
+            except ParseError as e:
+                want = str(e)
+            assert got == want, (name, arg)
+            if isinstance(want, DiagramTerm):
+                assert got.target == want.validate(), (name, arg)
+            cases += 1
+    assert cases == 9 * 347
+
+
+def test_the_readme_lists_each_macro_text():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    for name, (names, text) in dsl._MACROS.items():
+        atom = f"{name}[{','.join(names)}]" if names else name
+        text = text.format(**{v: v for v in names})
+        assert f"- `{atom}`: `{text}`" in readme, name
 
 
 def test_window_o_colour_names_are_checked():
@@ -448,23 +488,22 @@ def test_segments_and_aliases_are_held_under_the_caps(monkeypatch):
     colors = tuple(f"c{i}" for i in range(8))
     texts = [render(random_term(rng, max_gens=15, colors=colors,
                                 connected=False)) for _ in range(40)]
-    sizes = {"segs": [], "atoms": []}
+    sizes = []
 
-    def table(name):
-        class Table(dict):
-            def __setitem__(self, key, value):
-                super().__setitem__(key, value)
-                sizes[name].append(len(self))
-        return Table()
+    class Table(dict):
+        def __setitem__(self, key, value):
+            super().__setitem__(key, value)
+            sizes.append(len(self))
 
-    monkeypatch.setattr(diagram, "SEG_TABLE_CAP", 5)
-    monkeypatch.setattr(diagram, "_SEGS", table("segs"))
+    segs = lru_cache(maxsize=5)(Seg)
+    monkeypatch.setattr(diagram, "_shared_seg", segs)
     monkeypatch.setattr(dsl, "ATOM_TABLE_CAP", 6)
-    monkeypatch.setattr(dsl, "_ATOMS", table("atoms"))
+    monkeypatch.setattr(dsl, "_ATOMS", Table())
     small = [parse(text) for text in texts]
     monkeypatch.undo()
-    assert len(sizes["segs"]) > 20 and max(sizes["segs"]) == 5
-    assert len(sizes["atoms"]) > 20 and max(sizes["atoms"]) == 6
+    info = segs.cache_info()
+    assert info.currsize == 5 and info.misses - info.currsize > 20
+    assert len(sizes) > 20 and max(sizes) == 6
     assert small == [parse(text) for text in texts]
 
 
@@ -505,11 +544,26 @@ def test_a_batch_reads_each_distinct_atom_once(monkeypatch, capsys):
     from ocbord.cli import run
     paths = sorted(CORPUS.glob("*.ocd"))
     assert len(paths) == 13
-    distinct = set()
-    for p in paths:
-        for stmt, _, _ in dsl._statements(p.read_text(encoding="utf-8")):
-            if stmt.split()[0] not in ("colors", "source"):
-                distinct.update(dsl._split_top(stmt, "|"))
+
+    def atoms(texts):
+        return {a for text in texts for stmt, _, _ in dsl._statements(text)
+                if stmt.split()[0] not in ("colors", "source")
+                for a in dsl._split_top(stmt, "|")}
+
+    def macro_text(atom):
+        # the .ocd text a macro atom is read as; window_o[a,b] is
+        # window_o[a,a,b] and a bare macro takes * for every colour
+        name, _, arg = atom.partition("[")
+        names, text = dsl._MACROS[name]
+        cols = dsl._split_top(arg[:-1]) if arg else ["*"] * len(names)
+        if name == "window_o" and len(cols) == 2:
+            cols.insert(0, cols[0])
+        return text.format(**dict(zip(names, cols)))
+
+    distinct = atoms(p.read_text(encoding="utf-8") for p in paths)
+    macros = {a for a in distinct if a.partition("[")[0] in dsl._MACROS}
+    assert len(macros) == 9
+    distinct |= atoms(map(macro_text, macros))
     read = []
     parse_atom = dsl._parse_atom
 
