@@ -230,10 +230,12 @@ LAYERS = {
              }),
     "canonical_key": ("ocbord.diagram.canonical_key(to_port_graph(term))",
                       _canonical_key, {**_CANON_SERIES, "crown": _CROWN}),
+    # the free-boundary layers also walk the deep strip, mostly windows
     "invariants": ("ocbord.invariants.invariants(term)", _invariants,
-                   {**_CANON_SERIES, "crown": _CROWN}),
+                   {**_CANON_SERIES, "crown": _CROWN,
+                    "strip": _READ_SERIES["strip"]}),
     "equivalent": ("ocbord.invariants.equivalent(term, term)", _equivalent,
-                   _MULTISET_SERIES),
+                   {**_MULTISET_SERIES, "strip": _READ_SERIES["strip"]}),
     "normal_form": ("ocbord.normalform.normal_form(term)", _normal_form,
                     _MULTISET_SERIES),
     "from_port_graph": ("ocbord.diagram.from_port_graph(g), g made "

@@ -212,6 +212,11 @@ def _cmd_eval(ns):
     def work(path):
         t = _load_term(path)
         m = evaluate(t, alg)
+        entries = [[r, c, exact_str(v)]
+                   for (r, c), v in sorted(m.data.items())]
+        dense = [["0"] * m.cols for _ in range(m.rows)]
+        for r, c, v in entries:
+            dense[r][c] = v
         return {
             "file": path,
             "ok": True,
@@ -220,9 +225,8 @@ def _cmd_eval(ns):
             "codomain": [str(s) for s in t.target],
             "rows": m.rows,
             "cols": m.cols,
-            "entries": [[r, c, exact_str(v)]
-                        for (r, c), v in sorted(m.data.items())],
-            "dense": [[exact_str(v) for v in row] for row in m.to_rows()],
+            "entries": entries,
+            "dense": dense,
         }
 
     def human(rep):

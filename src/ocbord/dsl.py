@@ -169,10 +169,14 @@ def _macro(name: str, arg: str, span: SourceSpan) -> DiagramTerm:
         raise ParseError(f"unknown atom {name!r}", span)
     names, text = _MACROS[name]
     if name == "window_o":
-        # window_o[a,b] is window_o[a,a,b]; bare, all three are *
+        # window_o[a,b] is window_o[a,a,b]; bare, all three are *, and
+        # empty brackets are not bare
         n = len(_split_top(arg)) if arg is not None else 0
         if n not in (0, 2, 3):
             raise ParseError("window_o takes 0, 2 or 3 colours", span)
+        if arg is not None and not n:
+            raise ParseError("window_o takes 2 or 3 colours in brackets, "
+                             "got 0", span)
         cols = _colors(arg if n else None, n or 3, name, span)
         if n == 2:
             cols = cols[:1] + cols

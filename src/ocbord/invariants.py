@@ -54,6 +54,30 @@ def _sheet(kind):
 CHI, _ARC_AT = (dict(zip(GEN_ARITY, t)) for t in zip(*map(_sheet, GEN_ARITY)))
 
 
+def _tables(kind):
+    """``(step, corners, shape)``, the tables of a generator.  Its
+    arcs are numbered 0, 1, ...: ``step`` maps each corner arrived at,
+    ``(side, port, corner)``, to its arc's far ``(side, port, corner)``
+    and number, and ``corners`` holds one ``(number, side, port, corner)``
+    per arc.  ``shape``, for the component search, is the Euler term,
+    the input numbers and the ``(output, is interval)`` pairs."""
+    ends = sorted({tuple(sorted(arc)) for arc in _ARC_AT[kind].items()})
+    step = {}
+    for a, pair in enumerate(ends):
+        for ((side, k), c), ((far, fk), fc) in (pair, pair[::-1]):
+            step[side, k, c] = (far, fk, fc, a)
+    gen = Gen(kind, (DEFAULT_COLOR,) * GEN_ARITY[kind])
+    return step, tuple((a, *p, c) for a, ((p, c), _) in enumerate(ends)), (
+        CHI[kind], range(len(gen.source)),
+        tuple(enumerate(s.is_interval for s in gen.target)))
+
+
+# Arc a of node nid is walked as the number nid * STRIDE + a.
+STRIDE = 4
+_STEP, _CORNERS, _SHAPE = (dict(zip(GEN_ARITY, t))
+                           for t in zip(*map(_tables, GEN_ARITY)))
+
+
 class ComponentInvariants(NamedTuple):
     """Invariants of one connected component of the surface."""
 
@@ -150,45 +174,47 @@ def _ports(g) -> list:
 
 def _free_boundary(g):
     """``(sigma, gamma, windows)`` read off the wiring: sigma and gamma
-    as dicts over port numbers, windows as ``(a node on it, colour)``."""
+    as dicts over port numbers, windows as ``(a node on it, colour)``.
+    Each step is one lookup in ``_STEP``, and each arc walked is marked
+    by its number, so every arc is walked once."""
+    nodes, out_to_in, in_to_out = g.nodes, g.out_to_in, g.in_to_out
     port_no = {p: j for j, p in enumerate(_ports(g), 1)}
-    seen = set()                    # generator corners walked so far
+    seen = set()                    # arcs walked so far, by number
 
-    def across(ep):
-        return g.out_to_in[ep] if ep[0] in ("src", "out") else g.in_to_out[ep]
-
-    def colour(ep, c):
-        seg = (g.producer_seg if ep[0] in ("src", "out") else g.consumer_seg)(ep)
-        return seg.left if c == "L" else seg.right
-
-    def arc(ep, c):
-        # follow the arc at generator corner (ep, c), then the far wire
-        seen.add((ep, c))
-        (side, k), c = _ARC_AT[g.nodes[ep[1]].kind][((ep[0], ep[2]), c)]
-        ep = (side, ep[1], k)
-        seen.add((ep, c))
-        return across(ep), c
+    def walk(ep, c):
+        # arriving at corner c of ep, follow its arc, then the far wire,
+        # until a boundary port or an arc walked before
+        while ep[0] == "in" or ep[0] == "out":
+            nid = ep[1]
+            side, k, c, a = _STEP[nodes[nid].kind][ep[0], ep[2], c]
+            a += nid * STRIDE
+            if a in seen:
+                break
+            seen.add(a)
+            ep = out_to_in[side, nid, k] if side == "out" \
+                else in_to_out[side, nid, k]
+        return ep
 
     # sigma: walk from each port's exit corner to the next boundary port;
     # gamma is the colour of the exit corner.
     sigma, gamma = {}, {}
     for p, j in port_no.items():
-        c = "L" if p[0] == "src" else "R"
-        gamma[j] = colour(p, c)
-        ep = across(p)
-        while ep[0] in ("in", "out"):
-            ep, c = arc(ep, c)
-        sigma[j] = port_no[ep]
+        if p[0] == "src":
+            gamma[j] = g.source[p[1]].left
+            sigma[j] = port_no[walk(out_to_in[p], "L")]
+        else:
+            gamma[j] = g.target[p[1]].right
+            sigma[j] = port_no[walk(in_to_out[p], "R")]
 
-    # Windows: the corners no walk reached close up into pure cycles.
+    # Windows: the arcs no walk reached close up into pure cycles.
     windows = []                    # (a node on the window, colour)
-    for nid, gen in g.nodes.items():
-        for (side, k), c in _ARC_AT[gen.kind]:
-            ep = (side, nid, k)
-            if (ep, c) not in seen:
-                windows.append((nid, colour(ep, c)))
-                while (ep, c) not in seen:
-                    ep, c = arc(ep, c)
+    for nid, gen in nodes.items():
+        base = nid * STRIDE
+        for a, side, k, c in _CORNERS[gen.kind]:
+            if base + a not in seen:
+                seg = (gen.source if side == "in" else gen.target)[k]
+                windows.append((nid, seg.left if c == "L" else seg.right))
+                walk((side, nid, k), c)
     return sigma, gamma, windows
 
 
@@ -216,23 +242,24 @@ def _assemble(g, sigma, gamma, windows, ordered=True) -> Invariants:
         if root in at:
             continue
         c, stack, chi = component(0), [root], 0
+        at[root] = c
         while stack:
             nid = stack.pop()
-            if nid in at:
-                continue
-            at[nid] = c
             c["nodes"].append(nid)
-            gen = nodes[nid]
-            chi += CHI[gen.kind]
-            for k in range(len(gen.source)):
-                ep = in_to_out[("in", nid, k)]
-                if ep[0] == "out":
+            euler, ins, outs = _SHAPE[nodes[nid].kind]
+            chi += euler
+            for k in ins:
+                ep = in_to_out["in", nid, k]
+                if ep[0] == "out" and ep[1] not in at:
+                    at[ep[1]] = c
                     stack.append(ep[1])
-            for k, seg in enumerate(gen.target):
-                ep = out_to_in[("out", nid, k)]
+            for k, interval in outs:
+                ep = out_to_in["out", nid, k]
                 if ep[0] == "in":
-                    chi -= seg.is_interval
-                    stack.append(ep[1])
+                    chi -= interval
+                    if ep[1] not in at:
+                        at[ep[1]] = c
+                        stack.append(ep[1])
         c["chi"] = chi
     for i, seg in enumerate(g.source):
         ep = out_to_in[("src", i)]

@@ -102,26 +102,6 @@ class LinearMap:
     def col(self, c: int):
         return tuple(self.entry(r, c) for r in range(self.rows))
 
-    def __matmul__(self, other: "LinearMap") -> "LinearMap":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in composition")
-        out = {}
-        by_row = {}
-        for (r, c), v in other.data.items():
-            by_row.setdefault(r, []).append((c, v))
-        for (r, c), v in self.data.items():
-            for c2, v2 in by_row.get(c, ()):
-                out[(r, c2)] = out.get((r, c2), _ZERO) + v * v2
-        return LinearMap(self.rows, other.cols, out)
-
-    def tensor(self, other: "LinearMap") -> "LinearMap":
-        out = {}
-        for (r1, c1), v1 in self.data.items():
-            for (r2, c2), v2 in other.data.items():
-                out[(r1 * other.rows + r2, c1 * other.cols + c2)] = v1 * v2
-        return LinearMap(self.rows * other.rows,
-                         self.cols * other.cols, out)
-
     def __eq__(self, other):
         return (isinstance(other, LinearMap) and self.rows == other.rows
                 and self.cols == other.cols and self.data == other.data)

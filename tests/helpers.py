@@ -23,6 +23,7 @@ from ocbord.invariants import (ComponentInvariants, Invariants, _ports,
 from ocbord.rewrite import (Match, _kernel, _pattern, _reaches,
                             _splice_is_acyclic, _unify_seg, apply_match,
                             find_matches, rules)
+from ocbord.tqft import LinearMap
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -812,6 +813,31 @@ def union_find_free_boundary(g):
     return sigma, gamma, windows
 
 
+def matmul(a: LinearMap, b: LinearMap) -> LinearMap:
+    """``a`` after ``b``, the matrix product: the oracle that evaluation
+    is functorial in composition."""
+    if a.cols != b.rows:
+        raise ValueError("shape mismatch in composition")
+    by_row = {}
+    for (r, c), v in b.data.items():
+        by_row.setdefault(r, []).append((c, v))
+    out = {}
+    for (r, c), v in a.data.items():
+        for c2, v2 in by_row.get(c, ()):
+            out[r, c2] = out.get((r, c2), 0) + v * v2
+    return LinearMap(a.rows, b.cols, out)
+
+
+def kron(a: LinearMap, b: LinearMap) -> LinearMap:
+    """The tensor product, left factor major: the oracle that evaluation
+    is monoidal."""
+    out = {}
+    for (r1, c1), v1 in a.data.items():
+        for (r2, c2), v2 in b.data.items():
+            out[r1 * b.rows + r2, c1 * b.cols + c2] = v1 * v2
+    return LinearMap(a.rows * b.rows, a.cols * b.cols, out)
+
+
 def scan_contraction_plan(legs, wire_dim) -> list:
     """Reference for ``tqft._contraction_plan``: before every step, scan
     all pairs of live tensors, in creation order, for the one sharing a
@@ -953,15 +979,18 @@ def macro_reference(name: str, arg: str, span: SourceSpan) -> DiagramTerm:
     if name == "window_o":
         # hole in a strip: split, then rejoin around the window colour
         names = _scan_split(arg) if arg is not None else []
-        if len(names) == 0:
+        if arg is None:
             a = s = b = DEFAULT_COLOR
         elif len(names) == 2:
             a, b = _colors(arg, 2, name, span)
             s = a
         elif len(names) == 3:
             a, s, b = _colors(arg, 3, name, span)
-        else:
+        elif names:
             raise ParseError("window_o takes 0, 2 or 3 colours", span)
+        else:
+            raise ParseError("window_o takes 2 or 3 colours in brackets, "
+                             "got 0", span)
         return compose(g("Delta_A", a, s, b), g("mu_A", a, s, b))
     if name == "window_c":
         if arg is not None:

@@ -52,6 +52,7 @@ def test_check_syntax_error_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("atom, why", [
     ("window_o[a]", "window_o takes 0, 2 or 3 colours"),
+    ("window_o[]", "window_o takes 2 or 3 colours in brackets, got 0"),
     ("mu_A(a,b,c)", "mu_A takes [..] colour brackets, not (..)"),
 ])
 def test_check_a_malformed_atom_exits_2(tmp_path, capsys, atom, why):

@@ -177,6 +177,9 @@ def test_parse_errors_carry_spans():
         parse("id:I\n")                        # rows before source
     with pytest.raises(ParseError):
         parse("source O\nwindow_c[a]\n")       # macro takes no colours
+    with pytest.raises(ParseError, match=r"window_o takes 2 or 3 colours "
+                       r"in brackets, got 0"):
+        parse("source I\nwindow_o[]\n")        # empty brackets are not bare
     with pytest.raises(ParseError):
         parse("colors a\nsource I[a,zz]\nid:I[a,zz]\n")  # undeclared colour
 

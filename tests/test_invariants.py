@@ -6,11 +6,12 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from ocbord.diagram import (Seg, as_graph, identity_term, tensor,
-                            to_port_graph, from_port_graph)
-from ocbord.invariants import (_ARC_AT, CHI, _assemble, _free_boundary,
-                               _unordered, equivalent, invariants,
-                               profile_key)
+from ocbord.diagram import (GEN_ARITY, Gen, PortGraph, Seg, as_graph,
+                            identity_term, tensor, to_port_graph,
+                            from_port_graph)
+from ocbord.invariants import (_ARC_AT, _CORNERS, _SHAPE, _STEP, CHI, STRIDE,
+                               _assemble, _free_boundary, _unordered,
+                               equivalent, invariants, profile_key)
 from ocbord.dsl import parse, parse_file
 from ocbord.normalform import normal_form
 
@@ -39,6 +40,27 @@ def test_sheets_read_off_the_signatures_match_the_drawn_ones():
     assert CHI == DRAWN_CHI
     assert _ARC_AT == {kind: {**dict(arcs), **{b: a for a, b in arcs}}
                        for kind, arcs in ARCS.items()}
+
+
+def test_the_walk_tables_number_the_arc_table():
+    for kind, arc_at in _ARC_AT.items():
+        step, corners = _STEP[kind], _CORNERS[kind]
+        assert len(corners) == len(arc_at) // 2 < STRIDE, kind
+        assert [a for a, *_ in corners] == list(range(len(corners))), kind
+        # read back without its numbers, the step table is the arc table
+        assert {((s, k), c): ((fs, fk), fc)
+                for (s, k, c), (fs, fk, fc, _) in step.items()} == arc_at
+        # an arc's two corners and its listed corner carry its number
+        for (fs, fk, fc, a) in step.values():
+            assert step[fs, fk, fc][3] == a, kind
+        for a, s, k, c in corners:
+            assert step[s, k, c][3] == a, kind
+        # a sheet's shape does not depend on its colours
+        for colour in ("*", "a"):
+            gen = Gen(kind, (colour,) * GEN_ARITY[kind])
+            assert _SHAPE[kind] == (
+                CHI[kind], range(len(gen.source)),
+                tuple(enumerate(s.is_interval for s in gen.target))), kind
 
 
 def test_figure1():
@@ -188,6 +210,31 @@ def test_boundary_walk_matches_union_find_at_scale():
     _walk_matches_union_find(window_strip(600))
     _walk_matches_union_find(parse(closed_surface(200)))
     _walk_matches_union_find(parse(wide_text(300)))
+
+
+def _sparse_ids(g, rng):
+    """``g`` with its nodes added in a shuffled order under large, sparse
+    ids."""
+    ids = list(g.nodes)
+    rng.shuffle(ids)
+    new = {nid: 10**9 + 7919 * k for k, nid in enumerate(ids)}
+    h = PortGraph(g.source, g.target)
+    for nid in ids:
+        h.add_node(g.nodes[nid], nid=new[nid])
+    for prod, cons in g.wires():
+        h.wire(*(ep if len(ep) == 2 else (ep[0], new[ep[1]], ep[2])
+                 for ep in (prod, cons)))
+    return h
+
+
+def test_boundary_walk_matches_union_find_on_sparse_ids_and_the_strip():
+    rng = random.Random(31)
+    for n in (100, 400):
+        g = to_port_graph(parse(gen.ladder_walk(n, f"sparse/{n}").text()))
+        _walk_matches_union_find(_sparse_ids(g, rng))
+    for text in (closed_surface(50), wide_text(60)):
+        _walk_matches_union_find(_sparse_ids(to_port_graph(parse(text)), rng))
+    _walk_matches_union_find(parse(gen.strip(500).text()))
 
 
 def test_assemble_equals_the_union_find_reference():

@@ -31,8 +31,8 @@ from ocbord.tqft import (
     save_kfa,
 )
 
-from helpers import (axiom_terms_reference, component_count, mutate_algebra,
-                     join_reference, random_term, recolor,
+from helpers import (axiom_terms_reference, component_count, join_reference,
+                     kron, matmul, mutate_algebra, random_term, recolor,
                      scan_contraction_plan, window_strip)
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -50,21 +50,21 @@ def test_linear_map_basics():
     assert m.entry(1, 1) == Fraction(1, 3)
     assert m.to_rows() == [[1, 2], [0, Fraction(1, 3)]]
     i2 = LinearMap.identity(2)
-    assert i2 @ m == m == m @ i2
+    assert matmul(i2, m) == m == matmul(m, i2)
     with pytest.raises(ValueError):
         LinearMap(1, 1, {(1, 0): 1})
     with pytest.raises(ValueError):
-        i2 @ LinearMap.identity(3)
+        matmul(i2, LinearMap.identity(3))
 
 
 def test_linear_map_tensor_is_left_factor_major():
     a = LinearMap(1, 1, {(0, 0): 2})
     b = LinearMap(2, 2, {(0, 0): 1, (1, 1): 3})
-    ab = a.tensor(b)
+    ab = kron(a, b)
     assert ab.rows == 2 and ab.cols == 2
     assert ab.to_rows() == [[2, 0], [0, 6]]
     e01 = LinearMap(2, 1, {(1, 0): 1})
-    assert (e01.tensor(e01)).entry(3, 0) == 1
+    assert kron(e01, e01).entry(3, 0) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -78,8 +78,8 @@ def test_identity_and_cross_evaluate_to_permutations():
     swap = DiagramTerm((seg, Seg.O()), ((Cross(seg, Seg.O()),),))
     m = evaluate(swap, alg)
     assert m.rows == m.cols == 4
-    assert m @ evaluate(DiagramTerm((Seg.O(), seg),
-                                    ((Cross(Seg.O(), seg),),)), alg) \
+    assert matmul(m, evaluate(DiagramTerm((Seg.O(), seg),
+                                          ((Cross(Seg.O(), seg),),)), alg)) \
         == LinearMap.identity(4)
 
 
@@ -93,7 +93,8 @@ def test_functorial_in_slicing():
         cut = rng.randrange(1, len(t.slices))
         top = DiagramTerm(t.source, t.slices[:cut])
         bot = DiagramTerm(top.target, t.slices[cut:])
-        assert evaluate(t, alg) == evaluate(bot, alg) @ evaluate(top, alg)
+        assert evaluate(t, alg) == matmul(evaluate(bot, alg),
+                                          evaluate(top, alg))
 
 
 def test_monoidal_in_tensor():
@@ -103,7 +104,7 @@ def test_monoidal_in_tensor():
         a = random_term(rng, max_gens=6, max_width=3, connected=False)
         b = random_term(rng, max_gens=6, max_width=3, connected=False)
         assert evaluate(tensor(a, b), alg) \
-            == evaluate(a, alg).tensor(evaluate(b, alg))
+            == kron(evaluate(a, alg), evaluate(b, alg))
 
 
 def test_open_zigzag_is_identity():
@@ -257,10 +258,10 @@ def test_heap_plan_equals_the_scan():
         assert len(diag) == wires
         assert not {i for pair in plan for i in pair} & set(diag)
     c = LinearMap.identity(m2.dims["C"])
-    assert evaluate(bare[0], m2) == LinearMap.identity(4).tensor(c).tensor(
-        LinearMap.identity(4))
+    assert evaluate(bare[0], m2) == kron(kron(LinearMap.identity(4), c),
+                                         LinearMap.identity(4))
     assert evaluate(bare[1], m2) \
-        == LinearMap.identity(4).tensor(evaluate(delta, m2)).tensor(c)
+        == kron(kron(LinearMap.identity(4), evaluate(delta, m2)), c)
 
 
 def test_planner_prices_few_pairs_per_tensor(monkeypatch):
