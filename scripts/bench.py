@@ -30,6 +30,7 @@ Standard library only.
 """
 
 import argparse
+import atexit
 import json
 import math
 import os
@@ -145,7 +146,8 @@ def _cli_check(term):
     # one, on the term written out untimed
     import ocbord
     from ocbord.dsl import render
-    tmp = tempfile.TemporaryDirectory()     # kept alive by the call
+    tmp = tempfile.TemporaryDirectory()
+    atexit.register(tmp.cleanup)    # after the last call, not by the GC
     with open(os.path.join(tmp.name, "in.ocd"), "w", encoding="utf-8") as fh:
         fh.write(render(term))
     env = dict(os.environ, PYTHONPATH=os.path.dirname(

@@ -63,6 +63,8 @@ def _load_algebra(name):
     if os.path.exists(name):
         try:
             return load_kfa(name)
+        except OSError as e:
+            raise _UsageError(f"{name}: {e.strerror or e}") from None
         except OcbordError as e:
             raise _UsageError(str(e)) from None
     if os.sep in name or name.endswith(".kfa"):

@@ -20,20 +20,20 @@ Within a row the atoms bind left to right against the current boundary;
 an atom with empty source (``eta_A``, ``eta_C``) sits at the cursor
 position between its neighbours' wires.  Each distinct atom text is read
 and type-checked once per process, into a table that every ``parse`` call
-shares.  A text with no ``#`` and no ``;`` is read straight from its
-lines.  A row is split on ``|`` by ``str.split`` and each raw piece is
-looked up as it stands; a row found whole is assembled from the entries,
-and a row of one-slice atoms is joined straight into one slice.  A row
-with a piece not in the table goes through :func:`_read_row`: split
-bracket-aware, each atom stripped, each new atom read by
-:func:`_parse_atom`, and each raw piece stored as an alias of its atom's
-entry when the two splits agree.  The table is emptied at
-``ATOM_TABLE_CAP`` entries, aliases included.  Each entry keeps the
-colours its atom uses, and the ``colors`` header is checked against
-those.  Segments come from the shared table of :class:`Seg`, which
-evicts its least recently used entry at ``diagram.SEG_TABLE_CAP``, so a
-row's typing check compares identical objects.  A source span is built
-only for an error or for an atom seen for the first time.
+shares.  A text with no ``#`` and no ``;`` is read a line at a time,
+any other by :func:`_statements`.  A row is split on ``|`` by
+``str.split`` and each raw piece is looked up as it stands; a row found
+whole is assembled from the entries, and a row of one-slice atoms is
+joined straight into one slice.  A row with a piece not in the table
+goes through :func:`_read_row`: split bracket-aware, each atom stripped,
+each new atom read by :func:`_parse_atom`, and each raw piece stored as
+an alias of its atom's entry when the two splits agree.  The table is
+emptied at ``ATOM_TABLE_CAP`` entries, aliases included.  The ``colors``
+header is checked once, against the finished term's colours.  Segments
+come from the shared table of :class:`Seg`, which evicts its least
+recently used entry at ``diagram.SEG_TABLE_CAP``, so a row's typing
+check compares identical objects.  A source span is built only for an
+error or for an atom seen for the first time.
 
 >>> t = parse("source I,I ; mu_A ; Delta_A")
 >>> print(render(t), end="")
@@ -212,10 +212,10 @@ def _parse_atom(text: str, span: SourceSpan) -> DiagramTerm:
 
 
 # atom text -> (source, target, slices, identity slice on the target,
-# colours used, first slice, macro flag).  Only atoms that parsed are
-# stored, so an error always carries the span of the file being read.  A
-# raw row piece that strips to such an atom is stored too, as an alias of
-# its entry.  The table is emptied when it reaches the cap.
+# first slice, macro flag).  Only atoms that parsed are stored, so an
+# error always carries the span of the file being read.  A raw row piece
+# that strips to such an atom is stored too, as an alias of its entry.
+# The table is emptied when it reaches the cap.
 ATOM_TABLE_CAP = 4096
 _ATOMS: dict = {}
 
@@ -227,22 +227,20 @@ def _store(key: str, entry: tuple) -> None:
 
 
 def _statements(text: str):
-    """Yield (statement_text, line, col) with comments stripped."""
+    """Yield (statement, line, col) for each ``;`` piece of each line,
+    comments cut off, unstripped; ``col`` is its first character's."""
     for ln, line in enumerate(text.splitlines(), start=1):
         if "#" in line:
             line = line[:line.index("#")]
         col = 1
         for piece in line.split(";"):
-            stripped = piece.strip()
-            if stripped:
-                yield stripped, ln, col + len(piece) - len(piece.lstrip())
+            yield piece, ln, col
             col += len(piece) + 1
 
 
 def _span(filename: str, ln: int, col: int, stmt: str) -> SourceSpan:
-    """The span of a statement; ``col`` 0 means ``stmt`` is its whole
-    line, unstripped, and the column is read off the line's indent."""
-    return SourceSpan(filename, ln, col or 1 + len(stmt) - len(stmt.lstrip()))
+    """The span of an unstripped statement that starts at column ``col``."""
+    return SourceSpan(filename, ln, col + len(stmt) - len(stmt.lstrip()))
 
 
 def _read_row(stmt: str, filename: str, ln: int, col: int) -> list:
@@ -260,8 +258,8 @@ def _read_row(stmt: str, filename: str, ln: int, col: int) -> list:
         if e is None:
             t = _parse_atom(a, _span(filename, ln, col, stmt))
             tgt = t.validate()
-            e = (t.source, tgt, t.slices, _id_slice(tgt),
-                 frozenset(_used_colors(t)), t.slices[0], len(t.slices) > 1)
+            e = (t.source, tgt, t.slices, _id_slice(tgt), t.slices[0],
+                 len(t.slices) > 1)
             _store(a, e)
         row.append(e)
     pieces = stmt.split("|")
@@ -274,16 +272,14 @@ def _read_row(stmt: str, filename: str, ln: int, col: int) -> list:
 
 def parse(text: str, filename: str = "<string>") -> DiagramTerm:
     """Parse ``.ocd`` text into a validated :class:`DiagramTerm`."""
-    palette = None
-    source = None
+    palette = source = None
     cur = None          # the boundary below the rows read so far, a list
     slices = []
-    used = set()        # colours of the rows, kept once a header asks
     get = _ATOMS.get
     if "#" in text or ";" in text:
         stmts = _statements(text)
-    else:               # a statement per line, its column found on demand
-        stmts = zip(text.splitlines(), count(1), repeat(0))
+    else:               # a statement per line
+        stmts = zip(text.splitlines(), count(1), repeat(1))
     for stmt, ln, col in stmts:
         row = list(map(get, stmt.split("|")))
         # a header, a blank line and a row with a piece not in the table
@@ -317,7 +313,7 @@ def parse(text: str, filename: str = "<string>") -> DiagramTerm:
                                  _span(filename, ln, col, stmt))
             row = _read_row(stmt, filename, ln, col)
         src, nxt, one, deep = [], [], [], False
-        for s, t, _, _, _, first, macro in row:
+        for s, t, _, _, first, macro in row:
             src += s
             nxt += t
             one += first
@@ -336,17 +332,13 @@ def parse(text: str, filename: str = "<string>") -> DiagramTerm:
         except TypingError as e:
             raise TypeMismatch(str(e), _span(filename, ln, col, stmt)) \
                 from None
-        if palette is not None:
-            used.update(*[e[4] for e in row])
         cur = nxt
     if source is None:
         raise ParseError("no source line", SourceSpan(filename, 1, 1))
     term = DiagramTerm(source, tuple(slices))
     vars(term)["target"] = tuple(cur)   # the rows typed it: fill its cache
     if palette is not None:
-        used.update(c for s in source if s.is_interval
-                    for c in (s.left, s.right))
-        bad = used - set(palette) - {DEFAULT_COLOR}
+        bad = _used_colors(term) - set(palette) - {DEFAULT_COLOR}
         if bad:
             raise ParseError(
                 f"colour(s) {sorted(bad)} not declared in the colors header",

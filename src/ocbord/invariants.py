@@ -30,52 +30,38 @@ from .diagram import (DEFAULT_COLOR, GEN_ARITY, Gen, OcbordError,
 
 
 def _sheet(kind):
-    """``(euler, arc_at)`` of a generator's planar sheet, read off its
-    signature: a disc less one hole per circle port, the interval ports
-    all on one free-boundary circle.  Walking that circle passes the
-    interval inputs left to right (entered at L, left at R), then the
-    interval outputs right to left (entered at R, left at L); an arc joins
-    each port's leaving corner to the next port's entering corner,
-    cyclically, and ``arc_at`` maps each ``(port, corner)`` to its arc's
-    far corner."""
+    """``(step, corners, shape)``, a generator's walk tables, read off
+    its signature.  Its sheet is a disc less one hole per circle port, the
+    interval ports all on one free-boundary circle.  Walking that circle
+    passes the interval inputs left to right (entered at L, left at R),
+    then the interval outputs right to left (entered at R, left at L); its
+    step a is arc a, from a port's leaving corner to the next port's
+    entering corner.  ``step`` maps each corner ``(side, port, corner)``
+    to its arc's far corner and number, ``corners`` holds each arc's
+    ``(number, side, port, corner)``, and ``shape`` is the Euler
+    characteristic, the input numbers and the ``(output, is interval)``
+    pairs, for the component search."""
     gen = Gen(kind, (DEFAULT_COLOR,) * GEN_ARITY[kind])
-    ins = [("in", k) for k, s in enumerate(gen.source) if s.is_interval]
-    outs = [("out", k) for k, s in enumerate(gen.target) if s.is_interval]
-    walk = [(p, "L", "R") for p in ins] + [(p, "R", "L") for p in outs[::-1]]
-    arc_at = {}
-    for (p, _, out), (q, enter, _) in zip(walk, walk[1:] + walk[:1]):
-        arc_at[p, out], arc_at[q, enter] = (q, enter), (p, out)
+    ins = [("in", k, "L", "R") for k, s in enumerate(gen.source)
+           if s.is_interval]
+    outs = [("out", k, "R", "L") for k, s in enumerate(gen.target)
+            if s.is_interval]
+    walk, step, corners = ins + outs[::-1], {}, []
+    for a, ((side, k, _, out), (far, fk, enter, _)) in enumerate(
+            zip(walk, walk[1:] + walk[:1])):
+        step[side, k, out] = (far, fk, enter, a)
+        step[far, fk, enter] = (side, k, out, a)
+        corners.append((a, side, k, out))
     circles = len(gen.source) + len(gen.target) - len(walk)
-    return 2 - circles - bool(walk), arc_at
-
-
-# Each generator's Euler characteristic, and the far corner of each of
-# its corners' one arc.
-CHI, _ARC_AT = (dict(zip(GEN_ARITY, t)) for t in zip(*map(_sheet, GEN_ARITY)))
-
-
-def _tables(kind):
-    """``(step, corners, shape)``, the tables of a generator.  Its
-    arcs are numbered 0, 1, ...: ``step`` maps each corner arrived at,
-    ``(side, port, corner)``, to its arc's far ``(side, port, corner)``
-    and number, and ``corners`` holds one ``(number, side, port, corner)``
-    per arc.  ``shape``, for the component search, is the Euler term,
-    the input numbers and the ``(output, is interval)`` pairs."""
-    ends = sorted({tuple(sorted(arc)) for arc in _ARC_AT[kind].items()})
-    step = {}
-    for a, pair in enumerate(ends):
-        for ((side, k), c), ((far, fk), fc) in (pair, pair[::-1]):
-            step[side, k, c] = (far, fk, fc, a)
-    gen = Gen(kind, (DEFAULT_COLOR,) * GEN_ARITY[kind])
-    return step, tuple((a, *p, c) for a, ((p, c), _) in enumerate(ends)), (
-        CHI[kind], range(len(gen.source)),
+    return step, tuple(corners), (
+        2 - circles - bool(walk), range(len(gen.source)),
         tuple(enumerate(s.is_interval for s in gen.target)))
 
 
 # Arc a of node nid is walked as the number nid * STRIDE + a.
 STRIDE = 4
 _STEP, _CORNERS, _SHAPE = (dict(zip(GEN_ARITY, t))
-                           for t in zip(*map(_tables, GEN_ARITY)))
+                           for t in zip(*map(_sheet, GEN_ARITY)))
 
 
 class ComponentInvariants(NamedTuple):

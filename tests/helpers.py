@@ -17,7 +17,7 @@ from ocbord.diagram import (DEFAULT_COLOR, GEN_ARITY, Cross, DiagramTerm,
                             identity_term, tensor, to_port_graph)
 from ocbord.dsl import (_ATOM_RE, _NAME, ParseError, SourceSpan,
                         TypeMismatch, _colors, _parse_atom, _parse_seg,
-                        _statements, _used_colors, parse, parse_file)
+                        _used_colors, parse, parse_file)
 from ocbord.invariants import (ComponentInvariants, Invariants, _ports,
                                invariants, profile_key)
 from ocbord.rewrite import (Match, _kernel, _pattern, _reaches,
@@ -1041,6 +1041,21 @@ def _reference_atom(text: str, span: SourceSpan) -> DiagramTerm:
     return _parse_atom(text, span)
 
 
+def statements(text: str):
+    """The reference oracles' own statement reader: yield (statement,
+    line, col) for each non-blank ``;`` piece of each line, comments cut
+    off, stripped, with the column of its first non-blank character."""
+    for ln, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line[:line.index("#")]
+        col = 1
+        for piece in line.split(";"):
+            stripped = piece.strip()
+            if stripped:
+                yield stripped, ln, col + len(piece) - len(piece.lstrip())
+            col += len(piece) + 1
+
+
 def tensor_parse(text: str, filename: str = "<string>") -> DiagramTerm:
     """Reference for ``dsl.parse``: each row is the ``tensor`` of its
     atoms, every one parsed afresh and each macro expanded by
@@ -1049,7 +1064,7 @@ def tensor_parse(text: str, filename: str = "<string>") -> DiagramTerm:
     source = None
     cur = None
     slices = []
-    for stmt, ln, col in _statements(text):
+    for stmt, ln, col in statements(text):
         span = SourceSpan(filename, ln, col)
         head = stmt.split(None, 1)[0]
         rest = stmt[len(head):].strip()

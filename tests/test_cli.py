@@ -1,6 +1,7 @@
 """Command line behaviour: reports, exit codes, determinism."""
 
 import copy
+import errno
 import json
 import os
 import random
@@ -66,6 +67,18 @@ def test_eval_with_a_missing_algebra_file_exits_2(capsys):
     assert run(["eval", FIG, "--algebra", missing]) == 2
     assert (capsys.readouterr().err
             == f"error: {missing}: no such algebra file\n")
+
+
+def test_an_unreadable_algebra_file_is_named_and_exits_2(tmp_path, capsys):
+    # a directory exists but does not open as a file, as with a diagram
+    d = str(tmp_path)
+    for argv in (["axioms", d], ["eval", FIG, "--algebra", d]):
+        assert run(argv) == 2
+        assert capsys.readouterr().err \
+            == f"error: {d}: {os.strerror(errno.EISDIR)}\n"
+    assert run(["check", d]) == 2
+    assert f"error: {d}: {os.strerror(errno.EISDIR)}\n" \
+        == capsys.readouterr().err
 
 
 def test_check_type_error_exits_1(tmp_path, capsys):

@@ -1,10 +1,15 @@
-"""The examples in the package's docstrings run and hold."""
+"""The examples in the package's docstrings and in the README run and
+hold."""
 
 import doctest
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import ocbord
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_every_module_doctest_passes():
@@ -17,3 +22,17 @@ def test_every_module_doctest_passes():
         assert result.failed == 0, name
         attempted += result.attempted
     assert attempted >= 3
+
+
+def test_the_readme_python_example_prints_what_its_comments_say(
+        monkeypatch, capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    [block] = re.findall(r"```python\n(.*?)```", readme, re.S)
+    comments = [line.split("# ", 1)[1] for line in block.splitlines()
+                if line.startswith("print(")]
+    assert comments == ["(2 5 6)(3 4)", "True", "exact Fractions"]
+    monkeypatch.chdir(ROOT)     # the example reads corpus/ from here
+    exec(block, {})
+    assert capsys.readouterr().out.splitlines() == [
+        "(2 5 6)(3 4)", "True",
+        "[Fraction(1, 1), Fraction(0, 1), Fraction(0, 1), Fraction(0, 1)]"]

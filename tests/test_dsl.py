@@ -15,8 +15,8 @@ from ocbord.diagram import (DiagramTerm, Gen, Seg, TypingError, compose,
 from ocbord.dsl import ParseError, TypeMismatch, parse, parse_file, render
 from ocbord.invariants import invariants
 
-from helpers import (_scan_split, macro_reference, random_term, tensor_parse,
-                     wide_text, window_strip)
+from helpers import (_scan_split, macro_reference, random_term, statements,
+                     tensor_parse, wide_text, window_strip)
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -549,7 +549,7 @@ def test_a_batch_reads_each_distinct_atom_once(monkeypatch, capsys):
     assert len(paths) == 13
 
     def atoms(texts):
-        return {a for text in texts for stmt, _, _ in dsl._statements(text)
+        return {a for text in texts for stmt, _, _ in statements(text)
                 if stmt.split()[0] not in ("colors", "source")
                 for a in dsl._split_top(stmt, "|")}
 

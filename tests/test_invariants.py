@@ -9,8 +9,8 @@ from pathlib import Path
 from ocbord.diagram import (GEN_ARITY, Gen, PortGraph, Seg, as_graph,
                             identity_term, tensor, to_port_graph,
                             from_port_graph)
-from ocbord.invariants import (_ARC_AT, _CORNERS, _SHAPE, _STEP, CHI, STRIDE,
-                               _assemble, _free_boundary, _unordered,
+from ocbord.invariants import (_CORNERS, _SHAPE, _STEP, STRIDE, _assemble,
+                               _free_boundary, _unordered,
                                equivalent, invariants, profile_key)
 from ocbord.dsl import parse, parse_file
 from ocbord.normalform import normal_form
@@ -37,19 +37,21 @@ def _objects(inv):
 
 
 def test_sheets_read_off_the_signatures_match_the_drawn_ones():
-    assert CHI == DRAWN_CHI
-    assert _ARC_AT == {kind: {**dict(arcs), **{b: a for a, b in arcs}}
-                       for kind, arcs in ARCS.items()}
+    assert {kind: shape[0] for kind, shape in _SHAPE.items()} == DRAWN_CHI
+    # read back without its numbers, the step table is the drawn arc map
+    assert {kind: {((s, k), c): ((fs, fk), fc)
+                   for (s, k, c), (fs, fk, fc, _) in step.items()}
+            for kind, step in _STEP.items()} \
+        == {kind: {**dict(arcs), **{b: a for a, b in arcs}}
+            for kind, arcs in ARCS.items()}
 
 
 def test_the_walk_tables_number_the_arc_table():
-    for kind, arc_at in _ARC_AT.items():
+    for kind, arcs in ARCS.items():
         step, corners = _STEP[kind], _CORNERS[kind]
-        assert len(corners) == len(arc_at) // 2 < STRIDE, kind
+        assert len(corners) == len(arcs) < STRIDE, kind
+        assert len(step) == 2 * len(arcs), kind
         assert [a for a, *_ in corners] == list(range(len(corners))), kind
-        # read back without its numbers, the step table is the arc table
-        assert {((s, k), c): ((fs, fk), fc)
-                for (s, k, c), (fs, fk, fc, _) in step.items()} == arc_at
         # an arc's two corners and its listed corner carry its number
         for (fs, fk, fc, a) in step.values():
             assert step[fs, fk, fc][3] == a, kind
@@ -59,7 +61,7 @@ def test_the_walk_tables_number_the_arc_table():
         for colour in ("*", "a"):
             gen = Gen(kind, (colour,) * GEN_ARITY[kind])
             assert _SHAPE[kind] == (
-                CHI[kind], range(len(gen.source)),
+                DRAWN_CHI[kind], range(len(gen.source)),
                 tuple(enumerate(s.is_interval for s in gen.target))), kind
 
 
