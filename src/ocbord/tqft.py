@@ -27,7 +27,8 @@ import re
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, product
+from itertools import chain, permutations, product
+from math import prod
 from typing import NamedTuple
 
 from .diagram import (
@@ -40,6 +41,7 @@ from .diagram import (
     _Value,
     as_graph,
 )
+from .dsl import _NAME
 from .rewrite import rules
 
 EVAL_DIM_CAP = 4096
@@ -150,22 +152,13 @@ class KFA:
         return self.dims[key]
 
     def obj_dim(self, segs) -> int:
-        d = 1
-        for s in segs:
-            d *= self.seg_dim(s)
-        return d
+        return prod(map(self.seg_dim, segs))
 
     def gen_map(self, gen: Gen) -> LinearMap:
         key = (gen.kind, gen.colors)
         if key not in self.maps:
             raise OcbordError(f"algebra has no structure map for {gen}")
         return self.maps[key]
-
-    def required_maps(self):
-        """The ``(kind, colours)`` key of every map the colours need."""
-        for kind, n in GEN_ARITY.items():
-            for cols in product(self.colors, repeat=n):
-                yield kind, cols
 
     def _space_names(self):
         """``{save_kfa's name: key}`` of every space the colours need."""
@@ -191,7 +184,8 @@ class KFA:
                                 f"label(s), want {self.dims[key]}")
         if problems:
             return problems[:5]
-        for key in self.required_maps():
+        for key in ((kind, cols) for kind, n in GEN_ARITY.items()
+                    for cols in product(self.colors, repeat=n)):
             m, gen = self.maps.get(key), Gen(*key)
             want = (self.obj_dim(gen.target), self.obj_dim(gen.source))
             if m is None:
@@ -501,39 +495,37 @@ def check_axioms(alg: KFA) -> AxiomReport:
 # Builtin examples
 
 
+def _transpose(m: LinearMap, scale=None) -> LinearMap:
+    """The transpose of ``m``, its row ``r`` times ``scale[r]`` if given:
+    each builtin's dual map, read off the map it is dual to."""
+    out = LinearMap(m.cols, m.rows)
+    out.data = {(c, r): v if scale is None else v * scale[c]
+                for (r, c), v in m.data.items()}
+    return out
+
+
 def builtin_matrix_example(n: int) -> KFA:
     """The n-by-n rational matrix algebra with trace counit, C = Q.
 
-    The comultiplication is Delta(e_kl) = sum_j e_kj (x) e_jl, the zipper
-    sends 1 to the identity matrix and the cozipper is the trace.
+    The comultiplication Delta(e_kl) = sum_j e_kj (x) e_jl is the
+    product's transpose, the zipper sends 1 to the identity matrix and
+    the counit and cozipper are the trace, the unit's transpose.
     """
     if n < 1:
         raise OcbordError("matrix example needs n >= 1")
     a = DEFAULT_COLOR
     d = n * n
     labels = tuple(f"e{i + 1}{j + 1}" for i in range(n) for j in range(n))
-    mu = {}
-    delta = {}
-    for i in range(n):
-        for j in range(n):
-            for l in range(n):
-                mu[(i * n + l, (i * n + j) * d + (j * n + l))] = Fraction(1)
-                delta[((i * n + j) * d + (j * n + l), i * n + l)] = Fraction(1)
-    eta = LinearMap(d, 1, {(i * n + i, 0): Fraction(1) for i in range(n)})
-    eps = LinearMap(1, d, {(0, i * n + i): Fraction(1) for i in range(n)})
+    mu = LinearMap(d, d * d, {(i * n + l, (i * n + j) * d + (j * n + l)): 1
+                              for i, j, l in product(range(n), repeat=3)})
+    eta = LinearMap(d, 1, {(i * n + i, 0): 1 for i in range(n)})
+    eps = _transpose(eta)
     one = LinearMap.identity(1)
-    maps = {
-        ("mu_A", (a, a, a)): LinearMap(d, d * d, mu),
-        ("eta_A", (a,)): eta,
-        ("Delta_A", (a, a, a)): LinearMap(d * d, d, delta),
-        ("eps_A", (a,)): eps,
-        ("mu_C", ()): one,
-        ("eta_C", ()): one,
-        ("Delta_C", ()): one,
-        ("eps_C", ()): one,
-        ("zip", (a,)): eta,
-        ("cozip", (a,)): eps,
-    }
+    maps = {("mu_A", (a, a, a)): mu, ("eta_A", (a,)): eta,
+            ("Delta_A", (a, a, a)): _transpose(mu), ("eps_A", (a,)): eps,
+            **{(kind, ()): one for kind in ("mu_C", "eta_C", "Delta_C",
+                                            "eps_C")},
+            ("zip", (a,)): eta, ("cozip", (a,)): eps}
     return KFA(colors=(a,), dims={"C": 1, ("A", a, a): d},
                basis={"C": ("1",), ("A", a, a): labels},
                maps=maps, name=f"matrix{n}")
@@ -570,9 +562,8 @@ class Groupoid:
                         f"invalid groupoid data: {f},{g} not composable")
         self.identity = {}
         for x in self.objects:
-            loops = [f for f, (s, t) in ms.items() if s == t == x]
-            ids = [e for e in loops
-                   if all(self.comp[(e, g)] == g for g, (gs, gt) in ms.items()
+            ids = [e for e, (s, t) in ms.items() if s == t == x
+                   and all(self.comp[(e, g)] == g for g, (gs, gt) in ms.items()
                           if gt == x)
                    and all(self.comp[(f, e)] == f for f, (fs, ft) in ms.items()
                            if fs == x)]
@@ -610,16 +601,18 @@ def groupoid_algebra(gpd: Groupoid) -> KFA:
     """The knowledgeable Frobenius algebra of a finite groupoid.
 
     Colours are the objects; A_ab is spanned by Hom(b, a) with
-    composition as product and "coefficient of the identity" as counit;
-    the comultiplication is Delta(f) = sum_h (f h^-1) (x) h.  C is the
+    composition as product and "coefficient of the identity" as counit,
+    the unit's transpose; the comultiplication
+    Delta(f) = sum_h (f h^-1) (x) h is the product's transpose.  C is the
     direct sum over connected components of the centre of the vertex
     group algebra of G = Hom(base, base), spanned by class sums e_cls.
     Its counit is 1/|G| times the identity coefficient, so e_cls pairs
     only with the inverse class, to |cls|/|G|, and
     Delta_C(x) = sum_cls (|G|/|cls|) (x e_cls) (x) e_{cls^-1}.  Over an
-    object a with transport t_a: base -> a, the zipper sends e_cls to
-    sum_{h in cls} t_a h t_a^-1 and the cozipper sends f to
-    (|G|/|cls|) e_cls, cls the class of t_a^-1 f t_a.
+    object a, with t any morphism base -> a, the zipper sends e_cls to
+    sum_{h in cls} t h t^-1 and the cozipper is its transpose, row e_cls
+    scaled by |G|/|cls|.  Conjugating by an element of G fixes every
+    class, so neither depends on the choice of t.
     """
     objs = gpd.objects
     uf = UnionFind()
@@ -627,15 +620,16 @@ def groupoid_algebra(gpd: Groupoid) -> KFA:
         uf.union(s, t)
     comp_of = {x: uf.find(x) for x in objs}
 
-    # Per component: base object, vertex group, conjugacy classes and a
-    # transport morphism base -> x per member.  The classes, in component
-    # order, are the basis of C; ``c_of`` gives each group element's.
-    comp_data = {}
+    # Per component: base object and vertex group order.  The conjugacy
+    # classes, in component order, are the basis of C; ``c_of`` gives each
+    # group element's, and ``c_scale`` is |G|/|cls| for each.
+    base_of, order = {}, {}
     c_basis = []
     c_of = {}
     for k in sorted(set(comp_of.values())):
-        base = min(x for x in objs if comp_of[x] == k)
+        base = base_of[k] = min(x for x in objs if comp_of[x] == k)
         group = gpd.hom(base, base)
+        order[k] = len(group)
         left = set(group)
         while left:
             h = min(left)
@@ -645,183 +639,120 @@ def groupoid_algebra(gpd: Groupoid) -> KFA:
                 c_of[g] = len(c_basis)
             c_basis.append((k, cls))
             left -= set(cls)
-        tree = {base: gpd.identity[base]}
-        frontier = [base]
-        while frontier:
-            y = frontier.pop()
-            for f, (s, t) in gpd.morphisms.items():
-                if s == y and t not in tree and comp_of[t] == k:
-                    tree[t] = gpd.comp[(f, tree[y])]
-                    frontier.append(t)
-        comp_data[k] = (base, group, tree)
     c_dim = len(c_basis)
+    c_scale = [Fraction(order[k], len(cls)) for k, cls in c_basis]
 
-    dims = {"C": c_dim}
-    basis = {}
-    for a in objs:
-        for b in objs:
-            hom = gpd.hom(b, a)
-            dims[("A", a, b)] = len(hom)
-            basis[("A", a, b)] = tuple(hom)
+    dims, basis, idx = {"C": c_dim}, {}, {}
+    for a, b in product(objs, repeat=2):
+        basis[("A", a, b)] = hom = tuple(gpd.hom(b, a))
+        dims[("A", a, b)] = len(hom)
+        idx[(a, b)] = {f: i for i, f in enumerate(hom)}
     basis["C"] = tuple(f"Z[{k}:{cls[0]}]" for k, cls in c_basis)
 
-    idx = {}
-    for a in objs:
-        for b in objs:
-            idx[(a, b)] = {f: i for i, f in enumerate(basis[("A", a, b)])}
-
     maps = {}
+    for a, b, c in product(objs, repeat=3):
+        dbc = dims[("A", b, c)]
+        mu = LinearMap(dims[("A", a, c)], dims[("A", a, b)] * dbc, {
+            (idx[(a, c)][gpd.comp[(f, h)]], i * dbc + j): 1
+            for f, i in idx[(a, b)].items() for h, j in idx[(b, c)].items()})
+        maps[("mu_A", (a, b, c))] = mu
+        maps[("Delta_A", (a, b, c))] = _transpose(mu)
     for a in objs:
-        for b in objs:
-            for c in objs:
-                dab, dbc, dac = dims[("A", a, b)], dims[("A", b, c)], dims[("A", a, c)]
-                mu = {}
-                for f in basis[("A", a, b)]:
-                    for h in basis[("A", b, c)]:
-                        mu[(idx[(a, c)][gpd.comp[(f, h)]],
-                            idx[(a, b)][f] * dbc + idx[(b, c)][h])] = Fraction(1)
-                maps[("mu_A", (a, b, c))] = LinearMap(dac, dab * dbc, mu)
-                delta = {}
-                for f in basis[("A", a, c)]:
-                    for h in basis[("A", b, c)]:
-                        p = gpd.comp[(f, gpd.inverse[h])]
-                        delta[(idx[(a, b)][p] * dbc + idx[(b, c)][h],
-                               idx[(a, c)][f])] = Fraction(1)
-                maps[("Delta_A", (a, b, c))] = LinearMap(dab * dbc, dac, delta)
-    for a in objs:
-        daa = dims[("A", a, a)]
-        e = gpd.identity[a]
-        maps[("eta_A", (a,))] = LinearMap(
-            daa, 1, {(idx[(a, a)][e], 0): Fraction(1)})
-        maps[("eps_A", (a,))] = LinearMap(
-            1, daa, {(0, idx[(a, a)][e]): Fraction(1)})
+        eta = LinearMap(dims[("A", a, a)], 1,
+                        {(idx[(a, a)][gpd.identity[a]], 0): 1})
+        maps[("eta_A", (a,))] = eta
+        maps[("eps_A", (a,))] = _transpose(eta)
 
-    mu_c = {}
-    delta_c = {}
-    for i, (k1, cls1) in enumerate(c_basis):
-        order = len(comp_data[k1][1])
-        for j, (k2, cls2) in enumerate(c_basis):
-            if k1 != k2:
-                continue
-            acc = {}
-            for h1 in cls1:
-                for h2 in cls2:
-                    h = gpd.comp[(h1, h2)]
-                    acc[h] = acc.get(h, 0) + 1
-            dual = c_of[gpd.inverse[cls2[0]]]
-            for r, (_k, cls) in enumerate(c_basis):
-                coeff = acc.get(cls[0], 0)
-                assert all(acc.get(h, 0) == coeff for h in cls), \
-                    "class sum product must be central"
-                if coeff:
-                    mu_c[(r, i * c_dim + j)] = Fraction(coeff)
-                    delta_c[(r * c_dim + dual, i)] = Fraction(
-                        coeff * order, len(cls2))
+    # e_i e_j is 0 across components, else a sum of class sums, as the
+    # centre is closed; Delta_C(e_i) = sum_j (e_i e_j) (x) e_j's dual
+    mu_c, delta_c = {}, {}
+    for (i, (k1, cls1)), (j, (k2, cls2)) in product(enumerate(c_basis),
+                                                    repeat=2):
+        if k1 != k2:
+            continue
+        dual = c_of[gpd.inverse[cls2[0]]]
+        for h, n in Counter(gpd.comp[(h1, h2)]
+                            for h1 in cls1 for h2 in cls2).items():
+            mu_c[(c_of[h], i * c_dim + j)] = Fraction(n)
+            delta_c[(c_of[h] * c_dim + dual, i)] = n * c_scale[j]
     maps[("mu_C", ())] = LinearMap(c_dim, c_dim * c_dim, mu_c)
     maps[("Delta_C", ())] = LinearMap(c_dim * c_dim, c_dim, delta_c)
-    eta_c = {}
-    eps_c = {}
-    for base, group, _tree in comp_data.values():
-        one = c_of[gpd.identity[base]]
-        eta_c[(one, 0)] = Fraction(1)
-        eps_c[(0, one)] = Fraction(1, len(group))
-    maps[("eta_C", ())] = LinearMap(c_dim, 1, eta_c)
-    maps[("eps_C", ())] = LinearMap(1, c_dim, eps_c)
+    one = {k: c_of[gpd.identity[base]] for k, base in base_of.items()}
+    maps[("eta_C", ())] = LinearMap(c_dim, 1, {(e, 0): 1
+                                               for e in one.values()})
+    maps[("eps_C", ())] = LinearMap(1, c_dim, {
+        (0, e): Fraction(1, order[k]) for k, e in one.items()})
 
     for a in objs:
-        base, group, tree = comp_data[comp_of[a]]
-        t_a = tree[a]
-        t_inv = gpd.inverse[t_a]
-        daa = dims[("A", a, a)]
-        z = {}
-        cz = {}
-        for f, fi in idx[(a, a)].items():
-            # f = t_a h t_a^-1 for the vertex-group element h below
-            h = gpd.comp[(t_inv, gpd.comp[(f, t_a)])]
-            ci = c_of[h]
-            z[(fi, ci)] = Fraction(1)
-            cz[(ci, fi)] = Fraction(len(group), len(c_basis[ci][1]))
-        maps[("zip", (a,))] = LinearMap(daa, c_dim, z)
-        maps[("cozip", (a,))] = LinearMap(c_dim, daa, cz)
+        t = gpd.hom(base_of[comp_of[a]], a)[0]
+        z = LinearMap(dims[("A", a, a)], c_dim, {
+            (fi, c_of[gpd.comp[(gpd.inverse[t], gpd.comp[(f, t)])]]): 1
+            for f, fi in idx[(a, a)].items()})
+        maps[("zip", (a,))] = z
+        maps[("cozip", (a,))] = _transpose(z, c_scale)
 
     return KFA(colors=tuple(objs), dims=dims, basis=basis, maps=maps,
                name="groupoid")
 
 
-def _cyclic_group_groupoid(n: int, objects=("x",)) -> Groupoid:
-    """Groupoid with the given objects all isomorphic, vertex group Z/n."""
-    objs = tuple(objects)
-    morphisms = {}
-    comp = {}
-    for s in objs:
-        for t in objs:
-            for g in range(n):
-                morphisms[f"g{g}:{s}>{t}"] = (s, t)
-    for f, (fs, ft) in morphisms.items():
-        for h, (hs, ht) in morphisms.items():
-            if ht == fs:
-                gf = int(f[1:f.index(":")])
-                gh = int(h[1:h.index(":")])
-                comp[(f, h)] = f"g{(gf + gh) % n}:{hs}>{ft}"
-    return Groupoid(objs, morphisms, comp)
+def _group_groupoid(elements, mul, name, objects) -> Groupoid:
+    """The groupoid on ``objects``, all isomorphic, whose morphisms s -> t
+    are named ``name(g, s, t)``, one per group element g, composing as
+    ``mul`` multiplies the elements."""
+    ms = {(g, s, t): name(g, s, t)
+          for s in objects for t in objects for g in elements}
+    comp = {(ms[f], ms[h]): ms[(mul(f[0], h[0]), h[1], f[2])]
+            for f in ms for h in ms if h[2] == f[1]}
+    return Groupoid(objects, {n: k[1:] for k, n in ms.items()}, comp)
 
 
-def _s3_groupoid() -> Groupoid:
-    perms = [(0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1), (2, 1, 0), (1, 0, 2)]
-    name = {p: f"p{''.join(map(str, p))}" for p in perms}
-    morphisms = {name[p]: ("x", "x") for p in perms}
-    comp = {}
-    for p in perms:
-        for q in perms:
-            pq = tuple(p[q[i]] for i in range(3))
-            comp[(name[p], name[q])] = name[pq]
-    return Groupoid(("x",), morphisms, comp)
+def _cyclic(n: int, objects) -> Groupoid:
+    """Z/n on ``objects``; ``g{k}:{s}>{t}`` is the element k as s -> t."""
+    return _group_groupoid(range(n), lambda g, h: (g + h) % n,
+                           lambda g, s, t: f"g{g}:{s}>{t}", objects)
+
+
+def _two_comps() -> Groupoid:
+    za, zb = _cyclic(2, ("a",)), _cyclic(1, ("b",))
+    return Groupoid(("a", "b"), {**za.morphisms, **zb.morphisms},
+                    {**za.comp, **zb.comp})
+
+
+# The builtin groupoids, each built when first asked for.
+_GROUPOIDS = {
+    "trivial_pair": lambda: _cyclic(1, ("a", "b")),
+    "z2": lambda: _cyclic(2, ("a",)),
+    "pair_z2": lambda: _cyclic(2, ("a", "b")),
+    "s3": lambda: _group_groupoid(
+        list(permutations(range(3))), lambda p, q: tuple(p[i] for i in q),
+        lambda p, s, t: "p" + "".join(map(str, p)), ("x",)),
+    "two_comps": _two_comps,
+}
 
 
 def builtin_groupoid_example(which: str = "pair_z2") -> KFA:
-    """Builtin groupoid algebras: ``trivial_pair``, ``z2``, ``pair_z2``,
-    ``s3``, ``two_comps``."""
-    if which == "trivial_pair":
-        g = _cyclic_group_groupoid(1, ("a", "b"))
-    elif which == "z2":
-        g = _cyclic_group_groupoid(2, ("a",))
-    elif which == "pair_z2":
-        g = _cyclic_group_groupoid(2, ("a", "b"))
-    elif which == "s3":
-        g = _s3_groupoid()
-    elif which == "two_comps":
-        ga = _cyclic_group_groupoid(2, ("a",))
-        gb = _cyclic_group_groupoid(1, ("b",))
-        morphisms = dict(ga.morphisms)
-        morphisms.update(gb.morphisms)
-        comp = dict(ga.comp)
-        comp.update(gb.comp)
-        g = Groupoid(("a", "b"), morphisms, comp)
-    else:
+    """The algebra of the builtin groupoid ``which``: ``trivial_pair``,
+    ``z2``, ``pair_z2``, ``s3`` or ``two_comps``."""
+    if which not in _GROUPOIDS:
         raise OcbordError(f"unknown groupoid example {which!r}")
-    alg = groupoid_algebra(g)
+    alg = groupoid_algebra(_GROUPOIDS[which]())
     alg.name = f"groupoid-{which}"
     return alg
 
 
 BUILTIN_ALGEBRAS = ("matrix1", "matrix2", "matrix3",
-                    "groupoid-trivial_pair", "groupoid-z2",
-                    "groupoid-pair_z2", "groupoid-s3", "groupoid-two_comps")
+                    *(f"groupoid-{which}" for which in _GROUPOIDS))
 
 
 @lru_cache(maxsize=16)
 def builtin_algebra(name: str) -> KFA:
     """The builtin algebra called ``name`` (see :data:`BUILTIN_ALGEBRAS`;
-    ``matrixN`` for any N >= 1).  Built once per name and shared by every
-    caller in the process: treat it as read-only."""
-    if name.startswith("matrix"):
-        try:
-            n = int(name[len("matrix"):])
-        except ValueError:
-            raise OcbordError(f"unknown builtin algebra {name!r}") from None
-        if n < 1:
-            raise OcbordError(f"unknown builtin algebra {name!r}")
-        return builtin_matrix_example(n)
+    ``matrixN`` for N from 1 to 64, whose A has dimension N**2 up to
+    ``EVAL_DIM_CAP``).  Built once per name and shared by every caller in
+    the process: treat it as read-only."""
+    m = re.fullmatch(r"matrix([1-9][0-9]?)", name)
+    if m and int(m[1]) ** 2 <= EVAL_DIM_CAP:
+        return builtin_matrix_example(int(m[1]))
     if name.startswith("groupoid-"):
         return builtin_groupoid_example(name[len("groupoid-"):])
     raise OcbordError(f"unknown builtin algebra {name!r}")
@@ -898,12 +829,20 @@ def load_kfa(path) -> KFA:
             out[k] = v
         return out
 
-    def named(obj, table, problem, value):
+    def named(obj, key_of, problem, value):
         out = unique(((re.sub(r"\s*([\[\],])\s*", r"\1", k), v)
                       for k, v in obj.items()), repr)
-        if bad := out.keys() - table.keys():
+        keys = {name: key_of(name) for name in out}
+        if bad := [name for name, key in keys.items() if key is None]:
             raise OcbordError(f"{path}: " + problem.format(min(bad)))
-        return {table[name]: value(v) for name, v in out.items()}
+        return {keys[name]: value(v) for name, v in out.items()}
+
+    def map_key(name):      # read as kind[colours], the way _map_name writes
+        kind, _, cols = name.partition("[")
+        key = (kind, tuple(cols[:-1].split(",")) if cols else ())
+        if (GEN_ARITY.get(kind) == len(key[1]) and palette.issuperset(key[1])
+                and _map_name(key) == name):
+            return key
 
     def matrix(m):
         return LinearMap(whole(m["rows"]), whole(m["cols"]), unique(
@@ -918,14 +857,19 @@ def load_kfa(path) -> KFA:
             raise TypeError(f"name {title!r} is not a string")
         problems = _label_problems(colors, map(array, doc["basis"].values()))
         if not problems:    # every name is built from them
+            # "[", ",", "]" or a blank in a colour makes names ambiguous
+            for a in colors:
+                if a != DEFAULT_COLOR and not re.fullmatch(_NAME, a):
+                    raise ValueError(f"bad colour name {a!r}")
+            palette = set(colors)
             alg = KFA(colors=colors, dims={}, basis={}, maps={}, name=title)
             spaces = alg._space_names()
-            alg.dims = named(doc["dims"], spaces, "bad space name {!r}", dim)
-            alg.basis = named(doc["basis"], spaces,
+            alg.dims = named(doc["dims"], spaces.get, "bad space name {!r}",
+                             dim)
+            alg.basis = named(doc["basis"], spaces.get,
                               "basis for undeclared space {}", array)
             if len(alg.dims) == len(spaces):  # k**3 maps wait for k*k spaces
-                maps = {_map_name(k): k for k in alg.required_maps()}
-                alg.maps = named(doc["maps"], maps, "bad map name {!r}",
+                alg.maps = named(doc["maps"], map_key, "bad map name {!r}",
                                  matrix)
     except (KeyError, ValueError, TypeError, AttributeError,
             ZeroDivisionError) as e:

@@ -34,6 +34,24 @@ def _ocd(tmp_path, name, text):
     return str(p)
 
 
+def _fresh_cli(*args, cap_mb=None, timeout=120):
+    """``python -m ocbord.cli *args`` in a fresh interpreter on this
+    package, its address space capped at ``cap_mb`` MB if given."""
+    import resource
+    src = str(Path(ocbord.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+    def cap_memory():
+        limit = cap_mb * 2 ** 20
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    return subprocess.run([sys.executable, "-m", "ocbord.cli", *args],
+                          capture_output=True, text=True, env=env,
+                          preexec_fn=cap_memory if cap_mb else None,
+                          timeout=timeout)
+
+
 def test_check_ok(capsys):
     assert run(["check", FIG]) == 0
     out = capsys.readouterr().out
@@ -194,6 +212,20 @@ def test_eval_kfa_file_and_unknown_algebra(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_eval_with_an_oversized_matrix_algebra_exits_2_at_once():
+    # matrixN is built with N**3 entries; past N = 64 it is refused by
+    # name, before any is allocated
+    import time
+    t0 = time.perf_counter()
+    proc = _fresh_cli("eval", "--algebra", "matrix1000",
+                      str(CORPUS / "sphere.ocd"), cap_mb=1500, timeout=60)
+    assert time.perf_counter() - t0 < 1
+    assert proc.returncode == 2 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "'matrix1000' is neither an algebra file" in lines[0]
+
+
 def test_eval_colour_mismatch_exits_1(tmp_path, capsys):
     src = _ocd(tmp_path, "c.ocd", "colors a\nsource I[a,a]\nid:I[a,a]\n")
     assert run(["eval", src, "--algebra", "matrix2"]) == 1
@@ -260,11 +292,7 @@ def test_jobs_keeps_input_order(tmp_path, capsys):
 def test_invariants_on_a_deep_strip(tmp_path):
     path = _ocd(tmp_path, "strip.ocd", "source I\n" + "window_o\n" * 600)
     assert parse_file(path) == window_strip(600)
-    src = str(Path(ocbord.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run([sys.executable, "-m", "ocbord.cli", "invariants",
-                           path], capture_output=True, text=True, env=env)
+    proc = _fresh_cli("invariants", path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert "windows = 600" in proc.stdout
@@ -292,19 +320,8 @@ def test_normalize_refuses_a_layout_past_the_cap(tmp_path):
     # 200 genus-one circles side by side: the normal form would lay out
     # about 19 million factors; under a 1.5 GB address space that ended in
     # a MemoryError traceback
-    import resource
     path = _ocd(tmp_path, "wide.ocd", wide_text(200))
-    src = str(Path(ocbord.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    limit = 1500 * 2 ** 20
-
-    def cap_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
-    proc = subprocess.run([sys.executable, "-m", "ocbord.cli", "normalize",
-                           path], capture_output=True, text=True, env=env,
-                          preexec_fn=cap_memory, timeout=120)
+    proc = _fresh_cli("normalize", path, cap_mb=1500)
     assert proc.returncode == 1
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
@@ -427,6 +444,9 @@ def test_numbers_past_the_digit_limit_print_in_full(tmp_path, capsys):
      "'A[*,*]' given twice"),
     (lambda doc: {**doc, "maps": {**doc["maps"], "eps_C": {
         **doc["maps"]["eps_C"], "entries": ""}}}, "'' is not an array"),
+    # every name of this colour reads two ways: mu_A[a,b,a,b,a,b]
+    (lambda doc: json.loads(json.dumps(doc).replace("*", "a,b")),
+     "malformed algebra file: bad colour name 'a,b'"),
 ], ids=["not-an-object", "dims-not-an-object", "negative-dimension",
         "zero-denominator", "no-space-C", "mu_C-misshapen", "bad-space-name",
         "no-space-A", "one-label", "undeclared-basis", "inf-dimension",
@@ -435,7 +455,7 @@ def test_numbers_past_the_digit_limit_print_in_full(tmp_path, capsys):
         "string-colours", "string-labels", "entry-twice", "bogus-map",
         "map-of-another-colour", "space-of-another-colour",
         "zero-past-the-rows", "zero-at-row-minus-1", "colour-twice",
-        "space-named-twice", "string-entries"])
+        "space-named-twice", "string-entries", "comma-in-a-colour"])
 def test_axioms_on_a_malformed_kfa_exits_2(tmp_path, capsys, mangle, why):
     path = tmp_path / "bad.kfa"
     save_kfa(builtin_matrix_example(2), path)

@@ -1,9 +1,11 @@
 """Exact-rational evaluation and the algebra axiom checker."""
 
+import hashlib
 import json
 import random
 import sys
 from fractions import Fraction
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -373,6 +375,42 @@ def test_custom_groupoid_round_trip():
     assert alg.dims[("A", "x", "y")] == 1
 
 
+def _s3_pair():
+    """S3 on objects x and y; a morphism's name spells its permutation
+    backwards, so hom(x, y) starts with (2, 1, 0), not the identity."""
+    return tqft._group_groupoid(
+        list(permutations(range(3))), lambda p, q: tuple(p[i] for i in q),
+        lambda p, s, t: f"{s}{t}{''.join(map(str, p[::-1]))}", ("x", "y"))
+
+
+def test_two_object_s3_passes_the_axioms():
+    gpd = _s3_pair()
+    assert gpd.hom("x", "y")[0] == "xy012" != gpd.comp[("xy210", "xx210")]
+    rep = check_axioms(groupoid_algebra(gpd))
+    assert rep.ok and rep.checked == 108
+
+
+def test_zipper_is_the_same_under_every_transport():
+    # zip[y] sends e_cls to the sum of t h t^-1 over h in cls for each of
+    # the six t: x -> y, and cozip[y] is its transpose, row e_cls scaled
+    # by |G|/|cls|
+    gpd = _s3_pair()
+    comp, inv, group = gpd.comp, gpd.inverse, gpd.hom("x", "x")
+    alg = groupoid_algebra(gpd)
+    z, cz = alg.maps[("zip", ("y",))], alg.maps[("cozip", ("y",))]
+    homs = alg.basis[("A", "y", "y")]
+    assert (cz.rows, cz.cols) == (z.cols, z.rows) == (3, 6)
+    for ci, label in enumerate(alg.basis["C"]):
+        h0 = label[:-1].split(":")[1]
+        cls = {comp[(comp[(g, h0)], inv[g])] for g in group}
+        for t in gpd.hom("x", "y"):
+            image = {comp[(comp[(t, h)], inv[t])] for h in cls}
+            assert z.col(ci) == tuple(Fraction(f in image) for f in homs)
+        for fi in range(len(homs)):
+            assert cz.entry(ci, fi) == z.entry(fi, ci) * Fraction(
+                len(group), len(cls))
+
+
 def test_invalid_groupoid_rejected():
     with pytest.raises(OcbordError):
         Groupoid(("x",), {"e": ("x", "x"), "f": ("x", "x")},
@@ -444,6 +482,54 @@ def test_shipped_algebra_files_are_the_builtins(tmp_path):
         assert p.read_bytes() == (ROOT / "algebras" / f"{file}.kfa").read_bytes()
 
 
+# The bytes save_kfa writes for each builtin and for matrix5.
+SAVED_SHA256 = {
+    "matrix1":
+        "67a9b50de97db12748222973d48e75871e908cd56d480ae9bb15ffbb7c3e3920",
+    "matrix2":
+        "8d94797673199f07bb0454ac957fbe4a444bed5082b7fea36b880a1e9fde6891",
+    "matrix3":
+        "bd72030febb6fa751a315551d68c8d2319c56bebbf47d84c00cbc2eb19e0c6a3",
+    "groupoid-trivial_pair":
+        "1f1ebea1f80db6cc9ff2358fe508c7e016191019e147f41f9934e08246333a85",
+    "groupoid-z2":
+        "8df511d08f9b679bc459dd7a3e3f7d0ed02d7b8a4d4d765a25df53751e28b9e8",
+    "groupoid-pair_z2":
+        "959183ec3d492d1318b43ce4c6b85adbad1dbd937f46b195f81e64cf6fd4ff10",
+    "groupoid-s3":
+        "d9409edfd172b4e605e3f5d29cc42081576dcc90cf14aa5ea860a05d41227dff",
+    "groupoid-two_comps":
+        "e66e6c0c6e2fcd668403063412cfded445e200d69c181e8416d97d0f7e8625c3",
+    "matrix5":
+        "9e95bdab1db8d87977e2a664a8277cba5eac7c8cd5f8fd1821d1000ed2658b9c",
+}
+
+
+def test_saved_builtins_match_their_pinned_digests(tmp_path):
+    assert list(SAVED_SHA256) == [*BUILTIN_ALGEBRAS, "matrix5"]
+    for name, want in SAVED_SHA256.items():
+        p = tmp_path / f"{name}.kfa"
+        save_kfa(builtin_algebra(name), p)
+        assert hashlib.sha256(p.read_bytes()).hexdigest() == want, name
+
+
+@pytest.mark.parametrize("name", [
+    "mu_A[*,*]", "mu_C[]", "mu_A[*,*,*]]", "mu_A[*,*,*", "nu_A[*,*,*]",
+    "mu_A[*,*,q]", "mu_A", "[*]", "mu_A[*,,*]"])
+def test_kfa_map_names_are_read_as_kind_and_colours(tmp_path, name):
+    p = tmp_path / "m1.kfa"
+    save_kfa(builtin_matrix_example(1), p)
+    doc = json.loads(p.read_text(encoding="utf-8"))
+    doc["maps"]["mu_A [ * , *,* ] "] = doc["maps"].pop("mu_A[*,*,*]")
+    p.write_text(json.dumps(doc), encoding="utf-8")
+    assert load_kfa(p) == builtin_matrix_example(1)
+    doc["maps"][name] = doc["maps"]["mu_C"]
+    p.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(OcbordError) as e:
+        load_kfa(p)
+    assert str(e.value) == f"{p}: bad map name {name!r}"
+
+
 def test_kfa_load_errors(tmp_path):
     p = tmp_path / "bad.kfa"
     p.write_text("not json at all {", encoding="utf-8")
@@ -471,13 +557,18 @@ def test_kfa_with_many_colours_and_no_maps_is_refused_cheaply(
         "format": "kfa", "colors": cols, "basis": {}, "maps": {},
         "dims": {"C": 1, **{f"A[{a},{b}]": 1 for a in cols for b in cols}},
     }), encoding="utf-8")
-    built = []
+    built, named = [], []
     monkeypatch.setattr(tqft, "Gen", lambda *a: built.append(a) or Gen(*a))
+    map_name = tqft._map_name
+    monkeypatch.setattr(tqft, "_map_name",
+                        lambda k: named.append(k) or map_name(k))
     with pytest.raises(OcbordError) as e:
         load_kfa(p)
     assert str(e.value) == f"{p}: " + "; ".join(
         f"missing map mu_A[c0,c0,c{i}]" for i in range(5))
     assert len(built) == 5
+    # each map name of the file is read, none of the 432244 it might hold
+    assert named == []
 
 
 def test_unknown_builtin_rejected():
@@ -490,6 +581,23 @@ def test_unknown_builtin_rejected():
         builtin_matrix_example(0)
     with pytest.raises(OcbordError, match="^unknown groupoid example 'nope'$"):
         builtin_groupoid_example("nope")
+
+
+@pytest.mark.parametrize("name", [
+    "matrix65", "matrix1000", "matrix" + "9" * 5000, "matrix1_0",
+    "matrix 2", "matrix+2", "matrix02", "matrix\u0662", "matrix2\n",
+    "matrix-1"])
+def test_matrix_names_are_read_strictly(name):
+    with pytest.raises(OcbordError) as e:
+        builtin_algebra(name)
+    assert str(e.value) == f"unknown builtin algebra {name!r}"
+
+
+def test_matrix_names_run_from_1_to_64(monkeypatch):
+    # N**2 up to EVAL_DIM_CAP; the stand-in builds nothing
+    monkeypatch.setattr(tqft, "builtin_matrix_example", lambda n: n)
+    names = ("matrix1", "matrix9", "matrix10", "matrix64")
+    assert [builtin_algebra.__wrapped__(n) for n in names] == [1, 9, 10, 64]
 
 
 def test_builtin_algebras_are_built_once():
