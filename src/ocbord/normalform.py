@@ -4,10 +4,12 @@ Every diagram is equivalent to a canonical one assembled from standard
 blocks, and the blocks are read off the invariants alone.  The
 construction works on a wrapped copy of the diagram in which all
 interval boundary sits on the source and all circle boundary on the
-target: each target interval is bent down with an open pairing
-(multiply, then counit) and each source circle is bent up with a closed
-copairing (unit, then comultiply).  For a wrapped connected component
-the normal form is
+target.  Wrapping bends the boundary along one port map: each target
+interval is bent down with an open pairing (multiply, then counit) and
+each source circle is bent up with a closed copairing (unit, then
+comultiply).  By the zigzag identities, unwrapping is the bend along the
+inverse map, which uses the dual (co)pairings.  For a wrapped connected
+component the normal form is
 
     splits . handles . windows . merges . (one block per sigma-cycle)
 
@@ -16,10 +18,12 @@ closes it with a cozipper, the merges fold the block circles into a
 single line with closed multiplications (a cap when there are none),
 each window is a zipper followed by a cozipper, each handle a closed
 comultiplication followed by a multiplication, and the splits fan the
-line out to the target circles (a cup when there are none).  Undoing
-the wrapping with the dual (co)pairings yields the normal form of the
+line out to the target circles (a cup when there are none).  Each
+generator is placed by one helper that feeds its inputs from the
+producers it is given.  Unwrapping yields the normal form of the
 original diagram; :func:`wrap` and :func:`wrap_graph` return the wrapped
-diagram plus the original ``(source, target)``, all that undoing needs.
+diagram plus the original ``(source, target)``, all that unwrapping
+needs.
 
 Conventions fixed here: blocks are ordered by their smallest port, a
 block multiplies its cycle as m, s^(q-1)(m), ..., s(m) starting from the
@@ -42,84 +46,73 @@ from .diagram import (
 from .invariants import ComponentInvariants, Invariants, _unordered
 
 
-def _wrapped_boundary(source, target) -> tuple:
-    """The ``(source, target)`` of the wrapped diagram.
+def _port_map(source, target) -> dict:
+    """``{original port: wrapped port}`` for a diagram from ``source`` to
+    ``target``.  The wrapped source ports are the target intervals, then
+    the source intervals; the wrapped target ports are the target
+    circles, then the source circles; each group keeps its order."""
+    port = {}
+    for to, interval in (("src", True), ("tgt", False)):
+        group = [(side, i) for side, segs in (("tgt", target), ("src", source))
+                 for i, s in enumerate(segs) if s.is_interval == interval]
+        port.update((p, (to, k)) for k, p in enumerate(group))
+    return port
 
-    The wrapped source is the bent target intervals (orientation
-    reversed) followed by the kept source intervals; the wrapped target
-    is the kept target circles followed by the bent source circles.
-    """
-    return (tuple(Seg.I(s.right, s.left) for s in target if s.is_interval)
-            + tuple(s for s in source if s.is_interval),
-            tuple(s for s in target if not s.is_interval)
-            + tuple(Seg.O() for s in source if not s.is_interval))
 
-
-def _positions(segs, interval: bool) -> list:
-    return [i for i, s in enumerate(segs) if s.is_interval == interval]
+def _bend(g: PortGraph, port: dict) -> PortGraph:
+    """Move each boundary port p of ``g`` to ``port[p]``, keeping node
+    ids; the new boundary is read off the map.  A target port moved to
+    the source is closed by the pairing: for I[a,b], mu_A[b,a,b] fed by
+    the new port I[b,a] and the old producer, then eps_A[b]; for O, mu_C
+    then eps_C.  A source port moved to the target is opened by the
+    copairing: for I[a,b], eta_A[a] into Delta_A[a,b,a], whose output 0
+    feeds the old consumer and output 1 the new port I[b,a]; for O, eta_C
+    then Delta_C."""
+    h, segs, end = PortGraph(), {}, {}
+    for nid, gen in g.nodes.items():
+        h.add_node(gen, nid)
+    for p, q in port.items():
+        seg = (g.source if p[0] == "src" else g.target)[p[1]]
+        if p[0] == q[0]:
+            segs[q], end[p] = seg, q
+            continue
+        a, b = seg.left, seg.right
+        segs[q] = Seg.I(b, a) if seg.is_interval else seg
+        if seg.is_interval:
+            x, cols = "A", (b, a, b) if q[0] == "src" else (a, b, a)
+        else:
+            x, cols = "C", ()
+        if q[0] == "src":
+            (out,) = _put(h, Gen("mu_" + x, cols), q)
+            _put(h, Gen("eps_" + x, cols[:1]), out)
+            end[p] = ("in", out[1], 1)
+        else:
+            end[p], out = _put(h, Gen("Delta_" + x, cols),
+                               *_put(h, Gen("eta_" + x, cols[:1])))
+            h.wire(out, q)
+    h.source, h.target = (tuple(s for (side, _), s in sorted(segs.items())
+                                if side == to) for to in ("src", "tgt"))
+    for p, c in g.wires():
+        h.wire(end.get(p, p), end.get(c, c))
+    return h
 
 
 def wrap_graph(g: PortGraph):
     """Bend target intervals into source ports and source circles into
     target ports; returns the wrapped graph and the original boundary
     ``(source, target)``, which is all :func:`unwrap_graph` needs."""
-    source, target = g.source, g.target
-    h = PortGraph(*_wrapped_boundary(source, target))
-    for nid, gen in g.nodes.items():
-        h.add_node(gen, nid)
-    bent = _positions(target, True)
-    kept = _positions(target, False)
-    prod = {("src", i): ("src", len(bent) + k)
-            for k, i in enumerate(_positions(source, True))}
-    cons = {("tgt", j): ("tgt", k) for k, j in enumerate(kept)}
-    for k, j in enumerate(bent):
-        a, b = target[j].left, target[j].right
-        mu = h.add_node(Gen("mu_A", (b, a, b)))
-        ep = h.add_node(Gen("eps_A", (b,)))
-        h.wire(("src", k), ("in", mu, 0))
-        h.wire(("out", mu, 0), ("in", ep, 0))
-        cons["tgt", j] = ("in", mu, 1)
-    for k, i in enumerate(_positions(source, False)):
-        et = h.add_node(Gen("eta_C"))
-        de = h.add_node(Gen("Delta_C"))
-        h.wire(("out", et, 0), ("in", de, 0))
-        h.wire(("out", de, 1), ("tgt", len(kept) + k))
-        prod["src", i] = ("out", de, 0)
-    for p, c in g.wires():
-        h.wire(prod.get(p, p), cons.get(c, c))
-    return h, (source, target)
+    return _bend(g, _port_map(g.source, g.target)), (g.source, g.target)
 
 
 def unwrap_graph(h: PortGraph, boundary) -> PortGraph:
     """Undo :func:`wrap_graph` with the dual (co)pairings, given the
     original ``(source, target)`` that it returned."""
-    source, target = boundary
-    if (h.source, h.target) != _wrapped_boundary(source, target):
+    port = _port_map(*boundary)
+    # the boundary that wrapping gives: bend one with no nodes
+    bare = _bend(PortGraph(*boundary), port)
+    if (h.source, h.target) != (bare.source, bare.target):
         raise OcbordError("wrap data does not match the diagram boundary")
-    g = PortGraph(source, target)
-    for nid, gen in h.nodes.items():
-        g.add_node(gen, nid)
-    bent = _positions(target, True)
-    kept = _positions(target, False)
-    prod = {("src", len(bent) + k): ("src", i)
-            for k, i in enumerate(_positions(source, True))}
-    cons = {("tgt", k): ("tgt", j) for k, j in enumerate(kept)}
-    for k, j in enumerate(bent):
-        a, b = target[j].left, target[j].right
-        et = g.add_node(Gen("eta_A", (b,)))
-        de = g.add_node(Gen("Delta_A", (b, a, b)))
-        g.wire(("out", et, 0), ("in", de, 0))
-        g.wire(("out", de, 1), ("tgt", j))
-        prod["src", k] = ("out", de, 0)
-    for k, i in enumerate(_positions(source, False)):
-        mu = g.add_node(Gen("mu_C"))
-        ep = g.add_node(Gen("eps_C"))
-        g.wire(("src", i), ("in", mu, 0))
-        g.wire(("out", mu, 0), ("in", ep, 0))
-        cons["tgt", len(kept) + k] = ("in", mu, 1)
-    for p, c in h.wires():
-        g.wire(prod.get(p, p), cons.get(c, c))
-    return g
+    return _bend(h, {q: p for p, q in port.items()})
 
 
 def wrap(t: DiagramTerm):
@@ -140,6 +133,15 @@ def _leaf_order(cyc):
     return (cyc[0],) + tuple(reversed(cyc[1:]))
 
 
+def _put(h: PortGraph, gen: Gen, *ins) -> list:
+    """Add ``gen`` to ``h`` fed by the producers ``ins`` in port order;
+    returns its outputs (no generator has more than two)."""
+    nid = h.add_node(gen)
+    for k, p in enumerate(ins):
+        h.wire(p, ("in", nid, k))
+    return [("out", nid, 0), ("out", nid, 1)][:len(gen.target)]
+
+
 def _build_component(h: PortGraph, source, c: ComponentInvariants) -> None:
     """Emit one component's normal-form blocks into ``h``.
 
@@ -149,58 +151,33 @@ def _build_component(h: PortGraph, source, c: ComponentInvariants) -> None:
     outs = []
     for cyc in sorted(c.cycles):
         leaves = _leaf_order(cyc)
-        cur = ("src", leaves[0] - 1)
-        cur_seg = source[leaves[0] - 1]
+        cur, seg = ("src", leaves[0] - 1), source[leaves[0] - 1]
         for leaf in leaves[1:]:
-            seg = source[leaf - 1]
-            if cur_seg.right != seg.left:
+            nxt = source[leaf - 1]
+            if seg.right != nxt.left:
                 raise OcbordError("normal form: cycle colours do not chain")
-            mu = h.add_node(Gen("mu_A", (cur_seg.left, cur_seg.right,
-                                         seg.right)))
-            h.wire(cur, ("in", mu, 0))
-            h.wire(("src", leaf - 1), ("in", mu, 1))
-            cur = ("out", mu, 0)
-            cur_seg = Seg.I(cur_seg.left, seg.right)
-        if cur_seg.left != cur_seg.right:
+            (cur,) = _put(h, Gen("mu_A", (seg.left, seg.right, nxt.right)),
+                          cur, ("src", leaf - 1))
+            seg = Seg.I(seg.left, nxt.right)
+        if seg.left != seg.right:
             raise OcbordError("normal form: cycle colours do not close up")
-        cz = h.add_node(Gen("cozip", (cur_seg.left,)))
-        h.wire(cur, ("in", cz, 0))
-        outs.append(("out", cz, 0))
-    if outs:
-        main = outs[0]
-        for o in outs[1:]:
-            mu = h.add_node(Gen("mu_C"))
-            h.wire(main, ("in", mu, 0))
-            h.wire(o, ("in", mu, 1))
-            main = ("out", mu, 0)
-    else:
-        main = ("out", h.add_node(Gen("eta_C")), 0)
+        outs += _put(h, Gen("cozip", (seg.left,)), cur)
+    (main,) = outs[:1] or _put(h, Gen("eta_C"))
+    for o in outs[1:]:
+        (main,) = _put(h, Gen("mu_C"), main, o)
     for colour in c.windows:
-        z = h.add_node(Gen("zip", (colour,)))
-        cz = h.add_node(Gen("cozip", (colour,)))
-        h.wire(main, ("in", z, 0))
-        h.wire(("out", z, 0), ("in", cz, 0))
-        main = ("out", cz, 0)
+        (main,) = _put(h, Gen("cozip", (colour,)),
+                       *_put(h, Gen("zip", (colour,)), main))
     for _ in range(c.genus):
-        de = h.add_node(Gen("Delta_C"))
-        mu = h.add_node(Gen("mu_C"))
-        h.wire(main, ("in", de, 0))
-        h.wire(("out", de, 0), ("in", mu, 0))
-        h.wire(("out", de, 1), ("in", mu, 1))
-        main = ("out", mu, 0)
-    tgts = sorted(c.tgt_positions)
+        (main,) = _put(h, Gen("mu_C"), *_put(h, Gen("Delta_C"), main))
+    tgts, ends = sorted(c.tgt_positions), []
     if not tgts:
-        h.wire(main, ("in", h.add_node(Gen("eps_C")), 0))
-    else:
-        side = []
-        for _ in range(len(tgts) - 1):
-            de = h.add_node(Gen("Delta_C"))
-            h.wire(main, ("in", de, 0))
-            main = ("out", de, 0)
-            side.append(("out", de, 1))
-        h.wire(main, ("tgt", tgts[0]))
-        for k, p in enumerate(reversed(side)):
-            h.wire(p, ("tgt", tgts[k + 1]))
+        _put(h, Gen("eps_C"), main)
+    for _ in tgts[1:]:
+        main, out = _put(h, Gen("Delta_C"), main)
+        ends.append(out)
+    for p, j in zip([main] + ends[::-1], tgts):
+        h.wire(p, ("tgt", j))
 
 
 def nf_wrapped_graph(inv: Invariants) -> PortGraph:

@@ -813,6 +813,107 @@ def union_find_free_boundary(g):
     return sigma, gamma, windows
 
 
+def read_normal_form(g):
+    """Read a wrapped normal form by its shape alone: one ``(cycles,
+    windows, genus, target positions)`` per component, by least source,
+    then least target position, the boundary-free ones last; ``None``
+    unless every component is ``splits . handles . windows . merges .
+    blocks`` exactly.
+
+    Each component is read upward from its bottom, an ``eps_C`` or its
+    target circles.  The split chain is a line of ``Delta_C``s, each
+    sending output 1 to a target; the deepest sends output 0 to one too,
+    and the targets ascend from there up the chain.  A handle is a
+    ``Delta_C`` whose outputs 0 and 1 feed inputs 0 and 1 of one
+    ``mu_C``.  A window is a ``zip`` into a ``cozip``; their colours
+    ascend from the merges down.  The merges are a ``mu_C`` chain whose
+    input 1 takes the next block, or a cap ``eta_C`` when there are no
+    blocks.  A block is a left comb of ``mu_A`` over source ports m,
+    s^(q-1)(m), .., s(m) closed by a ``cozip``: the sigma cycle (m, s(m),
+    ..), port j being source position j - 1.  Its first port m is its
+    least, and the blocks ascend by it along the merges.  Nothing here
+    reads ``ocbord.normalform``.
+    """
+    if not all(s.is_interval for s in g.source) \
+            or any(s.is_interval for s in g.target):
+        return None
+    nodes, feeds, fed = g.nodes, g.in_to_out, g.out_to_in
+
+    def kind(p, port=0):
+        return p[0] == "out" and p[2] == port and nodes[p[1]].kind
+
+    bottoms = [("tgt", j) for j in range(len(g.target))] + [
+        ("in", nid, 0) for nid, gen in nodes.items() if gen.kind == "eps_C"]
+    read, done, comps = [], set(), []
+    for bottom in bottoms:
+        if bottom in done:
+            continue
+        line, tgts = feeds[bottom], []
+        if bottom[0] == "tgt":
+            tgts.append(bottom[1])
+            while kind(line) == "Delta_C" \
+                    and fed["out", line[1], 1][0] == "tgt":
+                read.append(line[1])
+                tgts.append(fed["out", line[1], 1][1])
+                line = feeds["in", line[1], 0]
+            if tgts != sorted(tgts):
+                return None
+            done.update(("tgt", j) for j in tgts)
+        else:
+            read.append(bottom[1])
+        genus = 0
+        while kind(line) == "mu_C":
+            split = feeds["in", line[1], 0]
+            if kind(split) != "Delta_C" \
+                    or feeds["in", line[1], 1] != ("out", split[1], 1):
+                break
+            read += [line[1], split[1]]
+            genus += 1
+            line = feeds["in", split[1], 0]
+        windows = []
+        while kind(line) == "cozip" \
+                and kind(feeds["in", line[1], 0]) == "zip":
+            z = feeds["in", line[1], 0][1]
+            read += [line[1], z]
+            windows.insert(0, nodes[z].colors[0])
+            line = feeds["in", z, 0]
+        if windows != sorted(windows):
+            return None
+        blocks = []
+        if kind(line) == "eta_C":
+            read.append(line[1])
+        else:
+            while kind(line) == "mu_C":
+                read.append(line[1])
+                blocks.insert(0, feeds["in", line[1], 1])
+                line = feeds["in", line[1], 0]
+            blocks.insert(0, line)
+        cycles = []
+        for p in blocks:
+            if kind(p) != "cozip":
+                return None
+            read.append(p[1])
+            leaves, q = [], feeds["in", p[1], 0]
+            while kind(q) == "mu_A":
+                read.append(q[1])
+                leaves.insert(0, feeds["in", q[1], 1])
+                q = feeds["in", q[1], 0]
+            leaves.insert(0, q)
+            if any(leaf[0] != "src" for leaf in leaves):
+                return None
+            ports = [leaf[1] + 1 for leaf in leaves]
+            if ports[0] != min(ports):
+                return None
+            cycles.append((ports[0],) + tuple(reversed(ports[1:])))
+        if cycles != sorted(cycles):
+            return None
+        comps.append((tuple(cycles), tuple(windows), genus, tuple(tgts)))
+    if len(read) != len(nodes) or set(read) != set(nodes):
+        return None
+    return sorted(comps, key=lambda c: (0, c[0][0][0]) if c[0]
+                  else (1, c[3][0]) if c[3] else (2,))
+
+
 def matmul(a: LinearMap, b: LinearMap) -> LinearMap:
     """``a`` after ``b``, the matrix product: the oracle that evaluation
     is functorial in composition."""
